@@ -29,6 +29,7 @@ from . import exprs
 from .fractional import (
     OrderFunction,
     _require_derivative_window,
+    _sample,
     _vo_derivative_grid,
     _vo_integral_grid,
     caputo_exp_exact,
@@ -145,7 +146,7 @@ def _load_config(path, allowed: set[str]) -> dict:
 
 
 def _callable_from_text(text, key: str):
-    """Compile an expression string into a float -> float callable."""
+    """Compile an expression string into a callable on arrays of points."""
     if not isinstance(text, str):
         raise ConfigError(f"{key}: expected an expression string, got {text!r}")
     try:
@@ -198,7 +199,7 @@ def cmd_example1(theta_beta_list, N_list, orders, *, length=1.0, grid_size=1001,
             coeffs = interpolate(rule, np.exp(rule.nodes))
             for text, order in validated:
                 approx = _vo_derivative_grid(coeffs, order, xs)
-                exact = np.array([caputo_exp_exact(order, x) for x in xs])
+                exact = caputo_exp_exact(order, xs)
                 err = float(np.max(np.abs(approx - exact)))
                 rows.append([_fmt(theta), _fmt(beta), str(int(degree)), text, _fmt(err)])
     _write_sections(Path(out_path),
@@ -220,7 +221,7 @@ def cmd_example2(theta_beta_list, N_list, order_text, length=1.0, *, grid_size=1
     one = lambda x: 1.0
     forcing = lambda x, _o=order: caputo_of_sin(_o, x)
     xs = np.linspace(0.0, length, int(grid_size))
-    reference = np.array([math.sin(x) for x in xs])
+    reference = np.sin(xs)
     rows = []
     for theta, beta in theta_beta_list:
         params = LaguerreParams(theta, beta)
@@ -420,18 +421,13 @@ def _run_operator_config(config: RunConfig) -> None:
     multiple = len(config.N_list) > 1
     for degree in config.N_list:
         rule = gauss_rule(params, degree)
-        samples = np.array([float(func(x)) for x in rule.nodes])
-        if not np.all(np.isfinite(samples)):
-            raise DomainError("function 'u' returned non-finite values at the "
-                              "quadrature nodes")
+        samples = _sample(func, rule.nodes, "function 'u'", DomainError)
         coeffs = interpolate(rule, samples)
         values = apply_grid(coeffs, order, xs)
         sections = [(["x", "value"], [[_fmt(x), _fmt(v)] for x, v in zip(xs, values)])]
         summary = ""
         if exact is not None:
-            reference = np.array([float(exact(x)) for x in xs])
-            if not np.all(np.isfinite(reference)):
-                raise DomainError("exact returned a non-finite value on the grid")
+            reference = _sample(exact, xs, "exact", DomainError)
             err = float(np.max(np.abs(values - reference)))
             report = ErrorReport(N=degree, params=params, max_abs_error=err,
                                  grid_size=config.grid_size,

@@ -19,7 +19,10 @@ import math
 import re
 from dataclasses import dataclass
 
-from .special import DomainError, log_gamma
+import numpy as np
+from scipy import special as _special
+
+from .special import DomainError
 
 __all__ = [
     "Expr",
@@ -229,41 +232,56 @@ def parse(text: str) -> Expr:
     return node
 
 
-def _gamma(value: float) -> float:
-    # gamma routed through the shared log-space path; overflow saturates
-    try:
-        return math.exp(log_gamma(value))
-    except OverflowError:
-        return math.inf
-
-
-_UNARY_FUNCS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "tanh": math.tanh,
-    "abs": abs,
+_FUNCS = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "tanh": np.tanh,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+    "gamma": _special.gamma,
 }
 
 
-def evaluate(node: Expr, x: float) -> float:
-    """Evaluate the AST at a real point x.
+def evaluate(node: Expr, x):
+    """Evaluate the AST at a real point x, or at every point of an array x.
 
-    Leaving a function's domain (log of a non-positive value, gamma pole,
-    even root of a negative value, division by zero) raises ExprDomainError
-    naming the offending subexpression.
+    The tree is walked once with numpy ufuncs over all points: a scalar x
+    gives a float, an array x an array of its shape. Leaving a function's
+    domain at any point (division by zero, log of a non-positive value,
+    sqrt of a negative value, a negative base with a fractional exponent or
+    zero to a negative power, a gamma pole at 0, -1, -2, ..., sin, cos or
+    tan of an infinite value) raises ExprDomainError naming the offending
+    subexpression and the first such point. Overflow saturates to an
+    infinity.
     """
+    points = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        values = _evaluate(node, np.atleast_1d(points))
+    return float(values[0]) if points.ndim == 0 else values
+
+
+def _check(bad: np.ndarray, problem: str, node: Expr, x: np.ndarray) -> None:
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        raise ExprDomainError(
+            f"{problem} in {to_text(node)!r} at x={x.flat[hits[0]]}")
+
+
+def _evaluate(node: Expr, x: np.ndarray) -> np.ndarray:
     if isinstance(node, Num):
-        return node.value
+        return np.full(x.shape, node.value)
     if isinstance(node, Var):
-        return float(x)
+        return x
     if isinstance(node, Pi):
-        return math.pi
+        return np.full(x.shape, math.pi)
     if isinstance(node, Neg):
-        return -evaluate(node.operand, x)
+        return -_evaluate(node.operand, x)
     if isinstance(node, BinOp):
-        left = evaluate(node.left, x)
-        right = evaluate(node.right, x)
+        left = _evaluate(node.left, x)
+        right = _evaluate(node.right, x)
         if node.op == "+":
             return left + right
         if node.op == "-":
@@ -271,42 +289,28 @@ def evaluate(node: Expr, x: float) -> float:
         if node.op == "*":
             return left * right
         if node.op == "/":
-            if right == 0.0:
-                raise ExprDomainError(f"division by zero in {to_text(node)!r}")
+            _check(right == 0.0, "division by zero", node, x)
             return left / right
         if node.op == "^":
-            try:
-                return math.pow(left, right)
-            except OverflowError:
-                return math.inf
-            except ValueError as exc:
-                raise ExprDomainError(
-                    f"invalid power (negative base, fractional exponent) "
-                    f"in {to_text(node)!r}") from exc
+            # real pow is undefined here for finite operands; infinite ones take C99 limits
+            finite = np.isfinite(left) & np.isfinite(right)
+            fractional = (left < 0.0) & (right != np.floor(right))
+            _check(finite & (fractional | ((left == 0.0) & (right < 0.0))),
+                   "invalid power (negative base with fractional exponent, "
+                   "or zero to a negative power)", node, x)
+            return np.power(left, right)
         raise AssertionError(f"unreachable operator {node.op!r}")
     if isinstance(node, Call):
-        value = evaluate(node.arg, x)
-        if node.name in _UNARY_FUNCS:
-            return float(_UNARY_FUNCS[node.name](value))
-        if node.name == "exp":
-            try:
-                return math.exp(value)
-            except OverflowError:
-                return math.inf
-        if node.name == "log":
-            if value <= 0.0:
-                raise ExprDomainError(f"log of non-positive value in {to_text(node)!r}")
-            return math.log(value)
-        if node.name == "sqrt":
-            if value < 0.0:
-                raise ExprDomainError(f"sqrt of negative value in {to_text(node)!r}")
-            return math.sqrt(value)
-        if node.name == "gamma":
-            try:
-                return _gamma(value)
-            except DomainError as exc:
-                raise ExprDomainError(f"gamma pole in {to_text(node)!r}") from exc
-        raise AssertionError(f"unreachable function {node.name!r}")
+        value = _evaluate(node.arg, x)
+        if node.name in ("sin", "cos", "tan"):
+            _check(np.isinf(value), f"{node.name} of an infinite value", node, x)
+        elif node.name == "log":
+            _check(value <= 0.0, "log of non-positive value", node, x)
+        elif node.name == "sqrt":
+            _check(value < 0.0, "sqrt of negative value", node, x)
+        elif node.name == "gamma":
+            _check((value <= 0.0) & (value == np.floor(value)), "gamma pole", node, x)
+        return _FUNCS[node.name](value)
     raise TypeError(f"not an expression node: {node!r}")
 
 

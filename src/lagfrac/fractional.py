@@ -17,7 +17,7 @@ from typing import Callable
 import mpmath
 import numpy as np
 
-from .laguerre import InterpolantCoeffs, LaguerreParams, _checked_degree
+from .laguerre import InterpolantCoeffs, LaguerreParams, _as_points, _checked_degree
 from .special import DomainError, gamma_ratio, log_gamma, reg_lower_incomplete_gamma
 
 __all__ = [
@@ -42,14 +42,19 @@ class OrderFunction:
 
     rho_min and rho_max bound the values on the intended working range and
     n is the integer ceiling used by the derivative formulas, which require
-    n - 1 < rho(x) < n pointwise. The bounds gate derivative usage up
-    front; every evaluation is additionally checked pointwise, so bounds
-    certified by sampling are safe to use.
+    n - 1 < rho(x) < n pointwise (rho(0) = n - 1 is also accepted at the
+    origin). The bounds gate derivative usage up front; every evaluation is
+    additionally checked pointwise, so bounds certified by sampling are safe
+    to use.
 
-    The callable stored in ``eval`` must be pure and thread safe.
+    The callable stored in ``eval`` takes a 1-D float array of points and
+    returns the orders there as an array of the same shape; a scalar return
+    (as from ``lambda x: 1.5``) is broadcast. Write it with numpy functions
+    (``np.sin``, ``np.where``): a scalar-only callable such as ``math.sin``
+    fails. It must be pure and thread safe.
     """
 
-    eval: Callable[[float], float]
+    eval: Callable[[np.ndarray], np.ndarray]
     rho_min: float
     rho_max: float
     n: int
@@ -95,9 +100,7 @@ class OrderFunction:
         if count < 2:
             raise ValueError("samples must be at least 2")
         xs = np.linspace(0.0, length, count + 1)[1:]
-        vals = np.array([float(func(x)) for x in xs])
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("order function returned a non-finite value while sampling")
+        vals = _sample(func, xs, "order function")
         rho_min = float(vals.min())
         rho_max = float(vals.max())
         if rho_min <= 0.0:
@@ -116,14 +119,37 @@ def _require_derivative_window(order: OrderFunction) -> None:
             f"inside ({n - 1}, {n})")
 
 
-def _order_value(order: OrderFunction, x: float) -> float:
-    value = float(order.eval(x))
-    if not np.isfinite(value):
-        raise DomainError(f"order function returned non-finite value at x={x}")
-    if not (order.n - 1 < value < order.n):
+def _sample(func, points: np.ndarray, name: str, error=ValueError) -> np.ndarray:
+    """Values of func at every point of the 1-D array points, from one call.
+
+    func takes the array and returns an array of its shape; a scalar return
+    is broadcast, any other shape raises ValueError. A non-finite value
+    raises ``error`` naming the first such point.
+    """
+    values = np.asarray(func(points), dtype=float)
+    if values.ndim == 0:
+        values = np.full(points.shape, float(values))
+    elif values.shape != points.shape:
+        raise ValueError(f"{name} returned shape {values.shape} "
+                         f"for points of shape {points.shape}")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        j = bad[0]
+        raise error(f"{name} returned non-finite value {values[j]} at x={points[j]}")
+    return values
+
+
+def _order_values(order: OrderFunction, points: np.ndarray) -> np.ndarray:
+    # rho(0) = n - 1 is harmless: every derivative ladder entry carries x^(n - rho)
+    rho = _sample(order.eval, points, "order function", DomainError)
+    n = order.n
+    inside = ((n - 1 < rho) & (rho < n)) | ((points == 0.0) & (rho == n - 1))
+    bad = np.flatnonzero(~inside)
+    if bad.size:
+        j = bad[0]
         raise DomainError(
-            f"order value {value} at x={x} lies outside ({order.n - 1}, {order.n})")
-    return value
+            f"order value {rho[j]} at x={points[j]} lies outside ({n - 1}, {n})")
+    return rho
 
 
 @dataclass(frozen=True)
@@ -199,22 +225,19 @@ def vo_integral(coeffs: InterpolantCoeffs, order: OrderFunction, x) -> float:
     constrains derivatives.
     """
     point = float(x)
-    rho = float(order.eval(point))
-    if not np.isfinite(rho) or rho <= 0.0:
-        raise DomainError(f"integral order must be positive, got {rho!r} at x={point}")
-    basis = frac_integral_basis(coeffs.params, rho, coeffs.coeffs.size - 1, point)
-    return float(np.dot(coeffs.coeffs, basis.values))
+    if not np.isfinite(point) or point < 0.0:
+        raise DomainError(f"x must be nonnegative and finite, got {x!r}")
+    return float(_vo_integral_grid(coeffs, order, np.array([point]))[0])
 
 
 def _vo_integral_grid(coeffs: InterpolantCoeffs, order: OrderFunction,
                       points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
-    rho = np.empty(pts.size)
-    for j, p in enumerate(pts):
-        value = float(order.eval(p))
-        if not np.isfinite(value) or value <= 0.0:
-            raise DomainError(f"integral order must be positive, got {value!r} at x={p}")
-        rho[j] = value
+    rho = _sample(order.eval, pts, "order function", DomainError)
+    bad = np.flatnonzero(rho <= 0.0)
+    if bad.size:
+        j = bad[0]
+        raise DomainError(f"integral order must be positive, got {rho[j]} at x={pts[j]}")
     ladder = _frac_ladder(coeffs.params, rho, coeffs.coeffs.size - 1, pts)
     return coeffs.coeffs @ ladder
 
@@ -224,7 +247,7 @@ def _caputo_matrix(params: LaguerreParams, order: OrderFunction, max_degree: int
     """Derivative ladder values, one column per point."""
     _require_derivative_window(order)
     pts = np.asarray(points, dtype=float)
-    rho = np.array([_order_value(order, p) for p in pts])
+    rho = _order_values(order, pts)
     n = order.n
     rows = np.zeros((max_degree + 1, pts.size))
     if max_degree >= n:
@@ -260,75 +283,65 @@ def _vo_derivative_grid(coeffs: InterpolantCoeffs, order: OrderFunction,
     return coeffs.coeffs @ matrix
 
 
-def caputo_power_rule(gamma_exp, order_value, n, x) -> float:
-    """Caputo derivative of x^gamma_exp at a constant order inside (n-1, n).
+def caputo_power_rule(gamma_exp, order_value, n, x):
+    """Caputo derivative of x^gamma_exp at orders inside (n-1, n).
 
     Powers up to n - 1 are annihilated; larger (real) powers map to
     gamma_ratio(gamma_exp + 1, gamma_exp + 1 - order) * x^(gamma_exp - order).
+    order_value and x may be scalars or matching 1-D arrays; the result is
+    a float when both are scalars.
     """
     ceiling = int(n)
     if ceiling != n or ceiling < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    rho = float(order_value)
-    if not (ceiling - 1 < rho < ceiling):
-        raise DomainError(f"order {rho} must lie strictly inside ({ceiling - 1}, {ceiling})")
+    rho = np.asarray(order_value, dtype=float)
+    outside = np.flatnonzero(~((ceiling - 1 < rho) & (rho < ceiling)))
+    if outside.size:
+        raise DomainError(f"order {rho.flat[outside[0]]} must lie strictly inside "
+                          f"({ceiling - 1}, {ceiling})")
     exponent = float(gamma_exp)
     if not np.isfinite(exponent) or exponent < 0.0:
         raise ValueError(f"gamma_exp must be nonnegative, got {gamma_exp!r}")
-    point = float(x)
-    if not np.isfinite(point) or point <= 0.0:
-        raise DomainError(f"x must be positive, got {x!r}")
+    point = np.asarray(x, dtype=float)
+    nonpositive = np.flatnonzero(~(np.isfinite(point) & (point > 0.0)))
+    if nonpositive.size:
+        raise DomainError(f"x must be positive, got {point.flat[nonpositive[0]]}")
     if exponent <= ceiling - 1:
-        return 0.0
-    return gamma_ratio(exponent + 1.0, exponent + 1.0 - rho) * point ** (exponent - rho)
+        out = np.zeros(np.broadcast(rho, point).shape)
+    else:
+        out = gamma_ratio(exponent + 1.0, exponent + 1.0 - rho) * point ** (exponent - rho)
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def caputo_exp_exact(order: OrderFunction, x) -> float:
-    """Closed form for the Caputo derivative of exp at x.
+def caputo_exp_exact(order: OrderFunction, x):
+    """Closed form for the Caputo derivative of exp at x, scalar or 1-D array.
 
     Equals exp(x) * P(n - rho(x), x) with P the regularized lower incomplete
     gamma function; zero at x = 0.
     """
     _require_derivative_window(order)
-    point = float(x)
-    if not np.isfinite(point) or point < 0.0:
-        raise DomainError(f"x must be nonnegative and finite, got {x!r}")
-    rho = _order_value(order, point)
-    return math.exp(point) * reg_lower_incomplete_gamma(order.n - rho, point)
+    pts, scalar = _as_points(x)
+    rho = _order_values(order, pts)
+    out = np.exp(pts) * reg_lower_incomplete_gamma(order.n - rho, pts)
+    return float(out[0]) if scalar else out
 
 
-def caputo_of_sin(order: OrderFunction, x) -> float:
-    """Caputo derivative of sin at x, summed term by term from the power rule.
+def caputo_of_sin(order: OrderFunction, x):
+    """Caputo derivative of sin at x, scalar or 1-D array.
 
-    The Maclaurin series of sin maps to
-    sum_k (-1)^k x^(2k+1-rho) / Gamma(2k+2-rho), with k starting at 1 when
-    n = 2 because the linear term is annihilated. The factorial decay only
-    takes over once 2k > x, so both the term count and the working precision
-    scale with x; a fixed-precision fixed-length sum loses all accuracy by
-    x around 40 while this form tracks quadrature references past x = 70.
+    The closed form for exp(a x) at a = i gives
+    D^rho sin x = Im[i^rho e^(ix) P(n - rho, ix)], with P the regularized
+    lower incomplete gamma function evaluated by mpmath, once per point.
+    Unlike a power series summed term by term it needs no working
+    precision or term count that grows with x.
     """
     _require_derivative_window(order)
-    point = float(x)
-    if not np.isfinite(point) or point < 0.0:
-        raise DomainError(f"x must be nonnegative and finite, got {x!r}")
-    if point == 0.0:
-        return 0.0
-    rho = _order_value(order, point)
-    start = 1 if order.n == 2 else 0
-    digits = 25 + int(1.2 * point)
-    with mpmath.workdps(digits):
-        xm = mpmath.mpf(point)
-        rm = mpmath.mpf(rho)
-        total = mpmath.mpf(0)
-        tiny = mpmath.mpf(10) ** (3 - digits)
-        k = start
-        while True:
-            term = (-1) ** k * xm ** (2 * k + 1 - rm) / mpmath.gamma(2 * k + 2 - rm)
-            total += term
-            if (k - start >= 5 and 2 * k > point
-                    and abs(term) < tiny * max(1, abs(total))):
-                break
-            if k - start > 400:
-                break
-            k += 1
-        return float(total)
+    pts, scalar = _as_points(x)
+    rho = _order_values(order, pts)
+    # five guard digits over float64 keep the rounded result exact in practice
+    with mpmath.workdps(20):
+        out = np.array([
+            float(mpmath.im(mpmath.expjpi(r / 2.0) * mpmath.expj(p)
+                            * mpmath.gammainc(order.n - r, 0, 1j * p, regularized=True)))
+            for p, r in zip(pts.tolist(), rho.tolist())])
+    return float(out[0]) if scalar else out

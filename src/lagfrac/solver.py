@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import linalg as _linalg
 
-from .fractional import OrderFunction, _caputo_matrix, _require_derivative_window
+from .fractional import OrderFunction, _caputo_matrix, _require_derivative_window, _sample
 from .laguerre import (
     InterpolantCoeffs,
     LaguerreParams,
@@ -52,17 +52,19 @@ class IvpSpec:
     The equation is a(x) u^(m)(x) + b(x) D^(rho(x)) u(x) + c(x) u(x) = f(x)
     on [0, domain_length] with u(0) = u0, plus u'(0) = v0 when the
     fractional order lies in (1, 2). The coefficient and forcing callables
-    must be pure and finite on the domain.
+    take a 1-D float array of points and return an array of the same shape
+    (a scalar return is broadcast); they must be pure and finite on the
+    domain.
     """
 
     params: LaguerreParams
     N: int
     order: OrderFunction
     m: int
-    a: Callable[[float], float]
-    b: Callable[[float], float]
-    c: Callable[[float], float]
-    f: Callable[[float], float]
+    a: Callable[[np.ndarray], np.ndarray]
+    b: Callable[[np.ndarray], np.ndarray]
+    c: Callable[[np.ndarray], np.ndarray]
+    f: Callable[[np.ndarray], np.ndarray]
     u0: float
     domain_length: float
     v0: Optional[float] = None
@@ -150,14 +152,6 @@ def collocation_nodes(params: LaguerreParams, N, count) -> np.ndarray:
     return np.array(rule.nodes[:c])
 
 
-def _sampled(func, nodes: np.ndarray, name: str) -> np.ndarray:
-    vals = np.array([float(func(x)) for x in nodes])
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(
-            f"function {name!r} returned a non-finite value on the collocation nodes")
-    return vals
-
-
 def assemble(spec: IvpSpec) -> LinearSystem:
     """Build the square collocation system for the given problem.
 
@@ -177,10 +171,10 @@ def assemble(spec: IvpSpec) -> LinearSystem:
     shifted = LaguerreParams(theta + spec.m, beta)
     integer_rows[spec.m:] = (-beta) ** spec.m * eval_basis(shifted, spec.N - spec.m, nodes)
 
-    a_vals = _sampled(spec.a, nodes, "a")
-    b_vals = _sampled(spec.b, nodes, "b")
-    c_vals = _sampled(spec.c, nodes, "c")
-    f_vals = _sampled(spec.f, nodes, "f")
+    a_vals = _sample(spec.a, nodes, "function 'a'")
+    b_vals = _sample(spec.b, nodes, "function 'b'")
+    c_vals = _sample(spec.c, nodes, "function 'c'")
+    f_vals = _sample(spec.f, nodes, "function 'f'")
 
     matrix = np.empty((spec.N + 1, spec.N + 1))
     matrix[:, :count] = a_vals * integer_rows + b_vals * frac_rows + c_vals * basis_rows
@@ -226,7 +220,12 @@ def solve(spec: IvpSpec) -> InterpolantCoeffs:
 
 
 def max_abs_error(coeffs: InterpolantCoeffs, exact, domain_length, grid_size) -> ErrorReport:
-    """Max |expansion - exact| over a uniform grid including both endpoints."""
+    """Max |expansion - exact| over a uniform grid including both endpoints.
+
+    exact takes the 1-D array of grid points and returns an array of the
+    same shape (a scalar return is broadcast); write it with numpy
+    functions, as ``np.sin`` rather than ``math.sin``.
+    """
     size = int(grid_size)
     if size != grid_size or size < 2:
         raise ValueError(f"grid_size must be an integer >= 2, got {grid_size!r}")
@@ -235,9 +234,7 @@ def max_abs_error(coeffs: InterpolantCoeffs, exact, domain_length, grid_size) ->
         raise ValueError(f"domain_length must be positive, got {domain_length!r}")
     xs = np.linspace(0.0, length, size)
     approx = eval_interpolant(coeffs, xs)
-    reference = np.array([float(exact(x)) for x in xs])
-    if not np.all(np.isfinite(reference)):
-        raise ValueError("exact returned a non-finite value on the error grid")
+    reference = _sample(exact, xs, "exact")
     value = float(np.max(np.abs(approx - reference)))
     return ErrorReport(N=coeffs.coeffs.size - 1, params=coeffs.params,
                        max_abs_error=value, grid_size=size, domain_length=length)

@@ -45,7 +45,7 @@ def _solve_oscillator(theta, beta, N, order):
                    f=lambda x: caputo_of_sin(order, x),
                    u0=0.0, domain_length=1.0, v0=1.0)
     coeffs = solve(spec)
-    return max_abs_error(coeffs, math.sin, 1.0, 1001).max_abs_error
+    return max_abs_error(coeffs, np.sin, 1.0, 1001).max_abs_error
 
 
 # reference error levels for theta=2, beta=6, N=20; bound is max(100x, 1e-10)
@@ -80,8 +80,8 @@ def test_criterion_2_variable_order_derivative_table():
     rule = gauss_rule(params, 20)
     coeffs = interpolate(rule, np.exp(rule.nodes))
     xs = np.linspace(0.0, 1.0, 1001)
-    cases = [((lambda x: (9.0 + math.sin(x)) / 10.0), 1e-8, "(9+sin x)/10"),
-             ((lambda x: (3.0 + math.tanh(x)) / 2.0), 1e-7, "(3+tanh x)/2")]
+    cases = [((lambda x: (9.0 + np.sin(x)) / 10.0), 1e-8, "(9+sin x)/10"),
+             ((lambda x: (3.0 + np.tanh(x)) / 2.0), 1e-7, "(3+tanh x)/2")]
     cells = []
     for func, bound, label in cases:
         order = OrderFunction.from_callable(func, 1.0)
@@ -103,7 +103,7 @@ def test_criterion_3_oscillator_benchmark():
     cells = [("rho=3/2 N=10", _solve_oscillator(3.0, 6.0, 10, constant), 1e-6),
              ("rho=3/2 N=20", _solve_oscillator(3.0, 6.0, 20, constant), 1e-12)]
     variable = OrderFunction.from_callable(
-        lambda x: (9.0 + math.sin(x - 10.0)) / 5.0, 1.0)
+        lambda x: (9.0 + np.sin(x - 10.0)) / 5.0, 1.0)
     cells.append(("variable N=20", _solve_oscillator(3.0, 6.0, 20, variable), 1e-11))
     elapsed = time.perf_counter() - start
     ok = all(err <= bound for _, err, bound in cells) and elapsed < 10.0
@@ -119,7 +119,7 @@ def test_criterion_4_polynomial_exact_benchmark():
     length = math.pi / 2.0
     orders = [("rho=1.5", OrderFunction.constant(1.5)),
               ("rho=1+|sin x|/2", OrderFunction.from_callable(
-                  lambda x: 1.0 + 0.5 * abs(math.sin(x)), length))]
+                  lambda x: 1.0 + 0.5 * np.abs(np.sin(x)), length))]
     cells = []
     for label, order in orders:
         forcing = lambda x, _o=order: (caputo_power_rule(3.0, _o.eval(x), 2, x)

@@ -153,6 +153,16 @@ def test_example2_rejects_first_window_order(workdir):
     assert rc == 1
 
 
+def test_order_touching_lower_integer_at_origin(workdir, capsys):
+    # rho(0) = n - 1 is harmless, since every ladder entry carries x^(n - rho)
+    args = ["example1", "--theta", "1", "--beta", "6", "--N", "20", "--out", "t.csv"]
+    assert main(args + ["--order", "1+0.5*abs(sin(x))"]) == 0
+    assert float(read_rows("t.csv")[1][4]) <= 1e-10
+    # rho(0) = n is not
+    assert main(args + ["--order", "2-0.5*abs(sin(x))"]) == 2
+    assert "order value 2.0 at x=0.0" in capsys.readouterr().err
+
+
 def test_unknown_flag_is_config_error(workdir):
     assert main(["example1", "--nope", "1"]) == 1
 

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from lagfrac.exprs import (
@@ -38,6 +39,7 @@ from lagfrac.special import DomainError
      6.0 / math.gamma(2.5) + 9.0),
     ("1.5e-2 * x", 2.0, 0.03),
     ("--x", 4.0, 4.0),
+    ("gamma(-0.5)", 0.0, -2.0 * math.sqrt(math.pi)),
 ])
 def test_evaluate(text, x, expected):
     value = evaluate(parse(text), x)
@@ -82,6 +84,7 @@ def test_unknown_identifier():
     ("(0 - 2)^0.5", 0.0),
     ("gamma(x)", 0.0),
     ("gamma(x)", -1.0),
+    ("sin(exp(x))", 1000.0),
 ])
 def test_domain_errors(text, x):
     node = parse(text)
@@ -141,3 +144,42 @@ def test_print_parse_round_trip():
     for _ in range(50):
         tree = random_expr(rng, depth=5)
         assert parse(to_text(tree)) == tree
+
+
+def _evaluate_or_error(tree, x):
+    try:
+        return evaluate(tree, x)
+    except ExprDomainError:
+        return None
+
+
+def test_array_evaluation_matches_pointwise():
+    # one pass over an array gives bit for bit the pointwise values, and
+    # fails exactly when some point leaves a domain
+    rng = random.Random(7)
+    raised = 0
+    for _ in range(400):
+        tree = random_expr(rng, depth=4)
+        xs = np.array([rng.choice([0.0, 1.0, -2.0, rng.uniform(-60.0, 60.0)])
+                       for _ in range(rng.randint(1, 12))])
+        pointwise = [_evaluate_or_error(tree, x) for x in xs]
+        if any(value is None for value in pointwise):
+            raised += 1
+            with pytest.raises(ExprDomainError):
+                evaluate(tree, xs)
+            continue
+        values = evaluate(tree, xs)
+        assert values.shape == xs.shape
+        assert values.tobytes() == np.array(pointwise).tobytes(), to_text(tree)
+    assert 0 < raised < 400
+
+
+def test_domain_error_names_first_bad_point():
+    with pytest.raises(ExprDomainError, match=r"sqrt of negative value in 'sqrt\(x\)' at x=-1.0"):
+        evaluate(parse("sqrt(x)"), np.array([4.0, -1.0, -2.0]))
+
+
+def test_array_evaluation_of_constants_keeps_shape():
+    values = evaluate(parse("2*pi"), np.zeros(3))
+    assert values.shape == (3,)
+    assert np.all(values == 2.0 * math.pi)

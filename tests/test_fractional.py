@@ -75,7 +75,7 @@ def test_vo_integral_of_constant_function():
     params = LaguerreParams(1.0, 3.0)
     rule = gauss_rule(params, 10)
     coeffs = interpolate(rule, np.ones_like(rule.nodes))
-    order = OrderFunction.from_callable(lambda x: (9.0 + math.sin(x)) / 10.0, 2.0)
+    order = OrderFunction.from_callable(lambda x: (9.0 + np.sin(x)) / 10.0, 2.0)
     value = vo_integral(coeffs, order, 1.0)
     rho1 = (9.0 + math.sin(1.0)) / 10.0
     assert value == pytest.approx(1.0 / math.gamma(rho1 + 1.0), rel=1e-10)
@@ -165,7 +165,7 @@ def test_vo_derivative_variable_order_cubic():
     rule = gauss_rule(params, 8)
     coeffs = interpolate(rule, rule.nodes ** 3)
     order = OrderFunction.from_callable(
-        lambda x: (9.0 + math.sin(x - 10.0)) / 5.0, 1.0)
+        lambda x: (9.0 + np.sin(x - 10.0)) / 5.0, 1.0)
     assert order.n == 2
     for x in np.linspace(0.05, 1.0, 15):
         ref = caputo_power_rule(3.0, order.eval(x), 2, x)
@@ -242,6 +242,33 @@ def test_caputo_of_sin_far_from_origin():
     assert value == pytest.approx(-1.0876356101940467, rel=1e-12)
 
 
+def test_caputo_of_sin_large_x():
+    # a series summed term by term went wrong here (252.52 at x = 300) and
+    # overflowed to inf from x near 790
+    order = OrderFunction.constant(1.5)
+    val, _ = quad(lambda t: -math.sin(t), 0.0, 300.0, weight="alg",
+                  wvar=(0.0, -0.5), limit=2000)
+    oracle = val / math.gamma(0.5)
+    assert abs(caputo_of_sin(order, 300.0) - oracle) <= 1e-9 * max(1.0, abs(oracle))
+    assert caputo_of_sin(order, 790.0) == pytest.approx(0.6047, abs=1e-4)
+
+
+def test_closed_forms_take_arrays():
+    order = OrderFunction.from_callable(lambda x: 1.5 + 0.3 * np.sin(3.0 * x), 2.0)
+    xs = np.linspace(0.0, 2.0, 7)
+    for func in (caputo_exp_exact, caputo_of_sin):
+        values = func(order, xs)
+        assert values.shape == xs.shape
+        assert np.array_equal(values, [func(order, x) for x in xs])
+    rho = order.eval(xs[1:])
+    powers = caputo_power_rule(3.0, rho, 2, xs[1:])
+    assert np.array_equal(powers, [caputo_power_rule(3.0, r, 2, x)
+                                   for r, x in zip(rho, xs[1:])])
+    assert np.array_equal(caputo_power_rule(1.0, rho, 2, xs[1:]), np.zeros(6))
+    with pytest.raises(DomainError):
+        caputo_power_rule(3.0, rho, 2, xs)
+
+
 def test_order_function_constant():
     order = OrderFunction.constant(0.5)
     assert order.n == 1
@@ -257,10 +284,38 @@ def test_order_function_from_callable_excludes_origin():
     # rho touches 1 exactly at x = 0; bounds are certified on (0, L] so the
     # order is still usable as a second-window derivative order
     order = OrderFunction.from_callable(
-        lambda x: 1.0 + 0.5 * abs(math.sin(x)), math.pi / 2.0)
+        lambda x: 1.0 + 0.5 * np.abs(np.sin(x)), math.pi / 2.0)
     assert order.n == 2
     assert order.rho_min > 1.0
     assert order.rho_max == pytest.approx(1.5, abs=1e-6)
+
+
+def test_order_callables_take_arrays():
+    # a scalar return is broadcast over the sample
+    constant = OrderFunction.from_callable(lambda x: 0.5, 1.0)
+    assert constant.rho_min == constant.rho_max == 0.5
+    with pytest.raises(ValueError, match="shape"):
+        OrderFunction.from_callable(lambda x: np.full(3, 0.5), 1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        OrderFunction.from_callable(lambda x: np.where(x > 0.5, np.nan, 0.5), 1.0)
+    # scalar-only callables fail loudly rather than being looped over
+    with pytest.raises(TypeError):
+        OrderFunction.from_callable(lambda x: (9.0 + math.sin(x)) / 10.0, 1.0)
+
+
+def test_order_may_touch_lower_integer_at_origin_only():
+    params = LaguerreParams(1.0, 6.0)
+    touching = OrderFunction.from_callable(lambda x: 1.0 + 0.5 * np.abs(np.sin(x)), 1.0)
+    assert np.all(caputo_row(params, touching, 6, 0.0) == 0.0)
+    assert caputo_exp_exact(touching, 0.0) == 0.0
+    assert caputo_of_sin(touching, 0.0) == 0.0
+    upper = OrderFunction.from_callable(lambda x: 2.0 - 0.5 * np.abs(np.sin(x)), 1.0)
+    with pytest.raises(DomainError, match="order value 2.0 at x=0.0"):
+        caputo_row(params, upper, 6, 0.0)
+    lower = OrderFunction(eval=lambda x: np.where(x < 0.5, 1.0, 1.5),
+                          rho_min=1.0 + 1e-6, rho_max=1.5, n=2)
+    with pytest.raises(DomainError, match="order value 1.0 at x=0.25"):
+        caputo_exp_exact(lower, np.array([0.0, 0.25]))
 
 
 def test_order_function_validation():
@@ -283,7 +338,7 @@ def test_derivative_window_gating():
 
 def test_pointwise_window_check_catches_lying_bounds():
     params = LaguerreParams(1.0, 3.0)
-    sneaky = OrderFunction(eval=lambda x: 0.5 if x < 1.0 else 1.5,
+    sneaky = OrderFunction(eval=lambda x: np.where(x < 1.0, 0.5, 1.5),
                            rho_min=0.5, rho_max=0.9, n=1)
     caputo_row(params, sneaky, 5, 0.5)
     with pytest.raises(DomainError):

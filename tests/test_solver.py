@@ -132,7 +132,7 @@ def test_oscillator_error_decays_with_degree():
     errs = []
     for N in (5, 10):
         coeffs = solve(oscillator_spec(N))
-        errs.append(max_abs_error(coeffs, math.sin, 1.0, 1001).max_abs_error)
+        errs.append(max_abs_error(coeffs, np.sin, 1.0, 1001).max_abs_error)
     assert errs[1] <= 1e-2 * errs[0]
     assert errs[1] <= 2e-7
 
@@ -159,6 +159,26 @@ def test_nonfinite_forcing_rejected():
                   domain_length=1.0)
     with pytest.raises(ValueError, match="f"):
         assemble(bad)
+
+
+def test_callables_are_sampled_once_on_the_node_array():
+    shapes = []
+    spec = basset_spec()
+    forcing = spec.f
+
+    def recording(x):
+        shapes.append(x.shape)
+        return forcing(x)
+
+    counted = IvpSpec(params=spec.params, N=spec.N, order=spec.order, m=1,
+                      a=ONE, b=ONE, c=ONE, f=recording, u0=1.0, domain_length=1.0)
+    assert np.array_equal(assemble(counted).matrix, assemble(spec).matrix)
+    assert shapes == [(spec.N,)]
+    wrong = IvpSpec(params=spec.params, N=spec.N, order=spec.order, m=1,
+                    a=ONE, b=ONE, c=ONE, f=lambda x: np.ones(2), u0=1.0,
+                    domain_length=1.0)
+    with pytest.raises(ValueError, match="shape"):
+        assemble(wrong)
 
 
 def test_linear_system_validation():
