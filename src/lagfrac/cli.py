@@ -62,12 +62,22 @@ def _fmt(value: float) -> str:
 
 
 def _write_sections(path: Path, sections) -> None:
-    """Write one or more (header, rows) CSV sections to a single file."""
+    """Write one or more (header, rows) CSV sections to a single file.
+
+    rows is a list of text rows, written by csv.writer, or a tuple of
+    equal-length float arrays, one per column, written in one %.17g format
+    call ('%.17g' % v and _fmt(v) give the same digits).
+    """
     with open(path, "w", encoding="ascii", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         for header, rows in sections:
             writer.writerow(header)
-            writer.writerows(rows)
+            if isinstance(rows, tuple):
+                line = ",".join(["%.17g"] * len(rows)) + "\n"
+                handle.write(line * len(rows[0])
+                             % tuple(np.column_stack(rows).ravel().tolist()))
+            else:
+                writer.writerows(rows)
 
 
 def _split(value, key: str) -> list:
@@ -235,8 +245,7 @@ def cmd_example2(theta_beta_list, N_list, order_text, length=1.0, *, grid_size=1
             pointwise_name = (f"{out.stem}_pointwise_theta{theta:g}_beta{beta:g}"
                               f"_N{int(degree)}{out.suffix or '.csv'}")
             _write_sections(out.parent / pointwise_name,
-                            [(["x", "abs_error"],
-                              [[_fmt(x), _fmt(e)] for x, e in zip(xs, errors)])])
+                            [(["x", "abs_error"], (xs, errors))])
             rows.append([_fmt(theta), _fmt(beta), str(int(degree)), order_text,
                          _fmt(err), pointwise_name])
     _write_sections(out, [(["theta", "beta", "N", "order", "max_abs_error",
@@ -369,6 +378,24 @@ def _report_row(report: ErrorReport, order_text: str) -> list[str]:
             _fmt(report.domain_length)]
 
 
+def _write_degree(config: RunConfig, params: LaguerreParams, degree: int, header: list,
+                  xs: np.ndarray, values: np.ndarray, exact, error) -> None:
+    """Write one degree's (x, values) section, plus the error report when
+    exact is given; a non-finite exact value raises error."""
+    sections = [(header, (xs, values))]
+    summary = ""
+    if exact is not None:
+        reference = _sample(exact, xs, "exact", error)
+        err = float(np.max(np.abs(values - reference)))
+        report = ErrorReport(N=degree, params=params, max_abs_error=err,
+                             grid_size=config.grid_size, domain_length=config.length)
+        sections.append((_REPORT_HEADER, [_report_row(report, config.order_text)]))
+        summary = f", max_abs_error={_fmt(err)}"
+    path = _per_degree_path(Path(config.out), degree, len(config.N_list) > 1)
+    _write_sections(path, sections)
+    print(f"{config.mode}: wrote {path}{summary}")
+
+
 def _run_solve_config(config: RunConfig) -> None:
     order = _order_from_text(config.order_text, config.length)
     _require_config_window(order, config.order_text)
@@ -388,23 +415,12 @@ def _run_solve_config(config: RunConfig) -> None:
     coeff_c = _callable_from_text(config.c, "c")
     exact = _callable_from_text(config.exact, "exact") if config.exact else None
     xs = np.linspace(0.0, config.length, config.grid_size)
-    base = Path(config.out)
-    multiple = len(config.N_list) > 1
     for degree in config.N_list:
         spec = IvpSpec(params=params, N=degree, order=order, m=m,
                        a=coeff_a, b=coeff_b, c=coeff_c, f=forcing,
                        u0=config.u0, domain_length=config.length, v0=config.v0)
-        coeffs = solve(spec)
-        values = eval_interpolant(coeffs, xs)
-        sections = [(["x", "u"], [[_fmt(x), _fmt(v)] for x, v in zip(xs, values)])]
-        summary = ""
-        if exact is not None:
-            report = max_abs_error(coeffs, exact, config.length, config.grid_size)
-            sections.append((_REPORT_HEADER, [_report_row(report, config.order_text)]))
-            summary = f", max_abs_error={_fmt(report.max_abs_error)}"
-        path = _per_degree_path(base, degree, multiple)
-        _write_sections(path, sections)
-        print(f"solve: wrote {path}{summary}")
+        values = eval_interpolant(solve(spec), xs)
+        _write_degree(config, params, degree, ["x", "u"], xs, values, exact, ValueError)
 
 
 def _run_operator_config(config: RunConfig) -> None:
@@ -417,26 +433,12 @@ def _run_operator_config(config: RunConfig) -> None:
     xs = np.linspace(0.0, config.length, config.grid_size)
     apply_grid = (_vo_derivative_grid if config.mode == "derivative"
                   else _vo_integral_grid)
-    base = Path(config.out)
-    multiple = len(config.N_list) > 1
     for degree in config.N_list:
         rule = gauss_rule(params, degree)
         samples = _sample(func, rule.nodes, "function 'u'", DomainError)
-        coeffs = interpolate(rule, samples)
-        values = apply_grid(coeffs, order, xs)
-        sections = [(["x", "value"], [[_fmt(x), _fmt(v)] for x, v in zip(xs, values)])]
-        summary = ""
-        if exact is not None:
-            reference = _sample(exact, xs, "exact", DomainError)
-            err = float(np.max(np.abs(values - reference)))
-            report = ErrorReport(N=degree, params=params, max_abs_error=err,
-                                 grid_size=config.grid_size,
-                                 domain_length=config.length)
-            sections.append((_REPORT_HEADER, [_report_row(report, config.order_text)]))
-            summary = f", max_abs_error={_fmt(err)}"
-        path = _per_degree_path(base, degree, multiple)
-        _write_sections(path, sections)
-        print(f"{config.mode}: wrote {path}{summary}")
+        values = apply_grid(interpolate(rule, samples), order, xs)
+        _write_degree(config, params, degree, ["x", "value"], xs, values, exact,
+                      DomainError)
 
 
 def cmd_solve(config_path, *, out_override=None) -> None:
@@ -489,6 +491,10 @@ def _build_parser() -> _Parser:
     ps.add_argument("--config", required=True, help="JSON config file")
     ps.add_argument("--out", help="override the config output path")
     return parser
+
+
+# parse_args leaves the parser unchanged, so one instance serves every main() call
+_PARSER = _build_parser()
 
 
 def _merged(flag_value, config: dict, key: str, default):
@@ -559,9 +565,8 @@ def _dispatch(args) -> None:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         _dispatch(args)
     except (DomainError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

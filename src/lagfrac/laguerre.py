@@ -176,6 +176,12 @@ def _norms(params: LaguerreParams, max_degree: int) -> np.ndarray:
     return gamma_ratio(i + params.theta + 1.0, i + 1.0) * params.beta ** (-(params.theta + 1.0))
 
 
+def _require_finite_positive(values: np.ndarray, name: str, n: int) -> None:
+    if not np.all(np.isfinite(values) & (values > 0.0)):
+        raise RuntimeError(f"quadrature {name} for N={n} are not finite and positive: "
+                           f"the basis ladder leaves double range")
+
+
 def gauss_rule(params: LaguerreParams, N) -> QuadratureRule:
     """(N+1)-point Gauss rule for the weight x^theta exp(-beta x).
 
@@ -196,14 +202,19 @@ def gauss_rule(params: LaguerreParams, N) -> QuadratureRule:
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"tridiagonal eigenvalue solve failed for N={n}: {exc}") from exc
     shifted = LaguerreParams(theta + 1.0, beta)
-    for _ in range(2):
-        residual = eval_basis(params, n + 1, nodes)[n + 1]
-        slope = -beta * eval_basis(shifted, n, nodes)[n]
-        nodes = nodes - residual / slope
-    nodes = np.sort(nodes)
-    scale = 1.0 / np.sqrt(_norms(params, n))
-    ortho = eval_basis(params, n, nodes) * scale[:, None]
-    weights = 1.0 / np.sum(ortho * ortho, axis=0)
+    # from N ~ 190 the ladder leaves double range at the far nodes; the
+    # checks turn that into a RuntimeError instead of numpy warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(2):
+            residual = eval_basis(params, n + 1, nodes)[n + 1]
+            slope = -beta * eval_basis(shifted, n, nodes)[n]
+            nodes = nodes - residual / slope
+            _require_finite_positive(nodes, "nodes", n)
+        nodes = np.sort(nodes)
+        scale = 1.0 / np.sqrt(_norms(params, n))
+        ortho = eval_basis(params, n, nodes) * scale[:, None]
+        weights = 1.0 / np.sum(ortho * ortho, axis=0)
+    _require_finite_positive(weights, "weights", n)
     mu0 = norm(params, 0)
     total = float(np.sum(weights))
     if not np.isfinite(total) or abs(total - mu0) > 1e-12 * mu0:

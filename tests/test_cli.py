@@ -1,10 +1,18 @@
+import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lagfrac.cli import main
+from lagfrac.cli import _write_sections, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -229,3 +237,83 @@ def test_u_key_rejected_in_solve_mode(workdir, capsys):
         "length": 1})
     assert main(["solve", "--config", cfg]) == 1
     assert "'u'" in capsys.readouterr().err
+
+
+def test_numeric_sections_match_csv_writer_bytes(tmp_path):
+    tricky = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+                       -1.7976931348623157e308, 1.0 / 3.0, 0.1, -2.5, 1e16, 123456789.0,
+                       math.pi, np.inf, -np.inf, np.nan])
+    random_bits = np.random.default_rng(7).integers(0, 2**64, size=2000, dtype=np.uint64,
+                                                     endpoint=False).view(np.float64)
+    first = np.concatenate([tricky, random_bits])
+    second = first[::-1].copy()
+    third = np.linspace(-1.0, 1.0, first.size)
+    text_rows = [["N", "order"], ["10", "1 + 0.5*abs(sin(x))"], ["20", "a,b"]]
+    _write_sections(tmp_path / "fast.csv",
+                    [(["x", "y"], (first, second)), (["h"], text_rows),
+                     (["a", "b", "c"], (first, second, third)), (["z"], (third,))])
+    fmt = lambda v: format(float(v), ".17g")
+    with open(tmp_path / "slow.csv", "w", encoding="ascii", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["x", "y"])
+        writer.writerows([fmt(a), fmt(b)] for a, b in zip(first, second))
+        writer.writerow(["h"])
+        writer.writerows(text_rows)
+        writer.writerow(["a", "b", "c"])
+        writer.writerows([fmt(a), fmt(b), fmt(c)] for a, b, c in zip(first, second, third))
+        writer.writerow(["z"])
+        writer.writerows([fmt(c)] for c in third)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+
+
+def test_repeated_main_matches_fresh_processes(tmp_path, capsys):
+    # the parser is built once per process; no call may see another's flags
+    solve_config = {
+        "mode": "solve", "theta": 2, "beta": 4, "N": 8, "order": "0.5",
+        "a": "1", "b": "1", "c": "1",
+        "f": "2*x + gamma(3)/gamma(2.5)*x^1.5 + x^2 + 1",
+        "exact": "x^2 + 1", "m": 1, "u0": 1, "length": 1, "grid": 101,
+        "out": "solve.csv"}
+    runs = [
+        ["example1", "--theta", "2", "--beta", "6", "--N", "10,20", "--order", "0.5,1.5",
+         "--grid", "201", "--out", "first.csv"],
+        ["example1", "--bogus", "1"],
+        ["example3", "--N", "3", "--out", "ex3.csv"],
+        ["solve", "--config", "solve.json"],
+        ["example1", "--theta", "1", "--beta", "3", "--N", "10", "--out", "again.csv"],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    inproc, fresh = tmp_path / "inproc", tmp_path / "fresh"
+    for directory in (inproc, fresh):
+        directory.mkdir()
+        write_config(directory / "solve.json", solve_config)
+    cwd = os.getcwd()
+    try:
+        os.chdir(inproc)
+        results = []
+        for argv in runs:
+            code = main(argv)
+            results.append((code, capsys.readouterr().out))
+    finally:
+        os.chdir(cwd)
+    for argv, (code, out) in zip(runs, results):
+        proc = subprocess.run([sys.executable, "-m", "lagfrac.cli", *argv], cwd=fresh,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (code, out) == (proc.returncode, proc.stdout), argv
+    assert [code for code, _ in results] == [0, 1, 0, 0, 0]
+    names = sorted(path.name for path in inproc.iterdir())
+    assert names == sorted(path.name for path in fresh.iterdir())
+    assert len(names) == 5
+    for name in names:
+        assert (inproc / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_quadrature_overflow_is_numerical_error(workdir, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["example1", "--theta", "1", "--beta", "6", "--order", "0.5",
+                   "--N", "200"])
+    assert rc == 2
+    assert "N=200" in capsys.readouterr().err

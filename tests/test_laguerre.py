@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,17 @@ def test_gauss_rule_structure(theta, beta, N):
     assert np.all(rule.weights > 0.0)
     mu0 = math.gamma(theta + 1.0) / beta ** (theta + 1.0)
     assert np.sum(rule.weights) == pytest.approx(mu0, rel=1e-12)
+
+
+def test_gauss_rule_overflow_is_runtime_error():
+    # from N ~ 190 the far-node ladder values leave double range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="N=200"):
+            gauss_rule(LaguerreParams(1.0, 3.0), 200)
+        rule = gauss_rule(LaguerreParams(1.0, 3.0), 150)
+    assert np.all(rule.weights > 0.0)
+    assert np.sum(rule.weights) == pytest.approx(1.0 / 9.0, rel=1e-12)
 
 
 def test_discrete_orthonormality():
