@@ -52,20 +52,18 @@ def main():
     # genuinely variable order: rho(x) = (9 + sin x)/10 stays in (0, 1)
     # order, coefficient and reference callables take an array of points
     order = OrderFunction.from_callable(lambda x: (9.0 + np.sin(x)) / 10.0, 1.0)
+    # and so do the operators: one call evaluates the whole grid
     xs = np.linspace(0.05, 1.0, 20)
     exact = caputo_exp_exact(order, xs)
-    rows = []
-    for x, ref in zip(xs, exact):
-        approx = vo_derivative(coeffs, order, float(x))
-        rows.append([float(x), approx, float(ref), abs(approx - ref)])
-    worst = max(row[3] for row in rows)
-    print(f"variable-order Caputo of exp, worst error on [0.05,1]: {worst:.3e}")
+    approx = vo_derivative(coeffs, order, xs)
+    errors = np.abs(approx - exact)
+    print(f"variable-order Caputo of exp, worst error on [0.05,1]: {errors.max():.3e}")
 
     path = OUT_DIR / "caputo_exp.csv"
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["x", "recursive", "exact", "abs_error"])
-        writer.writerows(rows)
+        writer.writerows(np.column_stack([xs, approx, exact, errors]).tolist())
     print("wrote", path)
 
 

@@ -119,12 +119,12 @@ def _require_derivative_window(order: OrderFunction) -> None:
             f"inside ({n - 1}, {n})")
 
 
-def _sample(func, points: np.ndarray, name: str, error=ValueError) -> np.ndarray:
+def _sample(func, points: np.ndarray, name: str) -> np.ndarray:
     """Values of func at every point of the 1-D array points, from one call.
 
     func takes the array and returns an array of its shape; a scalar return
-    is broadcast, any other shape raises ValueError. A non-finite value
-    raises ``error`` naming the first such point.
+    is broadcast, any other shape raises ValueError. A non-finite value is a
+    numerical failure: it raises DomainError naming the first such point.
     """
     values = np.asarray(func(points), dtype=float)
     if values.ndim == 0:
@@ -135,13 +135,14 @@ def _sample(func, points: np.ndarray, name: str, error=ValueError) -> np.ndarray
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         j = bad[0]
-        raise error(f"{name} returned non-finite value {values[j]} at x={points[j]}")
+        raise DomainError(f"{name} returned non-finite value {values[j]} at x={points[j]}")
     return values
 
 
 def _order_values(order: OrderFunction, points: np.ndarray) -> np.ndarray:
+    _require_derivative_window(order)
     # rho(0) = n - 1 is harmless: every derivative ladder entry carries x^(n - rho)
-    rho = _sample(order.eval, points, "order function", DomainError)
+    rho = _sample(order.eval, points, "order function")
     n = order.n
     inside = ((n - 1 < rho) & (rho < n)) | ((points == 0.0) & (rho == n - 1))
     bad = np.flatnonzero(~inside)
@@ -218,69 +219,49 @@ def frac_integral_basis(params: LaguerreParams, rho, max_degree, x) -> FracBasis
     return FracBasisValues(order_value=order_value, x=point, values=values)
 
 
-def vo_integral(coeffs: InterpolantCoeffs, order: OrderFunction, x) -> float:
+def vo_integral(coeffs: InterpolantCoeffs, order: OrderFunction, x):
     """Variable-order fractional integral of the expansion at x.
 
-    Any positive order value is admissible here; the (n-1, n) window only
+    x is a scalar (the result is a float) or a 1-D array of points. Any
+    positive order value is admissible here; the (n-1, n) window only
     constrains derivatives.
     """
-    point = float(x)
-    if not np.isfinite(point) or point < 0.0:
-        raise DomainError(f"x must be nonnegative and finite, got {x!r}")
-    return float(_vo_integral_grid(coeffs, order, np.array([point]))[0])
-
-
-def _vo_integral_grid(coeffs: InterpolantCoeffs, order: OrderFunction,
-                      points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    rho = _sample(order.eval, pts, "order function", DomainError)
+    pts, scalar = _as_points(x)
+    rho = _sample(order.eval, pts, "order function")
     bad = np.flatnonzero(rho <= 0.0)
     if bad.size:
         j = bad[0]
         raise DomainError(f"integral order must be positive, got {rho[j]} at x={pts[j]}")
-    ladder = _frac_ladder(coeffs.params, rho, coeffs.coeffs.size - 1, pts)
-    return coeffs.coeffs @ ladder
-
-
-def _caputo_matrix(params: LaguerreParams, order: OrderFunction, max_degree: int,
-                   points: np.ndarray) -> np.ndarray:
-    """Derivative ladder values, one column per point."""
-    _require_derivative_window(order)
-    pts = np.asarray(points, dtype=float)
-    rho = _order_values(order, pts)
-    n = order.n
-    rows = np.zeros((max_degree + 1, pts.size))
-    if max_degree >= n:
-        shifted = LaguerreParams(params.theta + n, params.beta)
-        ladder = _frac_ladder(shifted, n - rho, max_degree - n, pts)
-        rows[n:] = (-params.beta) ** n * ladder
-    return rows
+    values = coeffs.coeffs @ _frac_ladder(coeffs.params, rho, coeffs.coeffs.size - 1, pts)
+    return float(values[0]) if scalar else values
 
 
 def caputo_row(params: LaguerreParams, order: OrderFunction, max_degree, x) -> np.ndarray:
     """Caputo derivative values of the basis ladder at x, order frozen at rho(x).
 
-    Entries below degree n vanish identically: those polynomials are
-    annihilated by the inner integer derivative.
+    x is a scalar (the result is the row of max_degree + 1 values) or a 1-D
+    array of points (a matrix with one column per point). Entries below
+    degree n vanish identically: those polynomials are annihilated by the
+    inner integer derivative.
     """
     deg = _checked_degree(max_degree, "max_degree")
-    point = float(x)
-    if not np.isfinite(point) or point < 0.0:
-        raise DomainError(f"x must be nonnegative and finite, got {x!r}")
-    return _caputo_matrix(params, order, deg, np.array([point]))[:, 0]
+    pts, scalar = _as_points(x)
+    rho = _order_values(order, pts)
+    n = order.n
+    rows = np.zeros((deg + 1, pts.size))
+    if deg >= n:
+        shifted = LaguerreParams(params.theta + n, params.beta)
+        rows[n:] = (-params.beta) ** n * _frac_ladder(shifted, n - rho, deg - n, pts)
+    return rows[:, 0] if scalar else rows
 
 
-def vo_derivative(coeffs: InterpolantCoeffs, order: OrderFunction, x) -> float:
-    """Variable-order Caputo derivative of the expansion at x."""
-    row = caputo_row(coeffs.params, order, coeffs.coeffs.size - 1, x)
-    return float(np.dot(coeffs.coeffs, row))
+def vo_derivative(coeffs: InterpolantCoeffs, order: OrderFunction, x):
+    """Variable-order Caputo derivative of the expansion at x.
 
-
-def _vo_derivative_grid(coeffs: InterpolantCoeffs, order: OrderFunction,
-                        points) -> np.ndarray:
-    matrix = _caputo_matrix(coeffs.params, order, coeffs.coeffs.size - 1,
-                            np.asarray(points, dtype=float))
-    return coeffs.coeffs @ matrix
+    x is a scalar (the result is a float) or a 1-D array of points.
+    """
+    values = coeffs.coeffs @ caputo_row(coeffs.params, order, coeffs.coeffs.size - 1, x)
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def caputo_power_rule(gamma_exp, order_value, n, x):
@@ -319,7 +300,6 @@ def caputo_exp_exact(order: OrderFunction, x):
     Equals exp(x) * P(n - rho(x), x) with P the regularized lower incomplete
     gamma function; zero at x = 0.
     """
-    _require_derivative_window(order)
     pts, scalar = _as_points(x)
     rho = _order_values(order, pts)
     out = np.exp(pts) * reg_lower_incomplete_gamma(order.n - rho, pts)
@@ -335,7 +315,6 @@ def caputo_of_sin(order: OrderFunction, x):
     Unlike a power series summed term by term it needs no working
     precision or term count that grows with x.
     """
-    _require_derivative_window(order)
     pts, scalar = _as_points(x)
     rho = _order_values(order, pts)
     # five guard digits over float64 keep the rounded result exact in practice

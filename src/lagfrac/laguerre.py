@@ -92,11 +92,17 @@ class InterpolantCoeffs:
         object.__setattr__(self, "coeffs", _frozen_array(self.coeffs, "coeffs"))
 
 
-def _checked_degree(value, name: str = "degree") -> int:
-    idx = int(value)
-    if idx != value or idx < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-    return idx
+def _checked_degree(value, name: str = "degree"):
+    """value as a nonnegative int, or a 1-D array of them as an int array."""
+    if np.ndim(value) == 0:
+        idx = int(value)
+        if idx != value or idx < 0:
+            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+        return idx
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim != 1 or not np.all(np.isfinite(arr) & (arr >= 0.0) & (arr == np.floor(arr))):
+        raise ValueError(f"{name} must be a 1-D array of nonnegative integers, got {value!r}")
+    return arr.astype(int)
 
 
 def _as_points(x):
@@ -132,19 +138,18 @@ def eval_basis(params: LaguerreParams, max_degree, x):
     return out[:, 0] if scalar else out
 
 
-def value_at_zero(params: LaguerreParams, i) -> float:
-    """L_i(0), a ratio of gamma values evaluated in log space."""
+def value_at_zero(params: LaguerreParams, i):
+    """L_i(0) = Gamma(i + theta + 1) / (Gamma(i + 1) Gamma(theta + 1)).
+
+    i is one degree (the result is a float) or a 1-D array of degrees. The
+    values come from the multiplicative ladder
+    L_(k+1)(0) = L_k(0) (k + theta + 1) / (k + 1), with no gamma evaluations.
+    """
     idx = _checked_degree(i, "i")
-    return gamma_ratio(idx + params.theta + 1.0, idx + 1.0) * gamma_ratio(1.0, params.theta + 1.0)
-
-
-def _values_at_zero(params: LaguerreParams, max_degree: int) -> np.ndarray:
-    # multiplicative ladder; each step is one rounding, no gamma evaluations
-    out = np.empty(max_degree + 1)
-    out[0] = 1.0
-    for i in range(max_degree):
-        out[i + 1] = out[i] * (i + params.theta + 1.0) / (i + 1.0)
-    return out
+    ladder = np.ones(np.max(idx, initial=0) + 1)
+    for k in range(ladder.size - 1):
+        ladder[k + 1] = ladder[k] * (k + params.theta + 1.0) / (k + 1.0)
+    return float(ladder[idx]) if np.ndim(idx) == 0 else ladder[idx]
 
 
 def derivative_basis(params: LaguerreParams, i, m, x):
@@ -165,15 +170,13 @@ def derivative_basis(params: LaguerreParams, i, m, x):
     return float(vals[0]) if scalar else vals
 
 
-def norm(params: LaguerreParams, i) -> float:
-    """Squared weighted L2 norm gamma_i of L_i, always formed in log space."""
+def norm(params: LaguerreParams, i):
+    """Squared weighted L2 norm gamma_i of L_i, always formed in log space.
+
+    i is one degree (the result is a float) or a 1-D array of degrees.
+    """
     idx = _checked_degree(i, "i")
     return gamma_ratio(idx + params.theta + 1.0, idx + 1.0) * params.beta ** (-(params.theta + 1.0))
-
-
-def _norms(params: LaguerreParams, max_degree: int) -> np.ndarray:
-    i = np.arange(max_degree + 1, dtype=float)
-    return gamma_ratio(i + params.theta + 1.0, i + 1.0) * params.beta ** (-(params.theta + 1.0))
 
 
 def _require_finite_positive(values: np.ndarray, name: str, n: int) -> None:
@@ -211,7 +214,7 @@ def gauss_rule(params: LaguerreParams, N) -> QuadratureRule:
             nodes = nodes - residual / slope
             _require_finite_positive(nodes, "nodes", n)
         nodes = np.sort(nodes)
-        scale = 1.0 / np.sqrt(_norms(params, n))
+        scale = 1.0 / np.sqrt(norm(params, np.arange(n + 1)))
         ortho = eval_basis(params, n, nodes) * scale[:, None]
         weights = 1.0 / np.sum(ortho * ortho, axis=0)
     _require_finite_positive(weights, "weights", n)
@@ -236,7 +239,7 @@ def interpolate(rule: QuadratureRule, samples) -> InterpolantCoeffs:
         raise ValueError("samples must be finite")
     n = rule.nodes.size - 1
     basis = eval_basis(rule.params, n, rule.nodes)
-    coeffs = basis @ (vals * rule.weights) / _norms(rule.params, n)
+    coeffs = basis @ (vals * rule.weights) / norm(rule.params, np.arange(n + 1))
     return InterpolantCoeffs(params=rule.params, coeffs=coeffs)
 
 

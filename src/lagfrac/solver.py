@@ -16,15 +16,15 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import linalg as _linalg
 
-from .fractional import OrderFunction, _caputo_matrix, _require_derivative_window, _sample
+from .fractional import OrderFunction, _require_derivative_window, _sample, caputo_row
 from .laguerre import (
     InterpolantCoeffs,
     LaguerreParams,
     _checked_degree,
-    _values_at_zero,
     eval_basis,
     eval_interpolant,
     gauss_rule,
+    value_at_zero,
 )
 
 __all__ = [
@@ -104,7 +104,7 @@ class IvpSpec:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Dense collocation system; basis degrees index rows, equations index columns."""
+    """Dense collocation system, one row per equation: matrix @ coeffs = rhs."""
 
     matrix: np.ndarray
     rhs: np.ndarray
@@ -143,9 +143,7 @@ class ErrorReport:
 def collocation_nodes(params: LaguerreParams, N, count) -> np.ndarray:
     """The `count` smallest zeros of the degree-(N+1) basis polynomial, ascending."""
     degree = _checked_degree(N, "N")
-    c = int(count)
-    if c != count or c < 0:
-        raise ValueError(f"count must be a nonnegative integer, got {count!r}")
+    c = _checked_degree(count, "count")
     if c > degree + 1:
         raise ValueError(f"count must be at most N+1={degree + 1}, got {count}")
     rule = gauss_rule(params, degree)
@@ -155,9 +153,9 @@ def collocation_nodes(params: LaguerreParams, N, count) -> np.ndarray:
 def assemble(spec: IvpSpec) -> LinearSystem:
     """Build the square collocation system for the given problem.
 
-    One column per collocation node carries the equation
+    One row per collocation node carries the equation
     a(x_j) u^(m) + b(x_j) D^(rho) u + c(x_j) u = f(x_j); the remaining one
-    or two columns carry the initial conditions via the basis boundary
+    or two rows carry the initial conditions via the basis boundary
     values L_i(0) and (for orders in (1, 2)) the slopes L_i'(0).
     """
     n = spec.order.n
@@ -165,27 +163,27 @@ def assemble(spec: IvpSpec) -> LinearSystem:
     nodes = collocation_nodes(spec.params, spec.N, count)
     theta, beta = spec.params.theta, spec.params.beta
 
-    basis_rows = eval_basis(spec.params, spec.N, nodes)
-    frac_rows = _caputo_matrix(spec.params, spec.order, spec.N, nodes)
-    integer_rows = np.zeros((spec.N + 1, count))
+    # ladders with one row per basis degree and one column per node
+    basis = eval_basis(spec.params, spec.N, nodes)
+    frac = caputo_row(spec.params, spec.order, spec.N, nodes)
+    integer = np.zeros((spec.N + 1, count))
     shifted = LaguerreParams(theta + spec.m, beta)
-    integer_rows[spec.m:] = (-beta) ** spec.m * eval_basis(shifted, spec.N - spec.m, nodes)
+    integer[spec.m:] = (-beta) ** spec.m * eval_basis(shifted, spec.N - spec.m, nodes)
 
     a_vals = _sample(spec.a, nodes, "function 'a'")
     b_vals = _sample(spec.b, nodes, "function 'b'")
     c_vals = _sample(spec.c, nodes, "function 'c'")
     f_vals = _sample(spec.f, nodes, "function 'f'")
 
-    matrix = np.empty((spec.N + 1, spec.N + 1))
-    matrix[:, :count] = a_vals * integer_rows + b_vals * frac_rows + c_vals * basis_rows
-    matrix[:, count] = _values_at_zero(spec.params, spec.N)
+    matrix = np.zeros((spec.N + 1, spec.N + 1))
+    matrix[:count] = (a_vals * integer + b_vals * frac + c_vals * basis).T
+    matrix[count] = value_at_zero(spec.params, np.arange(spec.N + 1))
     rhs = np.empty(spec.N + 1)
     rhs[:count] = f_vals
     rhs[count] = spec.u0
     if n == 2:
-        slope = np.zeros(spec.N + 1)
-        slope[1:] = -beta * _values_at_zero(LaguerreParams(theta + 1.0, beta), spec.N - 1)
-        matrix[:, count + 1] = slope
+        slope_family = LaguerreParams(theta + 1.0, beta)
+        matrix[count + 1, 1:] = -beta * value_at_zero(slope_family, np.arange(spec.N))
         rhs[count + 1] = spec.v0
     return LinearSystem(matrix=matrix, rhs=rhs)
 
@@ -193,18 +191,16 @@ def assemble(spec: IvpSpec) -> LinearSystem:
 def solve(spec: IvpSpec) -> InterpolantCoeffs:
     """Solve the collocation system and return the coefficient expansion.
 
-    Dense LU with partial pivoting on the transposed system. A reciprocal
-    condition estimate in the infinity norm is logged for every solve and
-    gates matrices that are singular at working precision.
+    Dense LU with partial pivoting. A reciprocal condition estimate in the
+    infinity norm is logged for every solve and gates matrices that are
+    singular at working precision.
     """
     system = assemble(spec)
-    matrix = system.matrix.T.copy()
-    rhs = system.rhs.copy()
-    anorm = float(np.linalg.norm(matrix, np.inf))
+    anorm = float(np.linalg.norm(system.matrix, np.inf))
     with warnings.catch_warnings():
         # exact zero pivots surface through the rcond gate below
         warnings.simplefilter("ignore")
-        lu, piv = _linalg.lu_factor(matrix)
+        lu, piv = _linalg.lu_factor(system.matrix)
     gecon = _linalg.get_lapack_funcs("gecon", (lu,))
     rcond, info = gecon(lu, anorm, norm="I")
     eps = float(np.finfo(float).eps)
@@ -212,7 +208,7 @@ def solve(spec: IvpSpec) -> InterpolantCoeffs:
         raise SolverError(
             f"collocation matrix is singular to working precision "
             f"(rcond={float(rcond):.3e}, N={spec.N})")
-    coeffs = _linalg.lu_solve((lu, piv), rhs)
+    coeffs = _linalg.lu_solve((lu, piv), system.rhs)
     if not np.all(np.isfinite(coeffs)):
         raise SolverError("linear solve produced non-finite coefficients")
     logger.info("solved collocation system N=%d, rcond=%.3e", spec.N, float(rcond))

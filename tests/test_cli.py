@@ -139,6 +139,21 @@ def test_singular_problem_is_numerical_error(workdir, capsys):
     assert "rcond" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode,keys", [
+    ("solve", {"f": "exp(1000*x)"}),
+    ("solve", {"f": "1", "exact": "exp(1000*x)"}),
+    ("derivative", {"u": "x", "exact": "exp(1000*x)"}),
+])
+def test_non_finite_sampled_value_is_numerical_error(workdir, capsys, mode, keys):
+    # exp(1000*x) overflows from x near 0.71, inside the domain and the grid
+    solve_keys = {"a": "1", "b": "1", "c": "1", "u0": 0} if mode == "solve" else {}
+    cfg = write_config(Path("inf.json"), {
+        "mode": mode, "theta": 1, "beta": 3, "N": 8, "order": "0.5", "length": 1,
+        "grid": 11, "out": "x.csv", **solve_keys, **keys})
+    assert main(["solve", "--config", cfg]) == 2
+    assert "non-finite value inf" in capsys.readouterr().err
+
+
 def test_unknown_config_key(workdir, capsys):
     cfg = write_config(Path("odd.json"), {
         "mode": "solve", "theta": 1, "beta": 3, "N": 8, "order": "0.5",

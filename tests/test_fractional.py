@@ -78,8 +78,13 @@ def test_vo_integral_of_constant_function():
     order = OrderFunction.from_callable(lambda x: (9.0 + np.sin(x)) / 10.0, 2.0)
     value = vo_integral(coeffs, order, 1.0)
     rho1 = (9.0 + math.sin(1.0)) / 10.0
+    assert type(value) is float
     assert value == pytest.approx(1.0 / math.gamma(rho1 + 1.0), rel=1e-10)
     assert value == pytest.approx(1.0066430157434316, rel=1e-10)
+    xs = np.array([0.0, 0.5, 1.0, 2.0])
+    np.testing.assert_allclose(vo_integral(coeffs, order, xs),
+                               [vo_integral(coeffs, order, x) for x in xs],
+                               rtol=1e-14, atol=0.0)
 
 
 def test_vo_integral_constant_order_reduction():
@@ -124,8 +129,13 @@ def test_caputo_row_matches_quadrature():
     # order in (1,2): two integer derivatives, then an integral of order 2-rho
     params = LaguerreParams(2.0, 4.0)
     order = OrderFunction.constant(1.5)
-    for x in (0.4, 0.8, 1.6):
+    xs = np.array([0.4, 0.8, 1.6])
+    # a point array gives one column per point
+    assert np.array_equal(caputo_row(params, order, 6, xs),
+                          np.column_stack([caputo_row(params, order, 6, x) for x in xs]))
+    for x in xs:
         row = caputo_row(params, order, 6, x)
+        assert row.shape == (7,)
         assert row[0] == 0.0 and row[1] == 0.0
         for i in range(2, 7):
             integrand = lambda t, _i=i: derivative_basis(params, _i, 2, t)
@@ -153,11 +163,16 @@ def test_vo_derivative_polynomial_vs_power_rule():
     rule = gauss_rule(params, 6)
     coeffs = interpolate(rule, rule.nodes ** 3 + 2.0 * rule.nodes - 5.0)
     order = OrderFunction.constant(0.5)
-    for x in np.linspace(0.1, 2.0, 20):
+    xs = np.linspace(0.1, 2.0, 20)
+    for x in xs:
         ref = (caputo_power_rule(3.0, 0.5, 1, x)
                + 2.0 * caputo_power_rule(1.0, 0.5, 1, x))
         got = vo_derivative(coeffs, order, x)
+        assert type(got) is float
         assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref))
+    np.testing.assert_allclose(vo_derivative(coeffs, order, xs),
+                               [vo_derivative(coeffs, order, x) for x in xs],
+                               rtol=1e-14, atol=0.0)
 
 
 def test_vo_derivative_variable_order_cubic():
@@ -167,10 +182,14 @@ def test_vo_derivative_variable_order_cubic():
     order = OrderFunction.from_callable(
         lambda x: (9.0 + np.sin(x - 10.0)) / 5.0, 1.0)
     assert order.n == 2
-    for x in np.linspace(0.05, 1.0, 15):
+    xs = np.linspace(0.05, 1.0, 15)
+    for x in xs:
         ref = caputo_power_rule(3.0, order.eval(x), 2, x)
         got = vo_derivative(coeffs, order, x)
         assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref))
+    np.testing.assert_allclose(vo_derivative(coeffs, order, xs),
+                               [vo_derivative(coeffs, order, x) for x in xs],
+                               rtol=1e-14, atol=0.0)
 
 
 def test_vo_derivative_of_sin_interpolant():
@@ -181,6 +200,23 @@ def test_vo_derivative_of_sin_interpolant():
     for x in np.linspace(0.1, 1.0, 10):
         assert vo_derivative(coeffs, order, x) == pytest.approx(
             caputo_of_sin(order, x), abs=1e-10)
+
+
+@pytest.mark.parametrize("x,error", [(-0.5, DomainError), (math.nan, DomainError),
+                                     (np.array([0.5, -0.5]), DomainError),
+                                     (np.array([0.5, math.nan]), DomainError),
+                                     (np.full((2, 2), 0.5), ValueError)])
+def test_operators_reject_bad_points(x, error):
+    params = LaguerreParams(1.0, 3.0)
+    rule = gauss_rule(params, 6)
+    coeffs = interpolate(rule, np.exp(rule.nodes))
+    order = OrderFunction.constant(0.5)
+    with pytest.raises(error):
+        vo_integral(coeffs, order, x)
+    with pytest.raises(error):
+        vo_derivative(coeffs, order, x)
+    with pytest.raises(error):
+        caputo_row(params, order, 6, x)
 
 
 def test_caputo_power_rule_values():

@@ -59,6 +59,12 @@ def test_value_at_zero_matches_basis(theta, beta):
         ref = math.gamma(i + theta + 1.0) / (math.gamma(i + 1.0) * math.gamma(theta + 1.0))
         assert value_at_zero(params, i) == pytest.approx(ref, rel=1e-13)
         assert at_zero[i] == pytest.approx(ref, rel=1e-12)
+    # a degree array gives the scalar values bit for bit, in its own order
+    stacked = [value_at_zero(params, i) for i in range(9)]
+    assert all(type(value) is float for value in stacked)
+    assert np.array_equal(value_at_zero(params, np.arange(9)), stacked)
+    assert np.array_equal(value_at_zero(params, [7, 0, 3]),
+                          [stacked[7], stacked[0], stacked[3]])
 
 
 def test_derivative_basis_zero_below_order():
@@ -107,6 +113,17 @@ def test_norm_matches_quadrature(theta, beta):
         vals = eval_basis(params, i, rule.nodes)[i]
         discrete = float(np.dot(rule.weights, vals ** 2))
         assert discrete == pytest.approx(norm(params, i), rel=1e-12)
+    stacked = [norm(params, i) for i in (7, 0, 1, 3)]
+    assert all(type(value) is float for value in stacked)
+    assert np.array_equal(norm(params, np.array([7, 0, 1, 3])), stacked)
+
+
+@pytest.mark.parametrize("func", [value_at_zero, norm])
+@pytest.mark.parametrize("degrees", [-1, 2.5, [0, -1, 2], [0, 1.5], [0, math.nan],
+                                     [0, math.inf], [[0, 1]]])
+def test_degree_validation(func, degrees):
+    with pytest.raises(ValueError):
+        func(LaguerreParams(1.0, 3.0), degrees)
 
 
 def test_gauss_rule_two_point_nodes():

@@ -85,7 +85,7 @@ def test_assemble_first_order_layout():
     assert system.rhs.shape == (7,)
     # initial-condition column carries the basis boundary values
     expected = [value_at_zero(spec.params, i) for i in range(7)]
-    assert np.allclose(system.matrix[:, 6], expected, rtol=1e-13)
+    assert np.allclose(system.matrix[6], expected, rtol=1e-13)
     assert system.rhs[6] == spec.u0
 
 
@@ -95,9 +95,9 @@ def test_assemble_second_order_layout():
     assert system.matrix.shape == (7, 7)
     # N - 1 equation columns, then value and slope columns
     expected_value = [value_at_zero(spec.params, i) for i in range(7)]
-    assert np.allclose(system.matrix[:, 5], expected_value, rtol=1e-13)
+    assert np.allclose(system.matrix[5], expected_value, rtol=1e-13)
     expected_slope = [derivative_basis(spec.params, i, 1, 0.0) for i in range(7)]
-    assert np.allclose(system.matrix[:, 6], expected_slope, rtol=1e-13)
+    assert np.allclose(system.matrix[6], expected_slope, rtol=1e-13)
     assert system.rhs[5] == spec.u0
     assert system.rhs[6] == spec.v0
 
@@ -106,7 +106,7 @@ def test_residual_of_solution():
     spec = basset_spec(N=10)
     system = assemble(spec)
     coeffs = solve(spec)
-    residual = system.matrix.T @ coeffs.coeffs - system.rhs
+    residual = system.matrix @ coeffs.coeffs - system.rhs
     scale = max(1.0, float(np.max(np.abs(system.rhs))))
     assert np.max(np.abs(residual)) <= 1e-10 * scale
 
