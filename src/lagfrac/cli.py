@@ -101,12 +101,7 @@ def _as_float_list(value, key: str) -> list[float]:
 
 
 def _as_int_list(value, key: str) -> list[int]:
-    out = []
-    for item in _as_float_list(value, key):
-        if item != int(item):
-            raise ConfigError(f"{key}: expected integers, got {value!r}")
-        out.append(int(item))
-    return out
+    return [_as_int(item, key) for item in _split(value, key)]
 
 
 def _as_str_list(value, key: str) -> list[str]:

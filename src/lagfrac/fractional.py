@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import mpmath
 import numpy as np
+from scipy.special import gamma
 
 from .laguerre import InterpolantCoeffs, LaguerreParams, _as_points, _checked_degree
 from .special import DomainError, gamma_ratio, log_gamma, reg_lower_incomplete_gamma
@@ -34,6 +34,13 @@ __all__ = [
 
 # margin for the strict bound checks n-1 < rho_min <= rho_max < n
 _WINDOW_MARGIN = 1e-12
+
+_EPS = np.finfo(float).eps
+# caputo_of_sin sums the power series up to here, the continued fraction beyond
+_SERIES_MAX_X = 3.0
+# both expansions converge in fewer than 80 steps for every order; a point
+# still moving after this many is a numerical failure, not a value
+_MAX_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -306,21 +313,91 @@ def caputo_exp_exact(order: OrderFunction, x):
     return float(out[0]) if scalar else out
 
 
+def _converge(step, state, x: np.ndarray) -> np.ndarray:
+    """Iterate step over per-point state until each point converges.
+
+    state is a list of equal-length arrays, the last one holding the value;
+    step(k, *state) returns the state after step k and a mask of the points
+    that converged there. A converged point leaves the arrays with its value
+    of that step, so the result at a point does not depend on the others.
+    """
+    out = np.empty(x.size, dtype=complex)
+    live = np.arange(x.size)
+    for k in range(1, _MAX_STEPS + 1):
+        *state, done = step(k, *state)
+        if np.count_nonzero(done):  # cheaper than done.any() on short arrays
+            out[live[done]] = state[-1][done]
+            keep = ~done
+            live = live[keep]
+            if not live.size:
+                return out
+            state = [part[keep] for part in state]
+    raise RuntimeError(f"caputo_of_sin: no convergence in {_MAX_STEPS} steps at x={x[live[0]]}")
+
+
+def _series_step(k, z, nu, term, total):
+    """Add term k of sum_k z^k / (nu + 1)_k."""
+    term = term * z / (nu + k)
+    total = total + term
+    return z, nu, term, total, np.abs(term) <= _EPS * np.abs(total)
+
+
+def _lentz_step(k, nu, b, c, d, h):
+    """Step k of modified Lentz on K = 1 / (b_0 + a_1 / (b_1 + a_2 / (b_2 + ...))),
+    a_k = -k (k - nu), b_k = ix + 2k + 1 - nu."""
+    a = k * (nu - k)
+    b = b + 2.0
+    d = 1.0 / (a * d + b)
+    c = b + a / c
+    delta = c * d
+    h = h * delta
+    return nu, b, c, d, h, np.abs(delta - 1.0) <= _EPS
+
+
+def _im_i_power(n: int, w: np.ndarray) -> np.ndarray:
+    """Im[i^n w], exactly for any integer n."""
+    part = w.real if n % 2 else w.imag
+    return -part if n % 4 >= 2 else part
+
+
 def caputo_of_sin(order: OrderFunction, x):
     """Caputo derivative of sin at x, scalar or 1-D array.
 
     The closed form for exp(a x) at a = i gives
-    D^rho sin x = Im[i^rho e^(ix) P(n - rho, ix)], with P the regularized
-    lower incomplete gamma function evaluated by mpmath, once per point.
-    Unlike a power series summed term by term it needs no working
-    precision or term count that grows with x.
+    D^rho sin x = Im[i^rho e^(ix) P(nu, ix)] with nu = n - rho in (0, 1] and
+    P the regularized lower incomplete gamma function. In float64:
+
+    * 0 < x <= 3: the power series of P,
+      x^nu / Gamma(nu + 1) * Im[i^n sum_k (ix)^k / (nu + 1)_k];
+    * x > 3: Legendre's continued fraction K for e^z z^(-nu) Gamma(nu, z)
+      at z = ix, evaluated by modified Lentz,
+      sin x cos(pi rho / 2) + cos x sin(pi rho / 2) - x^nu / Gamma(nu) * Im[i^n K].
+
+    Each point stops at its own float64 eps, so an array gives the same bits
+    as the points one at a time. Against 40-digit mpmath the error is about
+    2e-15 * max(1, |value|) at worst for x up to 1000 (the tests allow
+    4e-15). D^rho sin 0 = 0. A point that does not converge raises
+    RuntimeError.
     """
     pts, scalar = _as_points(x)
     rho = _order_values(order, pts)
-    # five guard digits over float64 keep the rounded result exact in practice
-    with mpmath.workdps(20):
-        out = np.array([
-            float(mpmath.im(mpmath.expjpi(r / 2.0) * mpmath.expj(p)
-                            * mpmath.gammainc(order.n - r, 0, 1j * p, regularized=True)))
-            for p, r in zip(pts.tolist(), rho.tolist())])
+    n = order.n
+    nu = n - rho
+    out = np.zeros(pts.size)
+    near = (pts > 0.0) & (pts <= _SERIES_MAX_X)
+    if near.any():
+        p, v = pts[near], nu[near]
+        series = _converge(_series_step, [1j * p, v, np.ones(p.size, complex),
+                                          np.ones(p.size, complex)], p)
+        out[near] = p ** v / gamma(v + 1.0) * _im_i_power(n, series)
+    far = pts > _SERIES_MAX_X
+    if far.any():
+        p, v, half = pts[far], nu[far], 0.5 * np.pi * rho[far]
+        b = 1j * p + (1.0 - v)
+        # c starts at infinity in effect, so that the first step sets c = b
+        fraction = _converge(_lentz_step, [v, b, np.full(p.size, 1e300, complex),
+                                           1.0 / b, 1.0 / b], p)
+        # sin(x + pi rho / 2) expanded: rounding the sum first costs digits at large x
+        out[far] = (np.sin(p) * np.cos(half) + np.cos(p) * np.sin(half)
+                    - p ** v / gamma(v) * _im_i_power(n, fraction))
     return float(out[0]) if scalar else out

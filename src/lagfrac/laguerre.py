@@ -9,6 +9,7 @@ point samples to spectral coefficients and back.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,10 +96,9 @@ class InterpolantCoeffs:
 def _checked_degree(value, name: str = "degree"):
     """value as a nonnegative int, or a 1-D array of them as an int array."""
     if np.ndim(value) == 0:
-        idx = int(value)
-        if idx != value or idx < 0:
+        if not math.isfinite(value) or int(value) != value or value < 0:
             raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-        return idx
+        return int(value)
     arr = np.asarray(value, dtype=float)
     if arr.ndim != 1 or not np.all(np.isfinite(arr) & (arr >= 0.0) & (arr == np.floor(arr))):
         raise ValueError(f"{name} must be a 1-D array of nonnegative integers, got {value!r}")

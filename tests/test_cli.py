@@ -332,3 +332,39 @@ def test_quadrature_overflow_is_numerical_error(workdir, capsys):
                    "--N", "200"])
     assert rc == 2
     assert "N=200" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "config string", "config number"])
+def test_infinite_degree_is_config_error(workdir, capsys, source):
+    if source == "flag":
+        rc = main(["example1", "--N", "inf", "--theta", "1", "--beta", "3",
+                   "--order", "0.5"])
+    else:
+        degree = "inf" if source == "config string" else math.inf  # JSON Infinity
+        cfg = write_config(Path("inf_n.json"), {
+            "mode": "solve", "theta": 1, "beta": 3, "N": degree, "order": "0.5",
+            "a": "1", "b": "1", "c": "1", "f": "1", "u0": 0, "length": 1})
+        rc = main(["solve", "--config", cfg])
+    assert rc == 1
+    assert "error: N: must be finite" in capsys.readouterr().err
+
+
+def test_import_leaves_mpmath_out():
+    # mpmath is a test-only dependency; the package and its CLI must not load it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lagfrac, lagfrac.cli; print('mpmath' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_caputo_of_sin_step_cap_is_numerical_error(workdir, capsys, monkeypatch):
+    import lagfrac.fractional as fractional
+    monkeypatch.setattr(fractional, "_MAX_STEPS", 3)
+    rc = main(["example2", "--theta", "3", "--beta", "6", "--N", "5", "--order", "3/2"])
+    assert rc == 2
+    assert "no convergence" in capsys.readouterr().err

@@ -379,3 +379,47 @@ def test_pointwise_window_check_catches_lying_bounds():
     caputo_row(params, sneaky, 5, 0.5)
     with pytest.raises(DomainError):
         caputo_row(params, sneaky, 5, 2.0)
+
+
+def assert_matches_mpmath(got, rho, xs, n):
+    """got against 40-digit Im[i^rho e^(ix) P(n - rho, ix)] at the float inputs."""
+    mpmath = pytest.importorskip("mpmath")
+    ref = []
+    with mpmath.workdps(40):
+        for r, x in zip(rho, xs):
+            r, x = mpmath.mpf(r), mpmath.mpf(x)
+            ref.append(float(mpmath.im(mpmath.expjpi(r / 2) * mpmath.expj(x)
+                                       * mpmath.gammainc(n - r, 0, 1j * x, regularized=True))))
+    ref = np.array(ref)
+    err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
+    assert err.max() <= 4e-15, (xs[err.argmax()], rho[err.argmax()], err.max())
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_caputo_of_sin_matches_mpmath(n):
+    # 250 random points on each side of the series / continued-fraction
+    # switch at x = 3, then the switch itself and the far ends
+    rng = np.random.default_rng(20 + n)
+    switch = [np.nextafter(3.0, 0.0), 3.0, np.nextafter(3.0, 4.0), 3.0 - 1e-9, 3.0 + 1e-9]
+    xs = np.concatenate([rng.uniform(0.0, 3.0, 250), rng.uniform(3.0, 120.0, 250),
+                         switch, [1e-300, 300.0, 790.0]])
+    rho = rng.uniform(n - 1.0, n, xs.size)
+    got = np.array([caputo_of_sin(OrderFunction.constant(r), x) for r, x in zip(rho, xs)])
+    assert_matches_mpmath(got, rho, xs, n)
+
+
+def test_caputo_of_sin_variable_order_matches_mpmath():
+    order = OrderFunction.from_callable(lambda x: 1.5 + 0.45 * np.sin(3.0 * x), 130.0)
+    xs = np.concatenate([np.linspace(0.0, 6.0, 61), np.linspace(6.5, 130.0, 40)])
+    got = caputo_of_sin(order, xs)
+    assert got[0] == 0.0
+    assert_matches_mpmath(got[1:], order.eval(xs[1:]), xs[1:], 2)
+
+
+@pytest.mark.parametrize("done,stuck", [(1e-300, 2.0), (1e6, 10.0)])
+def test_caputo_of_sin_step_cap_is_an_error(monkeypatch, done, stuck):
+    # the first point converges within the cap, the second does not
+    import lagfrac.fractional as fractional
+    monkeypatch.setattr(fractional, "_MAX_STEPS", 5)
+    with pytest.raises(RuntimeError, match=f"x={stuck}"):
+        caputo_of_sin(OrderFunction.constant(1.5), np.array([done, stuck]))

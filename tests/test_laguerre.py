@@ -241,3 +241,12 @@ def test_interpolant_coeffs_frozen():
                                coeffs=np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         coeffs.coeffs[0] = 5.0
+
+
+@pytest.mark.parametrize("degree", [math.inf, -math.inf, math.nan])
+def test_scalar_degree_rejects_non_finite(degree):
+    params = LaguerreParams(1.0, 3.0)
+    with pytest.raises(ValueError, match="must be a nonnegative integer"):
+        eval_basis(params, degree, 1.0)
+    with pytest.raises(ValueError, match="must be a nonnegative integer"):
+        value_at_zero(params, degree)
