@@ -20,9 +20,8 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _special
 
-from .special import DomainError
+from .special import DomainError, _gamma
 
 __all__ = [
     "Expr",
@@ -241,7 +240,7 @@ _FUNCS = {
     "log": np.log,
     "sqrt": np.sqrt,
     "abs": np.abs,
-    "gamma": _special.gamma,
+    "gamma": _gamma,
 }
 
 

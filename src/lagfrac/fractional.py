@@ -15,10 +15,17 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gamma
 
 from .laguerre import InterpolantCoeffs, LaguerreParams, _as_points, _checked_degree
-from .special import DomainError, gamma_ratio, log_gamma, reg_lower_incomplete_gamma
+from .special import (
+    DomainError,
+    _converge,
+    _gamma,
+    _lentz_step,
+    gamma_ratio,
+    log_gamma,
+    reg_lower_incomplete_gamma,
+)
 
 __all__ = [
     "OrderFunction",
@@ -194,10 +201,10 @@ def _frac_ladder(params: LaguerreParams, rho: np.ndarray, max_degree: int,
     head = np.where(pos, np.exp(rho * log_x - log_gamma(rho + 1.0)), 0.0)
     out[0] = head
     if max_degree >= 1:
-        tail = np.where(pos, np.exp((rho + 1.0) * log_x - log_gamma(rho + 2.0)), 0.0)
-        out[1] = (theta + 1.0) * head - beta * tail
+        # x^(rho+1) / Gamma(rho+2) = head * x / (rho+1)
+        out[1] = (theta + 1.0) * head - beta * (head * x / (rho + 1.0))
     if max_degree >= 2:
-        correction = np.where(pos, np.exp(rho * log_x - log_gamma(rho)), 0.0)
+        correction = head * rho  # x^rho / Gamma(rho)
         zero_val = theta + 1.0  # L_1(0)
         for i in range(1, max_degree):
             # L_i(0) - L_{i+1}(0) collapses to -theta L_i(0) / (i+1), no cancellation
@@ -313,45 +320,11 @@ def caputo_exp_exact(order: OrderFunction, x):
     return float(out[0]) if scalar else out
 
 
-def _converge(step, state, x: np.ndarray) -> np.ndarray:
-    """Iterate step over per-point state until each point converges.
-
-    state is a list of equal-length arrays, the last one holding the value;
-    step(k, *state) returns the state after step k and a mask of the points
-    that converged there. A converged point leaves the arrays with its value
-    of that step, so the result at a point does not depend on the others.
-    """
-    out = np.empty(x.size, dtype=complex)
-    live = np.arange(x.size)
-    for k in range(1, _MAX_STEPS + 1):
-        *state, done = step(k, *state)
-        if np.count_nonzero(done):  # cheaper than done.any() on short arrays
-            out[live[done]] = state[-1][done]
-            keep = ~done
-            live = live[keep]
-            if not live.size:
-                return out
-            state = [part[keep] for part in state]
-    raise RuntimeError(f"caputo_of_sin: no convergence in {_MAX_STEPS} steps at x={x[live[0]]}")
-
-
 def _series_step(k, z, nu, term, total):
     """Add term k of sum_k z^k / (nu + 1)_k."""
     term = term * z / (nu + k)
     total = total + term
     return z, nu, term, total, np.abs(term) <= _EPS * np.abs(total)
-
-
-def _lentz_step(k, nu, b, c, d, h):
-    """Step k of modified Lentz on K = 1 / (b_0 + a_1 / (b_1 + a_2 / (b_2 + ...))),
-    a_k = -k (k - nu), b_k = ix + 2k + 1 - nu."""
-    a = k * (nu - k)
-    b = b + 2.0
-    d = 1.0 / (a * d + b)
-    c = b + a / c
-    delta = c * d
-    h = h * delta
-    return nu, b, c, d, h, np.abs(delta - 1.0) <= _EPS
 
 
 def _im_i_power(n: int, w: np.ndarray) -> np.ndarray:
@@ -388,16 +361,18 @@ def caputo_of_sin(order: OrderFunction, x):
     if near.any():
         p, v = pts[near], nu[near]
         series = _converge(_series_step, [1j * p, v, np.ones(p.size, complex),
-                                          np.ones(p.size, complex)], p)
-        out[near] = p ** v / gamma(v + 1.0) * _im_i_power(n, series)
+                                          np.ones(p.size, complex)], p,
+                           "caputo_of_sin", _MAX_STEPS)
+        out[near] = p ** v / _gamma(v + 1.0) * _im_i_power(n, series)
     far = pts > _SERIES_MAX_X
     if far.any():
         p, v, half = pts[far], nu[far], 0.5 * np.pi * rho[far]
         b = 1j * p + (1.0 - v)
         # c starts at infinity in effect, so that the first step sets c = b
         fraction = _converge(_lentz_step, [v, b, np.full(p.size, 1e300, complex),
-                                           1.0 / b, 1.0 / b], p)
+                                           1.0 / b, 1.0 / b], p,
+                             "caputo_of_sin", _MAX_STEPS)
         # sin(x + pi rho / 2) expanded: rounding the sum first costs digits at large x
         out[far] = (np.sin(p) * np.cos(half) + np.cos(p) * np.sin(half)
-                    - p ** v / gamma(v) * _im_i_power(n, fraction))
+                    - p ** v / _gamma(v) * _im_i_power(n, fraction))
     return float(out[0]) if scalar else out

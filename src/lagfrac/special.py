@@ -1,15 +1,19 @@
 """Gamma-family special functions used throughout the package.
 
-Everything here is pure and accepts scalars or ndarrays. Ratios of gamma
-values are always formed in log space so that large arguments never overflow
-double precision; callers elsewhere in the package are expected to do the
-same and route their ratios through :func:`gamma_ratio`.
+Everything here is pure, accepts scalars or ndarrays and needs only numpy
+and the standard library: gamma and log-gamma values come from ``math.gamma``
+and ``math.lgamma`` per element, the incomplete gamma function from a short
+numpy kernel. Ratios of gamma values are always formed in log space so that
+large arguments never overflow double precision; callers elsewhere in the
+package are expected to do the same and route their ratios through
+:func:`gamma_ratio`.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy import special as _special
 
 __all__ = [
     "DomainError",
@@ -17,6 +21,11 @@ __all__ = [
     "gamma_ratio",
     "reg_lower_incomplete_gamma",
 ]
+
+_EPS = np.finfo(float).eps
+# a point of P(s, x) still moving after this many steps is a numerical failure,
+# not a value; s <= 1 needs at most 86 steps, larger s about 8 sqrt(s)
+_MAX_STEPS = 1000
 
 
 class DomainError(ValueError):
@@ -34,16 +43,51 @@ def _validated(name: str, x, minimum: float, strict: bool) -> np.ndarray:
     return arr
 
 
+def _saturating(func, value: float) -> float:
+    try:
+        return func(value)
+    except OverflowError:
+        return math.copysign(math.inf, value)
+
+
+def _elementwise(func, values: np.ndarray) -> np.ndarray:
+    """func at every element of a float array, keeping its shape.
+
+    Where func overflows (``math.gamma`` above 171.62 or at subnormal
+    arguments, ``math.lgamma`` above about 2.55e305) the value is the
+    infinity of the argument's sign.
+    """
+    flat = values.ravel()
+    if flat.size > 1 and (flat == flat[0]).all():
+        # a constant order, or gamma(4) in an expression, fills whole grids
+        return np.full(values.shape, _saturating(func, float(flat[0])))
+    try:
+        out = np.fromiter(map(func, flat.tolist()), float, flat.size)
+    except OverflowError:
+        out = np.array([_saturating(func, v) for v in flat.tolist()], dtype=float)
+    return out.reshape(values.shape)
+
+
+def _gamma(values: np.ndarray) -> np.ndarray:
+    """Gamma at every element of a float array, signed infinity on overflow.
+
+    Poles (0, -1, -2, ...) raise ValueError; callers check them first.
+    """
+    return _elementwise(math.gamma, values)
+
+
 def log_gamma(x):
     """Natural logarithm of Gamma(x) for x > 0.
 
     Accuracy is at machine level in the normalized sense
     |error| / max(1, |ln Gamma|). A pure relative bound is impossible in a
     tiny neighbourhood of the zeros of ln Gamma at x = 1 and x = 2, where
-    the value itself crosses zero.
+    the value itself crosses zero. Subnormal x gives its finite value
+    (ln Gamma(1e-320) = 736.83); the value overflows to inf above about
+    2.55e305.
     """
     arr = _validated("log_gamma", x, 0.0, strict=True)
-    out = _special.gammaln(arr)
+    out = _elementwise(math.lgamma, arr)
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -59,15 +103,101 @@ def gamma_ratio(a, b):
     return out
 
 
+def _converge(step, state, x: np.ndarray, name: str, max_steps: int) -> np.ndarray:
+    """Iterate step over per-point state until each point converges.
+
+    state is a list of equal-length arrays, the last one holding the value;
+    step(k, *state) returns the state after step k and a mask of the points
+    that converged there. A converged point leaves the arrays with its value
+    of that step, so the result at a point does not depend on the others. A
+    point still live after max_steps raises RuntimeError naming its x.
+    """
+    out = np.empty(x.size, dtype=state[-1].dtype)
+    live = np.arange(x.size)
+    for k in range(1, max_steps + 1):
+        *state, done = step(k, *state)
+        if np.count_nonzero(done):  # cheaper than done.any() on short arrays
+            out[live[done]] = state[-1][done]
+            keep = ~done
+            live = live[keep]
+            if not live.size:
+                return out
+            state = [part[keep] for part in state]
+    raise RuntimeError(f"{name}: no convergence in {max_steps} steps at x={x[live[0]]}")
+
+
+def _lentz_step(k, nu, b, c, d, h):
+    """Step k of modified Lentz on K = 1 / (b_0 + a_1 / (b_1 + a_2 / (b_2 + ...))),
+    a_k = -k (k - nu), b_k = z + 2k + 1 - nu: Legendre's continued fraction
+    Gamma(nu, z) = e^(-z) z^nu K, for real or complex z."""
+    a = k * (nu - k)
+    b = b + 2.0
+    d = 1.0 / (a * d + b)
+    c = b + a / c
+    delta = c * d
+    h = h * delta
+    return nu, b, c, d, h, np.abs(delta - 1.0) <= _EPS
+
+
+def _positive_series(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k x^k / (s + 1)_k for x > 0, every point until every term is negligible.
+
+    The terms are positive, and one below eps / 4 of its sum (half an ulp)
+    is past the peak of the terms; neither it nor any later one changes the
+    sum. So running all points until the slowest converges gives each point
+    the bits it gets alone, with no per-point masks.
+    """
+    term = np.ones(x.size)
+    total = np.ones(x.size)
+    for k in range(1, _MAX_STEPS + 1):
+        term *= x
+        term /= s + k
+        total += term
+        # the extra steps cost less than testing at every step
+        if k % 4 == 0 and not (term > 0.25 * _EPS * total).any():
+            return total
+    moving = term > 0.25 * _EPS * total
+    raise RuntimeError(f"reg_lower_incomplete_gamma: no convergence in {_MAX_STEPS} "
+                       f"steps at x={x[np.argmax(moving)]}")
+
+
 def reg_lower_incomplete_gamma(s, x):
     """Regularized lower incomplete gamma P(s, x) for s > 0, x >= 0.
 
     Values lie in [0, 1] and are monotone nondecreasing in x, with
-    P(s, 0) = 0 and P(s, x) -> 1 as x grows.
+    P(s, 0) = 0 and P(s, x) -> 1 as x grows. Evaluated in float64
+    (Temme, *Special Functions*, 1996, ch. 11):
+
+    * 0 < x < s + 1: the power series
+      x^s e^(-x) / Gamma(s + 1) * sum_k x^k / (s + 1)_k;
+    * x >= s + 1: 1 - x^s e^(-x) / Gamma(s) * K with K Legendre's continued
+      fraction for e^x x^(-s) Gamma(s, x), evaluated by modified Lentz.
+
+    Each point converges on its own, so an array gives the same bits as its
+    points one at a time. For s in (0, 1] the error against 40-digit mpmath
+    is at most about 1.1e-15 for x up to 700 (the tests allow 2.6e-15), and
+    both expansions converge within 90 steps, slowest next to the switch.
+    Larger s needs about 8 sqrt(s) steps and loses relative accuracy roughly
+    in proportion to s (4e-14 at s = 100). A point that does not converge
+    within the step cap (1000) raises RuntimeError naming x.
     """
     s_arr = _validated("reg_lower_incomplete_gamma", s, 0.0, strict=True)
     x_arr = _validated("reg_lower_incomplete_gamma", x, 0.0, strict=False)
-    out = _special.gammainc(s_arr, x_arr)
+    s_all, x_all = (part.ravel() for part in np.broadcast_arrays(s_arr, x_arr))
+    out = np.zeros(x_all.size)
+    near = (x_all > 0.0) & (x_all < s_all + 1.0)
+    if near.any():
+        v, p = s_all[near], x_all[near]
+        scale = np.exp(v * np.log(p) - p - _elementwise(math.lgamma, v + 1.0))
+        out[near] = scale * _positive_series(v, p)
+    far = x_all >= s_all + 1.0
+    if far.any():
+        v, p = s_all[far], x_all[far]
+        b = p + (1.0 - v)
+        # c starts at infinity in effect, so that the first step sets c = b
+        fraction = _converge(_lentz_step, [v, b, np.full(p.size, 1e300), 1.0 / b, 1.0 / b],
+                             p, "reg_lower_incomplete_gamma", _MAX_STEPS)
+        out[far] = 1.0 - np.exp(v * np.log(p) - p - _elementwise(math.lgamma, v)) * fraction
     if np.ndim(s) == 0 and np.ndim(x) == 0:
-        return float(out)
-    return out
+        return float(out[0])
+    return out.reshape(np.broadcast(s_arr, x_arr).shape)

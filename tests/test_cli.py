@@ -349,14 +349,15 @@ def test_infinite_degree_is_config_error(workdir, capsys, source):
     assert "error: N: must be finite" in capsys.readouterr().err
 
 
-def test_import_leaves_mpmath_out():
-    # mpmath is a test-only dependency; the package and its CLI must not load it
+@pytest.mark.parametrize("module", ["mpmath", "scipy"])
+def test_import_leaves_test_dependency_out(module):
+    # mpmath and scipy are test-only dependencies; the package and its CLI must not load them
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, lagfrac, lagfrac.cli; print('mpmath' in sys.modules)"],
+         f"import sys, lagfrac, lagfrac.cli; print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

@@ -104,6 +104,8 @@ def test_domain_error_names_subexpression():
     ("exp(1000)", 0.0),
     ("gamma(200)", 0.0),
     ("10^10^10", 0.0),
+    ("gamma(x)", 172.0),
+    ("gamma(x)", 1e-320),
 ])
 def test_overflow_saturates(text, x):
     assert evaluate(parse(text), x) == math.inf

@@ -137,13 +137,39 @@ def test_oscillator_error_decays_with_degree():
     assert errs[1] <= 2e-7
 
 
+@pytest.mark.filterwarnings("error")
 def test_singular_system_raises_solver_error():
     zero = lambda x: 0.0
     order = OrderFunction.constant(0.5)
     spec = IvpSpec(params=LaguerreParams(1.0, 3.0), N=8, order=order, m=1,
                    a=zero, b=zero, c=zero, f=zero, u0=0.0, domain_length=1.0)
-    with pytest.raises(SolverError, match="rcond"):
+    # an exact zero pivot is a SolverError, with no numpy warning on the way
+    with pytest.raises(SolverError, match="rcond") as info:
         solve(spec)
+    assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
+@pytest.mark.parametrize("rho,solved,refused", [(0.5, 22, 23), (1.5, 24, 25)])
+def test_refusal_boundary(rho, solved, refused):
+    """u = x^3 at (theta, beta) = (2, 4): the rcond gate passes the degree
+    `solved` and refuses the next. rcond falls about sixfold per degree and
+    lies 2-3x above and below eps at these two degrees."""
+    order = OrderFunction.constant(rho)
+    fractional = math.gamma(4.0) / math.gamma(4.0 - rho)
+    if rho < 1.0:
+        integer, extra = (lambda x: 3.0 * x ** 2), {"m": 1}
+    else:
+        integer, extra = (lambda x: 6.0 * x), {"m": 2, "v0": 0.0}
+    forcing = lambda x: integer(x) + fractional * x ** (3.0 - rho) + x ** 3
+
+    def spec(N):
+        return IvpSpec(params=LaguerreParams(2.0, 4.0), N=N, order=order, a=ONE, b=ONE,
+                       c=ONE, f=forcing, u0=0.0, domain_length=1.0, **extra)
+
+    report = max_abs_error(solve(spec(solved)), lambda x: x ** 3, 1.0, 201)
+    assert report.max_abs_error < 1e-11
+    with pytest.raises(SolverError, match=f"N={refused}"):
+        solve(spec(refused))
 
 
 def test_solve_logs_condition_estimate(caplog):

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from lagfrac import DomainError, gamma_ratio, log_gamma, reg_lower_incomplete_gamma
+from lagfrac import (
+    DomainError,
+    OrderFunction,
+    caputo_exp_exact,
+    gamma_ratio,
+    log_gamma,
+    reg_lower_incomplete_gamma,
+)
 
 
 def test_log_gamma_known_values():
@@ -11,6 +18,9 @@ def test_log_gamma_known_values():
     assert log_gamma(2.0) == pytest.approx(0.0, abs=1e-14)
     assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
     assert log_gamma(10.0) == pytest.approx(math.log(362880.0), rel=1e-14)
+    # subnormal x has a finite value; past about 2.55e305 the value overflows
+    assert log_gamma(1e-320) == pytest.approx(-math.log(1e-320), rel=1e-15)
+    assert log_gamma(1e307) == math.inf
 
 
 def test_log_gamma_matches_lgamma_on_grid():
@@ -87,3 +97,47 @@ def test_reg_lower_incomplete_gamma_monotone_in_x():
 def test_reg_lower_incomplete_gamma_domain(s, x):
     with pytest.raises(DomainError):
         reg_lower_incomplete_gamma(s, x)
+
+
+def test_incomplete_gamma_matches_mpmath():
+    """P(s, x) and e^x P(s, x) = caputo_exp_exact against 40-digit mpmath.
+
+    s is random in (0, 1], taken as n - rho for orders rho in both windows so
+    that caputo_exp_exact sees the same s; x is random in [0, 700] and in
+    [0, 3], just below and at the series / continued-fraction switch
+    x = s + 1, and 1e-300. The worst error |got - ref| / max(1, |ref|)
+    measured over 20 seeds of this sampling (9000 points) was 1.1e-15 for P
+    and 1.3e-15 for e^x P; the bound is twice that.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2026)
+    n = np.where(np.arange(450) % 2, 1, 2)
+    rho = n - (1.0 - rng.uniform(0.0, 1.0, 450))
+    s = n - rho
+    switch = s[:50] + 1.0
+    x = np.concatenate([rng.uniform(0.0, 700.0, 150), rng.uniform(0.0, 3.0, 150),
+                        np.nextafter(switch, 0.0), switch, np.full(50, 1e-300)])
+    got_p = reg_lower_incomplete_gamma(s, x)
+    got_e = np.array([caputo_exp_exact(OrderFunction.constant(r), v) for r, v in zip(rho, x)])
+    with mpmath.workdps(40):
+        ref_p = [mpmath.gammainc(mpmath.mpf(a), 0, mpmath.mpf(v), regularized=True)
+                 for a, v in zip(s, x)]
+        ref_e = np.array([float(mpmath.exp(mpmath.mpf(v)) * p) for v, p in zip(x, ref_p)])
+    ref_p = np.array([float(p) for p in ref_p])
+    for got, ref in ((got_p, ref_p), (got_e, ref_e)):
+        err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
+        assert err.max() <= 2.6e-15, (s[err.argmax()], x[err.argmax()], err.max())
+    # one array call gives the bits of the scalar calls
+    assert np.array_equal(got_p, [reg_lower_incomplete_gamma(a, v) for a, v in zip(s, x)])
+
+
+@pytest.mark.parametrize("done,stuck", [(1e-300, 1.0), (700.0, 2.0)])
+def test_incomplete_gamma_step_cap_is_an_error(monkeypatch, done, stuck):
+    # series (x < s + 1) and continued fraction: the first point converges
+    # within the cap, the second does not
+    import lagfrac.special as special
+    monkeypatch.setattr(special, "_MAX_STEPS", 5)
+    with pytest.raises(RuntimeError, match=f"x={stuck}"):
+        reg_lower_incomplete_gamma(0.5, np.array([done, stuck]))
+    with pytest.raises(RuntimeError, match=f"x={stuck}"):
+        caputo_exp_exact(OrderFunction.constant(1.5), np.array([done, stuck]))
