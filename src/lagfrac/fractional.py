@@ -16,7 +16,13 @@ from typing import Callable
 
 import numpy as np
 
-from .laguerre import InterpolantCoeffs, LaguerreParams, _as_points, _checked_degree
+from .laguerre import (
+    InterpolantCoeffs,
+    LaguerreParams,
+    _as_points,
+    _checked_degree,
+    _checked_int,
+)
 from .special import (
     DomainError,
     _converge,
@@ -84,9 +90,7 @@ class OrderFunction:
             raise ValueError(f"order values must be positive, got rho_min={rho_min}")
         if rho_min > rho_max:
             raise ValueError(f"rho_min={rho_min} exceeds rho_max={rho_max}")
-        n = int(self.n)
-        if n != self.n or n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        n = _checked_int(self.n, "n", 1)
         object.__setattr__(self, "rho_min", rho_min)
         object.__setattr__(self, "rho_max", rho_max)
         object.__setattr__(self, "n", n)
@@ -110,9 +114,7 @@ class OrderFunction:
         length = float(domain_length)
         if not np.isfinite(length) or length <= 0.0:
             raise ValueError(f"domain_length must be positive, got {domain_length!r}")
-        count = int(samples)
-        if count < 2:
-            raise ValueError("samples must be at least 2")
+        count = _checked_int(samples, "samples", 2)
         xs = np.linspace(0.0, length, count + 1)[1:]
         vals = _sample(func, xs, "order function")
         rho_min = float(vals.min())
@@ -206,10 +208,11 @@ def _frac_ladder(params: LaguerreParams, rho: np.ndarray, max_degree: int,
     if max_degree >= 2:
         correction = head * rho  # x^rho / Gamma(rho)
         zero_val = theta + 1.0  # L_1(0)
+        bx = beta * x
         for i in range(1, max_degree):
             # L_i(0) - L_{i+1}(0) collapses to -theta L_i(0) / (i+1), no cancellation
             drop = -theta * zero_val / (i + 1.0)
-            out[i + 1] = ((2.0 * i + theta + rho + 1.0 - beta * x) * out[i]
+            out[i + 1] = ((2.0 * i + theta + rho + 1.0 - bx) * out[i]
                           - (i + theta) * out[i - 1]
                           - correction * drop) / (i + rho + 1.0)
             zero_val *= (i + theta + 1.0) / (i + 1.0)
@@ -286,9 +289,7 @@ def caputo_power_rule(gamma_exp, order_value, n, x):
     order_value and x may be scalars or matching 1-D arrays; the result is
     a float when both are scalars.
     """
-    ceiling = int(n)
-    if ceiling != n or ceiling < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    ceiling = _checked_int(n, "n", 1)
     rho = np.asarray(order_value, dtype=float)
     outside = np.flatnonzero(~((ceiling - 1 < rho) & (rho < ceiling)))
     if outside.size:

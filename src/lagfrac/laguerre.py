@@ -92,6 +92,13 @@ class InterpolantCoeffs:
         object.__setattr__(self, "coeffs", _frozen_array(self.coeffs, "coeffs"))
 
 
+def _checked_int(value, name: str, low: int) -> int:
+    """value as an int >= low; a fraction or a non-finite value raises ValueError."""
+    if not math.isfinite(value) or int(value) != value or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 def _checked_degree(value, name: str = "degree"):
     """value as a nonnegative int, or a 1-D array of them as an int array."""
     if np.ndim(value) == 0:
@@ -118,6 +125,23 @@ def _as_points(x):
     return pts, scalar
 
 
+def _ladder(theta: float, bx: np.ndarray, top: int):
+    """Yield L_0, ..., L_top at the points with beta * x = bx, two rows kept.
+
+    The forward three-term recurrence
+    (i + 1) L_(i+1) = (2i + theta + 1 - beta x) L_i - (i + theta) L_(i-1).
+    """
+    prev = np.ones_like(bx)
+    yield prev
+    if top >= 1:
+        cur = theta + 1.0 - bx
+        yield cur
+        for i in range(1, top):
+            prev, cur = cur, ((2.0 * i + theta + 1.0 - bx) * cur
+                              - (i + theta) * prev) / (i + 1.0)
+            yield cur
+
+
 def eval_basis(params: LaguerreParams, max_degree, x):
     """Ladder [L_0(x), ..., L_max_degree(x)] by the forward three-term recurrence.
 
@@ -126,14 +150,9 @@ def eval_basis(params: LaguerreParams, max_degree, x):
     """
     deg = _checked_degree(max_degree, "max_degree")
     xs, scalar = _as_points(x)
-    theta, beta = params.theta, params.beta
     out = np.empty((deg + 1, xs.size), dtype=float)
-    out[0] = 1.0
-    if deg >= 1:
-        out[1] = theta + 1.0 - beta * xs
-    for i in range(1, deg):
-        out[i + 1] = ((2.0 * i + theta + 1.0 - beta * xs) * out[i]
-                      - (i + theta) * out[i - 1]) / (i + 1.0)
+    for i, row in enumerate(_ladder(params.theta, params.beta * xs, deg)):
+        out[i] = row
     return out[:, 0] if scalar else out
 
 
@@ -184,18 +203,14 @@ def _require_finite_positive(values: np.ndarray, name: str, n: int) -> None:
                            f"the basis ladder leaves double range")
 
 
-def gauss_rule(params: LaguerreParams, N) -> QuadratureRule:
-    """(N+1)-point Gauss rule for the weight x^theta exp(-beta x).
+def _gauss_nodes(params: LaguerreParams, n: int) -> np.ndarray:
+    """Ascending zeros of L_(n+1): Jacobi eigenvalues polished by two Newton sweeps.
 
-    Nodes are the zeros of the degree-(N+1) basis polynomial, computed as
-    eigenvalues of the symmetric tridiagonal recurrence matrix (a dense
-    ``numpy.linalg.eigvalsh``, about 0.3 ms at N = 80) and polished by two
-    Newton sweeps. Weights come from the inverse Christoffel sums
-    w_j = 1 / sum_i p_i(x_j)^2 over the orthonormal ladder
-    p_i = L_i / sqrt(gamma_i); unlike squared first-eigenvector components
-    these keep full relative accuracy in the tiny far-node weights.
+    Each sweep runs one rolling recurrence to degree n + 1 and takes the
+    slope from x L_(n+1)' = (n + 1) L_(n+1) - (n + 1 + theta) L_n. The
+    second step certifies the nodes: it must move none of them by more
+    than 1e-8 relative.
     """
-    n = _checked_degree(N, "N")
     theta, beta = params.theta, params.beta
     k = np.arange(n + 1, dtype=float)
     diag = (2.0 * k + theta + 1.0) / beta
@@ -206,19 +221,49 @@ def gauss_rule(params: LaguerreParams, N) -> QuadratureRule:
         nodes = np.linalg.eigvalsh(jacobi)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"tridiagonal eigenvalue solve failed for N={n}: {exc}") from exc
-    shifted = LaguerreParams(theta + 1.0, beta)
-    # from N ~ 190 the ladder leaves double range at the far nodes; the
+    # the ladder leaves double range at the far nodes from N ~ 370; the
     # checks turn that into a RuntimeError instead of numpy warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(2):
-            residual = eval_basis(params, n + 1, nodes)[n + 1]
-            slope = -beta * eval_basis(shifted, n, nodes)[n]
-            nodes = nodes - residual / slope
+            below = top = None
+            for row in _ladder(theta, beta * nodes, n + 1):
+                below, top = top, row
+            step = nodes * top / ((n + 1.0) * top - (n + 1.0 + theta) * below)
+            nodes = nodes - step
             _require_finite_positive(nodes, "nodes", n)
-        nodes = np.sort(nodes)
+    if np.any(np.abs(step) > 1e-8 * nodes):
+        raise RuntimeError(f"quadrature nodes for N={n} did not settle: the second "
+                           f"Newton step moved one by more than 1e-8 relative")
+    nodes = np.sort(nodes)
+    if np.any(np.diff(nodes) <= 0.0):
+        raise RuntimeError(f"quadrature nodes for N={n} are not strictly increasing")
+    return nodes
+
+
+def gauss_rule(params: LaguerreParams, N) -> QuadratureRule:
+    """(N+1)-point Gauss rule for the weight x^theta exp(-beta x).
+
+    Nodes are the zeros of the degree-(N+1) basis polynomial, computed as
+    eigenvalues of the symmetric tridiagonal recurrence matrix (a dense
+    ``numpy.linalg.eigvalsh``, about 0.3 ms at N = 80) and polished by two
+    Newton sweeps; each sweep is one rolling three-term recurrence that
+    keeps only L_(N+1) and L_N and takes the slope from
+    x L_(N+1)' = (N + 1) L_(N+1) - (N + 1 + theta) L_N. Weights come from
+    the inverse Christoffel sums w_j = 1 / sum_i p_i(x_j)^2 over the
+    orthonormal ladder p_i = L_i / sqrt(gamma_i), accumulated in a third
+    rolling recurrence; unlike squared first-eigenvector components these
+    keep full relative accuracy in the tiny far-node weights. From N ~ 190
+    the weights underflow and a RuntimeError names N.
+    """
+    n = _checked_degree(N, "N")
+    nodes = _gauss_nodes(params, n)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         scale = 1.0 / np.sqrt(norm(params, np.arange(n + 1)))
-        ortho = eval_basis(params, n, nodes) * scale[:, None]
-        weights = 1.0 / np.sum(ortho * ortho, axis=0)
+        christoffel = np.zeros(n + 1)
+        for s, row in zip(scale, _ladder(params.theta, params.beta * nodes, n)):
+            p = row * s
+            christoffel += p * p
+        weights = 1.0 / christoffel
     _require_finite_positive(weights, "weights", n)
     mu0 = norm(params, 0)
     total = float(np.sum(weights))
@@ -249,14 +294,8 @@ def eval_interpolant(coeffs: InterpolantCoeffs, x):
     """Sum_i l_i L_i(x) by forward recurrence; scalar or 1-D array x."""
     xs, scalar = _as_points(x)
     lc = coeffs.coeffs
-    theta, beta = coeffs.params.theta, coeffs.params.beta
-    prev = np.ones_like(xs)
-    acc = lc[0] * prev
-    if lc.size > 1:
-        cur = theta + 1.0 - beta * xs
-        acc = acc + lc[1] * cur
-        for i in range(1, lc.size - 1):
-            prev, cur = cur, ((2.0 * i + theta + 1.0 - beta * xs) * cur
-                              - (i + theta) * prev) / (i + 1.0)
-            acc += lc[i + 1] * cur
+    rows = _ladder(coeffs.params.theta, coeffs.params.beta * xs, lc.size - 1)
+    acc = lc[0] * next(rows)
+    for c, row in zip(lc[1:], rows):
+        acc += c * row
     return float(acc[0]) if scalar else acc

@@ -19,9 +19,10 @@ from .laguerre import (
     InterpolantCoeffs,
     LaguerreParams,
     _checked_degree,
+    _checked_int,
+    _gauss_nodes,
     eval_basis,
     eval_interpolant,
-    gauss_rule,
     value_at_zero,
 )
 
@@ -68,13 +69,10 @@ class IvpSpec:
     v0: Optional[float] = None
 
     def __post_init__(self):
-        degree = int(self.N)
-        if degree != self.N or degree < 2:
-            raise ValueError(f"N must be an integer >= 2, got {self.N!r}")
-        object.__setattr__(self, "N", degree)
-        m = int(self.m)
-        if m != self.m or m not in (1, 2):
+        object.__setattr__(self, "N", _checked_int(self.N, "N", 2))
+        if self.m not in (1, 2):
             raise ValueError(f"m must be 1 or 2, got {self.m!r}")
+        m = int(self.m)
         object.__setattr__(self, "m", m)
         _require_derivative_window(self.order)
         if self.order.n == 2:
@@ -139,13 +137,18 @@ class ErrorReport:
 
 
 def collocation_nodes(params: LaguerreParams, N, count) -> np.ndarray:
-    """The `count` smallest zeros of the degree-(N+1) basis polynomial, ascending."""
+    """The `count` smallest zeros of the degree-(N+1) basis polynomial, ascending.
+
+    The nodes of ``gauss_rule(params, N)``, bit for bit, from the same
+    eigenvalue solve and two rolling-recurrence Newton sweeps, but with no
+    weights or norms: the solver needs none, so this works past the
+    N ~ 190 where the Gauss weights underflow (to at least N = 360).
+    """
     degree = _checked_degree(N, "N")
     c = _checked_degree(count, "count")
     if c > degree + 1:
         raise ValueError(f"count must be at most N+1={degree + 1}, got {count}")
-    rule = gauss_rule(params, degree)
-    return np.array(rule.nodes[:c])
+    return _gauss_nodes(params, degree)[:c]
 
 
 def assemble(spec: IvpSpec) -> LinearSystem:
@@ -223,9 +226,7 @@ def max_abs_error(coeffs: InterpolantCoeffs, exact, domain_length, grid_size) ->
     same shape (a scalar return is broadcast); write it with numpy
     functions, as ``np.sin`` rather than ``math.sin``.
     """
-    size = int(grid_size)
-    if size != grid_size or size < 2:
-        raise ValueError(f"grid_size must be an integer >= 2, got {grid_size!r}")
+    size = _checked_int(grid_size, "grid_size", 2)
     length = float(domain_length)
     if not np.isfinite(length) or length <= 0.0:
         raise ValueError(f"domain_length must be positive, got {domain_length!r}")

@@ -363,6 +363,16 @@ def test_order_function_validation():
         OrderFunction.from_callable(lambda x: -x, 1.0)
 
 
+@pytest.mark.parametrize("call,name", [
+    (lambda: OrderFunction(eval=lambda x: 0.5, rho_min=0.5, rho_max=0.5, n=math.inf), "n"),
+    (lambda: OrderFunction.from_callable(lambda x: 0.5, 1.0, samples=math.inf), "samples"),
+    (lambda: caputo_power_rule(2.0, 0.5, math.inf, 1.0), "n"),
+], ids=["OrderFunction-n", "from_callable-samples", "caputo_power_rule-n"])
+def test_infinite_integer_argument_is_value_error(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call()
+
+
 def test_derivative_window_gating():
     params = LaguerreParams(1.0, 3.0)
     with pytest.raises(DomainError):

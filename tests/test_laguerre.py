@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagfrac import (
     InterpolantCoeffs,
@@ -16,6 +18,7 @@ from lagfrac import (
     norm,
     value_at_zero,
 )
+from lagfrac.solver import collocation_nodes
 
 PARAMS = [(0.0, 1.0), (1.0, 3.0), (2.0, 6.0), (0.5, 2.0)]
 
@@ -163,6 +166,71 @@ def test_gauss_rule_overflow_is_runtime_error():
         rule = gauss_rule(LaguerreParams(1.0, 3.0), 150)
     assert np.all(rule.weights > 0.0)
     assert np.sum(rule.weights) == pytest.approx(1.0 / 9.0, rel=1e-12)
+
+
+def five_ladder_rule(params, n):
+    """Gauss nodes and weights as built before the rolling recurrences.
+
+    Eigenvalues, then two Newton sweeps of two full ladders each (the slope
+    from the shifted family, d/dx L_(n+1) = -beta L_n^(theta+1)), then the
+    inverse Christoffel sums over a fifth full ladder.
+    """
+    theta, beta = params.theta, params.beta
+
+    def ladder(shift, deg, xs):
+        out = np.empty((deg + 1, xs.size), dtype=float)
+        out[0] = 1.0
+        if deg >= 1:
+            out[1] = theta + shift + 1.0 - beta * xs
+        for i in range(1, deg):
+            out[i + 1] = ((2.0 * i + (theta + shift) + 1.0 - beta * xs) * out[i]
+                          - (i + (theta + shift)) * out[i - 1]) / (i + 1.0)
+        return out
+
+    k = np.arange(n + 1, dtype=float)
+    diag = (2.0 * k + theta + 1.0) / beta
+    off = np.sqrt(k[1:] * (k[1:] + theta)) / beta
+    nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    for _ in range(2):
+        residual = ladder(0.0, n + 1, nodes)[n + 1]
+        slope = -beta * ladder(1.0, n, nodes)[n]
+        nodes = nodes - residual / slope
+    nodes = np.sort(nodes)
+    scale = 1.0 / np.sqrt(norm(params, np.arange(n + 1)))
+    ortho = ladder(0.0, n, nodes) * scale[:, None]
+    return nodes, 1.0 / np.sum(ortho * ortho, axis=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta=st.floats(-1.0, 10.0, exclude_min=True), beta=st.floats(0.5, 10.0),
+       N=st.integers(1, 150), data=st.data())
+def test_rolling_gauss_rule_matches_five_ladders(theta, beta, N, data):
+    params = LaguerreParams(theta, beta)
+    rule = gauss_rule(params, N)
+    nodes, weights = five_ladder_rule(params, N)
+    assert np.array_equal(rule.nodes, nodes)
+    assert np.array_equal(rule.weights, weights)
+    count = data.draw(st.integers(0, N + 1), label="count")
+    assert np.array_equal(collocation_nodes(params, N, count), rule.nodes[:count])
+    # the Newton slope x L_(N+1)' = (N + 1) L_(N+1) - (N + 1 + theta) L_N; both
+    # sides carry the rounding of an N-step recurrence (at (0, 1), N = 86, each
+    # is within 6e-14 of 50-digit mpmath at the smallest node), hence the N
+    ladder = eval_basis(params, N + 1, rule.nodes)
+    slope = ((N + 1.0) * ladder[N + 1] - (N + 1.0 + theta) * ladder[N]) / rule.nodes
+    reference = derivative_basis(params, N + 1, 1, rule.nodes)
+    assert np.all(np.abs(slope - reference) <= 1e-14 * (N + 1) * np.abs(reference))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("theta,beta", [(3.0, 6.0), (0.0, 1.0), (1.0, 3.0)])
+@pytest.mark.parametrize("N", [250, 350])
+def test_collocation_nodes_past_weight_underflow(theta, beta, N):
+    # gauss_rule refuses these degrees (its weights underflow); the nodes need none
+    nodes = collocation_nodes(LaguerreParams(theta, beta), N, N + 1)
+    assert nodes.shape == (N + 1,)
+    assert np.all(np.isfinite(nodes))
+    assert nodes[0] > 0.0
+    assert np.all(np.diff(nodes) > 0.0)
 
 
 def test_discrete_orthonormality():

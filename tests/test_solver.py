@@ -149,6 +149,22 @@ def test_singular_system_raises_solver_error():
     assert not isinstance(info.value, np.linalg.LinAlgError)
 
 
+@pytest.mark.filterwarnings("error")
+def test_solve_past_weight_underflow_reaches_rcond_gate():
+    # gauss_rule raises from N ~ 190; the solver needs only nodes, so the
+    # refusal at N = 200 comes from the conditioning gate
+    with pytest.raises(SolverError, match="rcond"):
+        solve(oscillator_spec(200))
+
+
+@pytest.mark.parametrize("key", ["N", "m"])
+def test_ivp_spec_rejects_infinite_integers(key):
+    spec = basset_spec()
+    fields = {name: getattr(spec, name) for name in spec.__dataclass_fields__}
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        IvpSpec(**{**fields, key: math.inf})
+
+
 @pytest.mark.parametrize("rho,solved,refused", [(0.5, 22, 23), (1.5, 24, 25)])
 def test_refusal_boundary(rho, solved, refused):
     """u = x^3 at (theta, beta) = (2, 4): the rcond gate passes the degree
@@ -234,3 +250,10 @@ def test_max_abs_error_validation():
         max_abs_error(coeffs, lambda x: math.nan, 1.0, 11)
     with pytest.raises(ValueError):
         max_abs_error(coeffs, lambda x: 1.0, -1.0, 11)
+
+
+def test_max_abs_error_rejects_infinite_grid_size():
+    coeffs = solve(basset_spec(N=6))
+    with pytest.raises(ValueError, match="^grid_size must be an integer"):
+        max_abs_error(coeffs, lambda x: 1.0, 1.0, math.inf)
+
