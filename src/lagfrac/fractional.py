@@ -287,7 +287,8 @@ def caputo_power_rule(gamma_exp, order_value, n, x):
     Powers up to n - 1 are annihilated; larger (real) powers map to
     gamma_ratio(gamma_exp + 1, gamma_exp + 1 - order) * x^(gamma_exp - order).
     order_value and x may be scalars or matching 1-D arrays; the result is
-    a float when both are scalars.
+    a float when both are scalars. A value beyond double range is inf,
+    without a warning.
     """
     ceiling = _checked_int(n, "n", 1)
     rho = np.asarray(order_value, dtype=float)
@@ -305,7 +306,8 @@ def caputo_power_rule(gamma_exp, order_value, n, x):
     if exponent <= ceiling - 1:
         out = np.zeros(np.broadcast(rho, point).shape)
     else:
-        out = gamma_ratio(exponent + 1.0, exponent + 1.0 - rho) * point ** (exponent - rho)
+        with np.errstate(over="ignore"):
+            out = gamma_ratio(exponent + 1.0, exponent + 1.0 - rho) * point ** (exponent - rho)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -313,11 +315,13 @@ def caputo_exp_exact(order: OrderFunction, x):
     """Closed form for the Caputo derivative of exp at x, scalar or 1-D array.
 
     Equals exp(x) * P(n - rho(x), x) with P the regularized lower incomplete
-    gamma function; zero at x = 0.
+    gamma function; zero at x = 0. Past x ~ 709.78 the value leaves double
+    range and is inf, without a warning.
     """
     pts, scalar = _as_points(x)
     rho = _order_values(order, pts)
-    out = np.exp(pts) * reg_lower_incomplete_gamma(order.n - rho, pts)
+    with np.errstate(over="ignore"):
+        out = np.exp(pts) * reg_lower_incomplete_gamma(order.n - rho, pts)
     return float(out[0]) if scalar else out
 
 

@@ -95,9 +95,11 @@ def gamma_ratio(a, b):
     """Gamma(a) / Gamma(b) for a, b > 0, formed in log space.
 
     Safe for arguments up to about 1e6 where either gamma value alone would
-    overflow by thousands of orders of magnitude.
+    overflow by thousands of orders of magnitude. A ratio beyond double range
+    is inf, without a warning.
     """
-    out = np.exp(log_gamma(a) - log_gamma(b))
+    with np.errstate(over="ignore"):
+        out = np.exp(log_gamma(a) - log_gamma(b))
     if np.ndim(a) == 0 and np.ndim(b) == 0:
         return float(out)
     return out

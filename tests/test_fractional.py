@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -239,6 +240,25 @@ def test_caputo_power_rule_validation():
         caputo_power_rule(2.0, 0.5, 1, 0.0)
     with pytest.raises(ValueError):
         caputo_power_rule(-1.0, 0.5, 1, 1.0)
+
+
+def test_caputo_power_rule_saturates_to_inf_silently():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert caputo_power_rule(3.0, 0.5, 1, 1e300) == math.inf
+        values = caputo_power_rule(3.0, np.array([0.5, 0.5]), 1, np.array([1e300, 2.0]))
+    assert values[0] == math.inf
+    assert values[1] == caputo_power_rule(3.0, 0.5, 1, 2.0)
+
+
+def test_caputo_exp_exact_saturates_to_inf_silently():
+    order = OrderFunction.constant(0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert caputo_exp_exact(order, 720.0) == math.inf
+        values = caputo_exp_exact(order, np.array([1.0, 720.0]))
+    assert values[1] == math.inf
+    assert values[0] == caputo_exp_exact(order, 1.0)
 
 
 def test_caputo_exp_exact_values():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,14 @@ def test_gamma_ratio_large_arguments_stay_finite():
     value = gamma_ratio(1.0e6, 1.0e6 - 0.5)
     assert math.isfinite(value)
     assert value == pytest.approx(math.sqrt(1.0e6), rel=1e-6)
+
+
+def test_gamma_ratio_saturates_to_inf_silently():
+    # ln Gamma(200) ~ 857 is past the exp overflow at ~709.78
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gamma_ratio(200.0, 0.5) == math.inf
+        assert gamma_ratio(np.array([200.0, 3.0]), 0.5)[0] == math.inf
 
 
 def test_gamma_ratio_rejects_nonpositive():
