@@ -7,81 +7,14 @@ collocation solver built on the same machinery handles first and second
 order initial value problems with an added variable-order fractional term.
 """
 
-from . import exprs
-from .fractional import (
-    FracBasisValues,
-    OrderFunction,
-    caputo_exp_exact,
-    caputo_of_sin,
-    caputo_power_rule,
-    caputo_row,
-    frac_integral_basis,
-    vo_derivative,
-    vo_integral,
-)
-from .laguerre import (
-    InterpolantCoeffs,
-    LaguerreParams,
-    QuadratureRule,
-    derivative_basis,
-    eval_basis,
-    eval_interpolant,
-    gauss_rule,
-    interpolate,
-    norm,
-    value_at_zero,
-)
-from .solver import (
-    ErrorReport,
-    IvpSpec,
-    LinearSystem,
-    SolverError,
-    assemble,
-    collocation_nodes,
-    max_abs_error,
-    solve,
-)
-from .special import (
-    DomainError,
-    gamma_ratio,
-    log_gamma,
-    reg_lower_incomplete_gamma,
-)
+from . import exprs, fractional, laguerre, solver, special
+from .fractional import *  # noqa: F401,F403
+from .laguerre import *  # noqa: F401,F403
+from .solver import *  # noqa: F401,F403
+from .special import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DomainError",
-    "ErrorReport",
-    "FracBasisValues",
-    "InterpolantCoeffs",
-    "IvpSpec",
-    "LaguerreParams",
-    "LinearSystem",
-    "OrderFunction",
-    "QuadratureRule",
-    "SolverError",
-    "assemble",
-    "caputo_exp_exact",
-    "caputo_of_sin",
-    "caputo_power_rule",
-    "caputo_row",
-    "collocation_nodes",
-    "derivative_basis",
-    "eval_basis",
-    "eval_interpolant",
-    "exprs",
-    "frac_integral_basis",
-    "gamma_ratio",
-    "gauss_rule",
-    "interpolate",
-    "log_gamma",
-    "max_abs_error",
-    "norm",
-    "reg_lower_incomplete_gamma",
-    "solve",
-    "value_at_zero",
-    "vo_derivative",
-    "vo_integral",
-    "__version__",
-]
+# public names are declared once, in each module's __all__
+__all__ = [*fractional.__all__, *laguerre.__all__, *solver.__all__, *special.__all__,
+           "exprs", "__version__"]

@@ -43,7 +43,13 @@ from .fractional import (
     vo_derivative,
     vo_integral,
 )
-from .laguerre import LaguerreParams, eval_interpolant, gauss_rule, interpolate
+from .laguerre import (
+    LaguerreParams,
+    _checked_length,
+    eval_interpolant,
+    gauss_rule,
+    interpolate,
+)
 from .solver import ErrorReport, IvpSpec, solve
 from .special import DomainError
 
@@ -77,41 +83,24 @@ def _write_sections(path: Path, sections) -> None:
                 writer.writerows(rows)
 
 
-def _split(value, key: str) -> list:
+def _as_list(value, key: str, read) -> list:
+    """A comma-separated string, a JSON list or one scalar, each item read by read."""
     if isinstance(value, str):
         items = [part.strip() for part in value.split(",") if part.strip()]
-        if not items:
-            raise ConfigError(f"{key}: expected a nonempty comma-separated list")
-        return items
-    if isinstance(value, (list, tuple)):
-        if not value:
-            raise ConfigError(f"{key}: list must be nonempty")
-        return list(value)
-    return [value]
+    else:
+        items = list(value) if isinstance(value, (list, tuple)) else [value]
+    if not items:
+        raise ConfigError(f"{key}: expected a nonempty list, got {value!r}")
+    return [read(item, key) for item in items]
 
 
-def _as_float_list(value, key: str) -> list[float]:
-    try:
-        return [float(item) for item in _split(value, key)]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: expected numbers, got {value!r}") from exc
-
-
-def _as_int_list(value, key: str) -> list[int]:
-    return [_as_int(item, key) for item in _split(value, key)]
-
-
-def _as_str_list(value, key: str) -> list[str]:
-    items = _split(value, key)
-    out = []
-    for item in items:
-        if isinstance(item, str):
-            out.append(item)
-        elif isinstance(item, (int, float)) and not isinstance(item, bool):
-            out.append(repr(float(item)))
-        else:
-            raise ConfigError(f"{key}: expected expression strings, got {item!r}")
-    return out
+def _as_text(value, key: str) -> str:
+    """An expression string; a JSON number stands for its own value."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return repr(float(value))
+    raise ConfigError(f"{key}: expected an expression string, got {value!r}")
 
 
 def _as_float(value, key: str) -> float:
@@ -151,20 +140,21 @@ def _load_config(path, allowed: set[str]) -> dict:
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise ConfigError(f"config file {path} has unknown keys: {', '.join(unknown)}")
-    return data
+    # a JSON null leaves its key unset
+    return {key: value for key, value in data.items() if value is not None}
 
 
-def _expression(text: str, key: str):
-    """Compile an expression string into a callable on arrays of points."""
+def _expression(text, key: str):
+    """Compile an expression (see _as_text) into a callable on arrays of points."""
     try:
-        node = exprs.parse(text)
+        node = exprs.parse(_as_text(text, key))
     except exprs.ExprError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
     return lambda x: exprs.evaluate(node, x)
 
 
-def _problem(text: str, key: str):
-    """Compile an expression string into a problem callable (order, x)."""
+def _problem(text, key: str):
+    """Compile an expression into a problem callable (order, x)."""
     func = _expression(text, key)
     return lambda _order, x: func(x)
 
@@ -244,19 +234,17 @@ def _example_run(command: str, args) -> dict:
     config = _load_config(args.config, set(flags)) if args.config else {}
     raw = {**_EXAMPLES[command]["run"], **flags, **config}
     raw.update((key, getattr(args, key)) for key in flags if getattr(args, key) is not None)
-    if raw["N"] is None:  # a null N in a config file keeps the default degrees
-        raw["N"] = flags["N"]
-    degrees = _as_int_list(raw["N"], "N")
+    degrees = _as_list(raw["N"], "N", _as_int)
     grid = _as_grid(raw["grid"])
-    thetas = _as_float_list(raw["theta"], "theta")
-    betas = _as_float_list(raw["beta"], "beta")
+    thetas = _as_list(raw["theta"], "theta", _as_float)
+    betas = _as_list(raw["beta"], "beta", _as_float)
     if len(thetas) != len(betas):
         raise ConfigError(f"theta list ({len(thetas)} values) and beta list "
                           f"({len(betas)} values) must pair up")
-    texts = _as_str_list(raw["order"], "order")
+    texts = _as_list(raw["order"], "order", _as_text)
     if raw.get("single_order") and len(texts) != 1:
         raise ConfigError(f"{command} takes a single order expression")
-    length = _as_float(raw["length"], "length")
+    length = _checked_length(_as_float(raw["length"], "length"), "length")
     # a generator: each order is compiled and checked when the sweep reaches it
     orders = ((text, _order_from_text(text, length, n=raw.get("window"))) for text in texts)
     return dict(raw, name=command, table=True, N=degrees, grid=grid, length=length,
@@ -275,18 +263,16 @@ def _config_run(data: dict, out_override) -> dict:
     for key in ("theta", "beta", "N", "order"):
         if key not in data:
             raise ConfigError(f"config key {key!r} is required")
-    length = _as_float(data.get("length", 1.0), "length")
-    if length <= 0.0:
-        raise ConfigError(f"length must be positive, got {length}")
+    length = _checked_length(_as_float(data.get("length", 1.0), "length"), "length")
     grid = _as_grid(data.get("grid", 1001))
-    texts = _as_str_list(data["order"], "order")
+    texts = _as_list(data["order"], "order", _as_text)
     if len(texts) != 1:
         raise ConfigError("order must be a single expression in config runs")
     run = {"name": mode, "mode": mode, "table": False, "length": length, "grid": grid,
            "pairs": [(_as_float(data["theta"], "theta"), _as_float(data["beta"], "beta"))],
-           "N": _as_int_list(data["N"], "N"),
+           "N": _as_list(data["N"], "N", _as_int),
            "out": str(out_override or data.get("out", f"{mode}.csv"))}
-    exact = str(data.get("exact", ""))
+    exact = _as_text(data.get("exact", ""), "exact")
     solve_keys = ("a", "b", "c", "f", "u0")
     for key in ("u",) if mode == "solve" else solve_keys + ("m", "v0"):
         if key in data:
@@ -295,13 +281,8 @@ def _config_run(data: dict, out_override) -> dict:
         if key not in data:
             raise ConfigError(f"config key {key!r} is required in {mode} mode")
     if mode == "solve":
-        m = _as_int(data["m"], "m") if "m" in data else 0
-        u0 = _as_float(data["u0"], "u0")
-        v0 = None if data.get("v0") is None else _as_float(data["v0"], "v0")
         order = _order_from_text(texts[0], length)
-        if order.n == 2 and v0 is None:
-            raise ConfigError("config key 'v0' is required when the order lies in (1, 2)")
-        forcing = str(data["f"])
+        forcing = _as_text(data["f"], "f")
         if forcing in _BUILTIN_FORCINGS:
             run["f"] = _BUILTIN_FORCINGS[forcing]
         elif forcing.startswith("builtin:"):
@@ -309,11 +290,13 @@ def _config_run(data: dict, out_override) -> dict:
                               f"available: {', '.join(_BUILTIN_FORCINGS)}")
         else:
             run["f"] = _problem(forcing, "f")
-        run.update({key: _problem(str(data[key]), key) for key in ("a", "b", "c")},
-                   m=m or order.n, u0=u0, v0=v0)
+        run.update({key: _problem(data[key], key) for key in ("a", "b", "c")},
+                   m=_as_int(data["m"], "m") if "m" in data else order.n,
+                   u0=_as_float(data["u0"], "u0"),
+                   v0=_as_float(data["v0"], "v0") if "v0" in data else None)
     else:
         order = _order_from_text(texts[0], length, derivative=mode == "derivative")
-        run["u"] = _expression(str(data["u"]), "u")
+        run["u"] = _expression(data["u"], "u")
     run["exact"] = _problem(exact, "exact") if exact else None
     run["orders"] = [(texts[0], order)]
     return run

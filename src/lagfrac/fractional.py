@@ -22,8 +22,11 @@ from .laguerre import (
     _as_points,
     _checked_degree,
     _checked_int,
+    _checked_length,
+    _frozen_array,
 )
 from .special import (
+    _EPS,
     DomainError,
     _converge,
     _gamma,
@@ -48,7 +51,6 @@ __all__ = [
 # margin for the strict bound checks n-1 < rho_min <= rho_max < n
 _WINDOW_MARGIN = 1e-12
 
-_EPS = np.finfo(float).eps
 # caputo_of_sin sums the power series up to here, the continued fraction beyond
 _SERIES_MAX_X = 3.0
 # both expansions converge in fewer than 80 steps for every order; a point
@@ -111,9 +113,7 @@ class OrderFunction:
         integer only at the origin (where fractional ladders vanish anyway)
         remain usable; pointwise checks still guard every later evaluation.
         """
-        length = float(domain_length)
-        if not np.isfinite(length) or length <= 0.0:
-            raise ValueError(f"domain_length must be positive, got {domain_length!r}")
+        length = _checked_length(domain_length, "domain_length")
         count = _checked_int(samples, "samples", 2)
         xs = np.linspace(0.0, length, count + 1)[1:]
         vals = _sample(func, xs, "order function")
@@ -140,9 +140,12 @@ def _sample(func, points: np.ndarray, name: str) -> np.ndarray:
 
     func takes the array and returns an array of its shape; a scalar return
     is broadcast, any other shape raises ValueError. A non-finite value is a
-    numerical failure: it raises DomainError naming the first such point.
+    numerical failure: it raises DomainError naming the first such point, so
+    numpy's overflow and invalid-value warnings inside func (an ``np.where``
+    evaluates both branches) are silenced.
     """
-    values = np.asarray(func(points), dtype=float)
+    with np.errstate(all="ignore"):
+        values = np.asarray(func(points), dtype=float)
     if values.ndim == 0:
         values = np.full(points.shape, float(values))
     elif values.shape != points.shape:
@@ -178,13 +181,7 @@ class FracBasisValues:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("values must be a nonempty 1-D array")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("values must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _frozen_array(self.values, "values"))
 
 
 def _frac_ladder(params: LaguerreParams, rho: np.ndarray, max_degree: int,

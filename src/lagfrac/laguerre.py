@@ -99,6 +99,14 @@ def _checked_int(value, name: str, low: int) -> int:
     return int(value)
 
 
+def _checked_length(value, name: str) -> float:
+    """value as a finite positive float, such as the length of a domain [0, L]."""
+    length = float(value)
+    if not math.isfinite(length) or length <= 0.0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    return length
+
+
 def _checked_degree(value, name: str = "degree"):
     """value as a nonnegative int, or a 1-D array of them as an int array."""
     if np.ndim(value) == 0:

@@ -20,6 +20,7 @@ from .laguerre import (
     LaguerreParams,
     _checked_degree,
     _checked_int,
+    _checked_length,
     _gauss_nodes,
     eval_basis,
     eval_interpolant,
@@ -92,10 +93,8 @@ class IvpSpec:
         if not np.isfinite(float(self.u0)):
             raise ValueError("u0 must be finite")
         object.__setattr__(self, "u0", float(self.u0))
-        length = float(self.domain_length)
-        if not np.isfinite(length) or length <= 0.0:
-            raise ValueError(f"domain_length must be positive, got {self.domain_length!r}")
-        object.__setattr__(self, "domain_length", length)
+        object.__setattr__(self, "domain_length",
+                           _checked_length(self.domain_length, "domain_length"))
 
 
 @dataclass(frozen=True)
@@ -227,9 +226,7 @@ def max_abs_error(coeffs: InterpolantCoeffs, exact, domain_length, grid_size) ->
     functions, as ``np.sin`` rather than ``math.sin``.
     """
     size = _checked_int(grid_size, "grid_size", 2)
-    length = float(domain_length)
-    if not np.isfinite(length) or length <= 0.0:
-        raise ValueError(f"domain_length must be positive, got {domain_length!r}")
+    length = _checked_length(domain_length, "domain_length")
     xs = np.linspace(0.0, length, size)
     approx = eval_interpolant(coeffs, xs)
     reference = _sample(exact, xs, "exact")

@@ -369,3 +369,22 @@ def test_caputo_of_sin_step_cap_is_numerical_error(workdir, capsys, monkeypatch)
     rc = main(["example2", "--theta", "3", "--beta", "6", "--N", "5", "--order", "3/2"])
     assert rc == 2
     assert "no convergence" in capsys.readouterr().err
+
+
+def test_exp_overflow_at_gauss_nodes_is_numerical_error_without_warning(workdir, capsys):
+    # at beta = 0.3, N = 80 the largest Gauss node lies past x ~ 709.78
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["example1", "--theta", "0", "--beta", "0.3", "--N", "80",
+                   "--order", "0.5"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: function 'u' returned non-finite")
+
+
+def test_zero_m_reaches_the_problem_check(workdir, capsys):
+    cfg = write_config(Path("m0.json"), {
+        "mode": "solve", "theta": 1, "beta": 3, "N": 8, "order": "0.5",
+        "a": "1", "b": "1", "c": "1", "f": "1", "u0": 0, "m": 0, "out": "m0.csv"})
+    assert main(["solve", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: m must be 1 or 2, got 0\n"
+    assert not Path("m0.csv").exists()

@@ -131,3 +131,50 @@ def test_example1_overflowing_reference_is_numerical_error(workdir, capsys):
     assert rc == 2
     assert capsys.readouterr().err == "error: exact returned non-finite value inf at x=709.92\n"
     assert not Path("big.csv").exists()
+
+
+DERIVATIVE = {"mode": "derivative", "theta": 1, "beta": 3, "N": 8, "order": "0.5",
+              "u": "x", "grid": 11}
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["example1", "--length", "0"], None),
+    (["example2", "--length", "-1"], None),
+    (["solve", "--config", "len.json"], dict(DERIVATIVE, length=0)),
+])
+def test_nonpositive_length_is_config_error(workdir, capsys, argv, config):
+    if config is not None:
+        write_config("len.json", config)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: length must be positive")
+    assert not list(Path().glob("*.csv"))
+
+
+def test_null_out_keeps_the_default_file_name(workdir, capsys):
+    cfg = write_config("c.json", dict(DERIVATIVE, out=None))
+    assert main(["solve", "--config", cfg]) == 0
+    assert capsys.readouterr().out == "derivative: wrote derivative.csv\n"
+    assert sorted(p.name for p in Path().iterdir()) == ["c.json", "derivative.csv"]
+
+
+def test_null_exact_writes_no_report(workdir):
+    cfg = write_config("c.json", dict(DERIVATIVE, exact=None, out="d.csv"))
+    assert main(["solve", "--config", cfg]) == 0
+    lines = Path("d.csv").read_text(encoding="ascii").splitlines()
+    assert lines[0] == "x,value" and len(lines) == 12
+
+
+def test_null_degrees_keep_the_example_defaults(workdir):
+    cfg = write_config("c.json", {"N": None, "grid": 11, "out": "t.csv"})
+    assert main(["example1", "--config", cfg, "--theta", "1", "--beta", "3",
+                 "--order", "0.5"]) == 0
+    assert [row[2] for row in table("t.csv")] == ["10", "20", "40", "80"]
+
+
+def test_null_v0_is_missing_v0(workdir, capsys):
+    cfg = write_config("c.json", {
+        "mode": "solve", "theta": 1, "beta": 3, "N": 8, "order": "3/2", "a": "1",
+        "b": "1", "c": "1", "f": "1", "u0": 0, "v0": None, "out": "v.csv"})
+    assert main(["solve", "--config", cfg]) == 1
+    assert "v0" in capsys.readouterr().err
+    assert not Path("v.csv").exists()

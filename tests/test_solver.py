@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -257,3 +258,13 @@ def test_max_abs_error_rejects_infinite_grid_size():
     with pytest.raises(ValueError, match="^grid_size must be an integer"):
         max_abs_error(coeffs, lambda x: 1.0, 1.0, math.inf)
 
+
+
+def test_max_abs_error_silences_warnings_inside_the_reference():
+    # np.where evaluates sin(x)/x at x = 0 too; the other branch is chosen there
+    coeffs = solve(basset_spec(N=6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = max_abs_error(coeffs, lambda x: np.where(x > 0, np.sin(x) / x, 1.0),
+                               1.0, 11)
+    assert report.grid_size == 11 and report.max_abs_error > 0.0
