@@ -99,13 +99,18 @@ def _as_text(value, key: str) -> str:
     if isinstance(value, str):
         return value
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return repr(float(value))
+        return repr(_as_float(value, key))
     raise ConfigError(f"{key}: expected an expression string, got {value!r}")
 
 
 def _as_float(value, key: str) -> float:
+    """A finite number from a flag string or a JSON number (not a boolean)."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{key}: expected a number, got {value!r}")
     try:
         result = float(value)
+    except OverflowError:  # a JSON integer beyond double range
+        result = math.inf
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key}: expected a number, got {value!r}") from exc
     if not math.isfinite(result):

@@ -28,9 +28,6 @@ from .laguerre import (
 from .special import (
     _EPS,
     DomainError,
-    _converge,
-    _gamma,
-    _lentz_step,
     gamma_ratio,
     log_gamma,
     reg_lower_incomplete_gamma,
@@ -322,17 +319,43 @@ def caputo_exp_exact(order: OrderFunction, x):
     return float(out[0]) if scalar else out
 
 
-def _series_step(k, z, nu, term, total):
-    """Add term k of sum_k z^k / (nu + 1)_k."""
-    term = term * z / (nu + k)
-    total = total + term
-    return z, nu, term, total, np.abs(term) <= _EPS * np.abs(total)
+def _sin_at(x: float, rho: float, n: int) -> float:
+    """D^rho sin x at one point x >= 0, in float and complex arithmetic.
 
-
-def _im_i_power(n: int, w: np.ndarray) -> np.ndarray:
-    """Im[i^n w], exactly for any integer n."""
-    part = w.real if n % 2 else w.imag
-    return -part if n % 4 >= 2 else part
+    The expansions of caputo_of_sin, stopped at this point's own eps;
+    Im[i^n w] is taken as (1j ** n * w).imag, exact since i^n is 1, i, -1 or -i.
+    """
+    if x == 0.0:
+        return 0.0
+    nu = n - rho
+    if x <= _SERIES_MAX_X:
+        z = 1j * x
+        term = total = 1.0 + 0.0j
+        for k in range(1, _MAX_STEPS + 1):
+            term = term * z / (nu + k)
+            total += term
+            if abs(term) <= _EPS * abs(total):
+                return x ** nu / math.gamma(nu + 1.0) * (1j ** n * total).imag
+    else:
+        # modified Lentz on K = 1 / (b_0 + a_1 / (b_1 + a_2 / (b_2 + ...))),
+        # a_k = -k (k - nu), b_k = ix + 2k + 1 - nu; c starts at infinity in
+        # effect, so that the first step sets c = b
+        b = complex(1.0 - nu, x)
+        c = 1e300
+        d = fraction = 1.0 / b
+        for k in range(1, _MAX_STEPS + 1):
+            a = k * (nu - k)
+            b += 2.0
+            d = 1.0 / (a * d + b)
+            c = b + a / c
+            delta = c * d
+            fraction *= delta
+            if abs(delta - 1.0) <= _EPS:
+                half = 0.5 * math.pi * rho
+                # sin(x + pi rho / 2) expanded: rounding the sum first costs digits at large x
+                return (math.sin(x) * math.cos(half) + math.cos(x) * math.sin(half)
+                        - x ** nu / math.gamma(nu) * (1j ** n * fraction).imag)
+    raise RuntimeError(f"caputo_of_sin: no convergence in {_MAX_STEPS} steps at x={x}")
 
 
 def caputo_of_sin(order: OrderFunction, x):
@@ -348,33 +371,17 @@ def caputo_of_sin(order: OrderFunction, x):
       at z = ix, evaluated by modified Lentz,
       sin x cos(pi rho / 2) + cos x sin(pi rho / 2) - x^nu / Gamma(nu) * Im[i^n K].
 
-    Each point stops at its own float64 eps, so an array gives the same bits
-    as the points one at a time. Against 40-digit mpmath the error is about
-    2e-15 * max(1, |value|) at worst for x up to 1000 (the tests allow
-    4e-15). D^rho sin 0 = 0. A point that does not converge raises
-    RuntimeError.
+    The points are evaluated one at a time in Python float and complex
+    arithmetic, each stopping at its own float64 eps, so an array gives the
+    same bits as its points one at a time by construction. A point costs
+    about 0.4 us per step: at most 28 series steps, and at most 62 Lentz
+    steps just above x = 3, fewer further out. Against 40-digit mpmath
+    the error is about 2e-15 * max(1, |value|) at worst for x up to 1000
+    (the tests allow 4e-15). D^rho sin 0 = 0. A point that does not converge
+    raises RuntimeError naming its x.
     """
     pts, scalar = _as_points(x)
     rho = _order_values(order, pts)
-    n = order.n
-    nu = n - rho
-    out = np.zeros(pts.size)
-    near = (pts > 0.0) & (pts <= _SERIES_MAX_X)
-    if near.any():
-        p, v = pts[near], nu[near]
-        series = _converge(_series_step, [1j * p, v, np.ones(p.size, complex),
-                                          np.ones(p.size, complex)], p,
-                           "caputo_of_sin", _MAX_STEPS)
-        out[near] = p ** v / _gamma(v + 1.0) * _im_i_power(n, series)
-    far = pts > _SERIES_MAX_X
-    if far.any():
-        p, v, half = pts[far], nu[far], 0.5 * np.pi * rho[far]
-        b = 1j * p + (1.0 - v)
-        # c starts at infinity in effect, so that the first step sets c = b
-        fraction = _converge(_lentz_step, [v, b, np.full(p.size, 1e300, complex),
-                                           1.0 / b, 1.0 / b], p,
-                             "caputo_of_sin", _MAX_STEPS)
-        # sin(x + pi rho / 2) expanded: rounding the sum first costs digits at large x
-        out[far] = (np.sin(p) * np.cos(half) + np.cos(p) * np.sin(half)
-                    - p ** v / _gamma(v) * _im_i_power(n, fraction))
+    out = np.array([_sin_at(p, r, order.n) for p, r in zip(pts.tolist(), rho.tolist())],
+                   dtype=float)
     return float(out[0]) if scalar else out

@@ -22,7 +22,8 @@ __all__ = [
     "reg_lower_incomplete_gamma",
 ]
 
-_EPS = np.finfo(float).eps
+# a Python float, since scalar loops compare against it at every step
+_EPS = float(np.finfo(float).eps)
 # a point of P(s, x) still moving after this many steps is a numerical failure,
 # not a value; s <= 1 needs at most 86 steps, larger s about 8 sqrt(s)
 _MAX_STEPS = 1000
@@ -108,6 +109,7 @@ def gamma_ratio(a, b):
 def _converge(step, state, x: np.ndarray, name: str, max_steps: int) -> np.ndarray:
     """Iterate step over per-point state until each point converges.
 
+    The continued fraction of reg_lower_incomplete_gamma is its one user.
     state is a list of equal-length arrays, the last one holding the value;
     step(k, *state) returns the state after step k and a mask of the points
     that converged there. A converged point leaves the arrays with its value
@@ -131,7 +133,7 @@ def _converge(step, state, x: np.ndarray, name: str, max_steps: int) -> np.ndarr
 def _lentz_step(k, nu, b, c, d, h):
     """Step k of modified Lentz on K = 1 / (b_0 + a_1 / (b_1 + a_2 / (b_2 + ...))),
     a_k = -k (k - nu), b_k = z + 2k + 1 - nu: Legendre's continued fraction
-    Gamma(nu, z) = e^(-z) z^nu K, for real or complex z."""
+    Gamma(nu, z) = e^(-z) z^nu K, here for real z > 0 (reg_lower_incomplete_gamma)."""
     a = k * (nu - k)
     b = b + 2.0
     d = 1.0 / (a * d + b)

@@ -334,19 +334,36 @@ def test_quadrature_overflow_is_numerical_error(workdir, capsys):
     assert "N=200" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("source", ["flag", "config string", "config number"])
+@pytest.mark.parametrize("source", ["flag", "config string", "config number",
+                                    "config integer"])
 def test_infinite_degree_is_config_error(workdir, capsys, source):
     if source == "flag":
         rc = main(["example1", "--N", "inf", "--theta", "1", "--beta", "3",
                    "--order", "0.5"])
     else:
-        degree = "inf" if source == "config string" else math.inf  # JSON Infinity
+        # JSON Infinity, and an integer beyond double range
+        degree = {"config string": "inf", "config number": math.inf,
+                  "config integer": 10 ** 400}[source]
         cfg = write_config(Path("inf_n.json"), {
             "mode": "solve", "theta": 1, "beta": 3, "N": degree, "order": "0.5",
             "a": "1", "b": "1", "c": "1", "f": "1", "u0": 0, "length": 1})
         rc = main(["solve", "--config", cfg])
     assert rc == 1
     assert "error: N: must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("theta", True, "theta: expected a number, got True"),
+    ("order", 10 ** 400, "order: must be finite"),
+], ids=["boolean theta", "huge integer order"])
+def test_config_value_outside_doubles_is_config_error(workdir, capsys, key, value, message):
+    # a JSON boolean is not a number, and a huge JSON integer is as infinite as Infinity
+    cfg = write_config(Path("bad.json"), {
+        "mode": "derivative", "theta": 1, "beta": 3, "N": 8, "order": "0.5",
+        "u": "exp(x)", "out": "bad.csv", key: value})
+    assert main(["solve", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not Path("bad.csv").exists()
 
 
 @pytest.mark.parametrize("module", ["mpmath", "scipy"])

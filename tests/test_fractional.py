@@ -13,6 +13,7 @@ from lagfrac import (
     caputo_of_sin,
     caputo_power_rule,
     caputo_row,
+    collocation_nodes,
     derivative_basis,
     eval_basis,
     frac_integral_basis,
@@ -310,8 +311,10 @@ def test_caputo_of_sin_large_x():
 
 
 def test_closed_forms_take_arrays():
-    order = OrderFunction.from_callable(lambda x: 1.5 + 0.3 * np.sin(3.0 * x), 2.0)
-    xs = np.linspace(0.0, 2.0, 7)
+    # points on both sides of caputo_of_sin's series / continued-fraction switch
+    order = OrderFunction.from_callable(lambda x: 1.5 + 0.3 * np.sin(3.0 * x), 8.0)
+    xs = np.concatenate([np.linspace(0.0, 8.0, 17),
+                         [np.nextafter(3.0, 0.0), np.nextafter(3.0, 4.0)]])
     for func in (caputo_exp_exact, caputo_of_sin):
         values = func(order, xs)
         assert values.shape == xs.shape
@@ -320,7 +323,7 @@ def test_closed_forms_take_arrays():
     powers = caputo_power_rule(3.0, rho, 2, xs[1:])
     assert np.array_equal(powers, [caputo_power_rule(3.0, r, 2, x)
                                    for r, x in zip(rho, xs[1:])])
-    assert np.array_equal(caputo_power_rule(1.0, rho, 2, xs[1:]), np.zeros(6))
+    assert np.array_equal(caputo_power_rule(1.0, rho, 2, xs[1:]), np.zeros(xs.size - 1))
     with pytest.raises(DomainError):
         caputo_power_rule(3.0, rho, 2, xs)
 
@@ -428,11 +431,14 @@ def assert_matches_mpmath(got, rho, xs, n):
 @pytest.mark.parametrize("n", [1, 2])
 def test_caputo_of_sin_matches_mpmath(n):
     # 250 random points on each side of the series / continued-fraction
-    # switch at x = 3, then the switch itself and the far ends
+    # switch at x = 3, then the switch itself, the far ends, and the nodes
+    # where example2 evaluates its forcing at N = 20
     rng = np.random.default_rng(20 + n)
     switch = [np.nextafter(3.0, 0.0), 3.0, np.nextafter(3.0, 4.0), 3.0 - 1e-9, 3.0 + 1e-9]
+    nodes = [collocation_nodes(LaguerreParams(theta, beta), 20, 19)
+             for theta, beta in [(0.0, 1.0), (2.0, 4.0), (3.0, 6.0)]]
     xs = np.concatenate([rng.uniform(0.0, 3.0, 250), rng.uniform(3.0, 120.0, 250),
-                         switch, [1e-300, 300.0, 790.0]])
+                         switch, [1e-300, 300.0, 790.0], *nodes])
     rho = rng.uniform(n - 1.0, n, xs.size)
     got = np.array([caputo_of_sin(OrderFunction.constant(r), x) for r, x in zip(rho, xs)])
     assert_matches_mpmath(got, rho, xs, n)
