@@ -40,7 +40,7 @@ def main():
         spec = IvpSpec(params=params, N=N, order=order, m=2,
                        a=one, b=one, c=one,
                        f=lambda x: caputo_of_sin(order, x),
-                       u0=0.0, domain_length=1.0, v0=1.0)
+                       u0=0.0, v0=1.0)
         coeffs = solve(spec)
         report = max_abs_error(coeffs, np.sin, 1.0, 1001)
         print(f"{N:<3d} {report.max_abs_error:.3e}")
@@ -61,7 +61,7 @@ def main():
     spec = IvpSpec(params=params, N=20, order=variable, m=2,
                    a=one, b=one, c=one,
                    f=lambda x: caputo_of_sin(variable, x),
-                   u0=0.0, domain_length=1.0, v0=1.0)
+                   u0=0.0, v0=1.0)
     report = max_abs_error(solve(spec), np.sin, 1.0, 1001)
     print(f"variable order (9+sin(x-10))/5, N=20: {report.max_abs_error:.3e}")
 

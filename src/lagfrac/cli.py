@@ -50,7 +50,7 @@ from .laguerre import (
     gauss_rule,
     interpolate,
 )
-from .solver import ErrorReport, IvpSpec, solve
+from .solver import IvpSpec, solve
 from .special import DomainError
 
 __all__ = ["ConfigError", "main"]
@@ -103,6 +103,13 @@ def _as_text(value, key: str) -> str:
     raise ConfigError(f"{key}: expected an expression string, got {value!r}")
 
 
+def _as_path(value, key: str) -> str:
+    """An output path; only a string names one."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{key}: expected a path string, got {value!r}")
+    return value
+
+
 def _as_float(value, key: str) -> float:
     """A finite number from a flag string or a JSON number (not a boolean)."""
     if isinstance(value, bool):
@@ -138,8 +145,10 @@ def _load_config(path, allowed: set[str]) -> dict:
             data = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # int() refuses integer literals of more than 4300 digits
+        raise ConfigError(f"config file {path} holds an integer with too many digits") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(data) - allowed)
@@ -253,7 +262,7 @@ def _example_run(command: str, args) -> dict:
     # a generator: each order is compiled and checked when the sweep reaches it
     orders = ((text, _order_from_text(text, length, n=raw.get("window"))) for text in texts)
     return dict(raw, name=command, table=True, N=degrees, grid=grid, length=length,
-                pairs=list(zip(thetas, betas)), orders=orders, out=str(raw["out"]))
+                pairs=list(zip(thetas, betas)), orders=orders, out=_as_path(raw["out"], "out"))
 
 
 _SOLVE_KEYS = {"mode", "theta", "beta", "N", "order", "a", "b", "c", "f", "u",
@@ -276,7 +285,7 @@ def _config_run(data: dict, out_override) -> dict:
     run = {"name": mode, "mode": mode, "table": False, "length": length, "grid": grid,
            "pairs": [(_as_float(data["theta"], "theta"), _as_float(data["beta"], "beta"))],
            "N": _as_list(data["N"], "N", _as_int),
-           "out": str(out_override or data.get("out", f"{mode}.csv"))}
+           "out": _as_path(out_override or data.get("out", f"{mode}.csv"), "out")}
     exact = _as_text(data.get("exact", ""), "exact")
     solve_keys = ("a", "b", "c", "f", "u0")
     for key in ("u",) if mode == "solve" else solve_keys + ("m", "v0"):
@@ -312,7 +321,9 @@ def _run(run: dict) -> None:
     for ``orders_outer``), and write a table row or a file per degree for it.
 
     Operator mode builds one Gauss rule and interpolant of u per (theta,
-    beta, N) for every order; each cell's error against exact is an ErrorReport.
+    beta, N) for every order. A value beyond double range on the grid is a
+    numerical failure naming its x; each cell's error is the max |value -
+    exact| over the grid.
     """
     length, grid, out = run["length"], run["grid"], Path(run["out"])
     xs = np.linspace(0.0, length, grid)
@@ -329,22 +340,22 @@ def _run(run: dict) -> None:
             spec = IvpSpec(params=params, N=N, order=order, m=run["m"],
                            a=partial(run["a"], order), b=partial(run["b"], order),
                            c=partial(run["c"], order), f=partial(run["f"], order),
-                           u0=run["u0"], domain_length=length, v0=run["v0"])
-            values = eval_interpolant(solve(spec), xs)
+                           u0=run["u0"], v0=run["v0"])
+            evaluate = partial(eval_interpolant, solve(spec))
         else:
             if built != (params, N):
                 rule = gauss_rule(params, N)
                 coeffs = interpolate(rule, _sample(run["u"], rule.nodes, "function 'u'"))
                 built = (params, N)
             operator = vo_derivative if run["mode"] == "derivative" else vo_integral
-            values = operator(coeffs, order, xs)
-        report = None
+            evaluate = partial(operator, coeffs, order)
+        values = _sample(evaluate, xs, "solution" if run["mode"] == "solve" else run["mode"])
+        error = None
         if run["exact"] is not None:
             errors = np.abs(values - _sample(partial(run["exact"], order), xs, "exact"))
-            report = ErrorReport(N=N, params=params, max_abs_error=float(np.max(errors)),
-                                 grid_size=grid, domain_length=length)
+            error = float(np.max(errors))
         if run["table"]:
-            row = [_fmt(theta), _fmt(beta), str(N), text, _fmt(report.max_abs_error)]
+            row = [_fmt(theta), _fmt(beta), str(N), text, _fmt(error)]
             if run.get("pointwise"):
                 name = (f"{out.stem}_pointwise_theta{theta:g}_beta{beta:g}"
                         f"_N{N}{out.suffix or '.csv'}")
@@ -354,12 +365,12 @@ def _run(run: dict) -> None:
             continue
         sections = [(["x", "u" if run["mode"] == "solve" else "value"], (xs, values))]
         summary = ""
-        if report is not None:
+        if error is not None:
             sections.append((["N", "theta", "beta", "order", "max_abs_error", "grid_size",
                               "domain_length"],
                              [[str(N), _fmt(theta), _fmt(beta), text,
-                               _fmt(report.max_abs_error), str(grid), _fmt(length)]]))
-            summary = f", max_abs_error={_fmt(report.max_abs_error)}"
+                               _fmt(error), str(grid), _fmt(length)]]))
+            summary = f", max_abs_error={_fmt(error)}"
         path = out if len(run["N"]) == 1 else out.with_name(
             f"{out.stem}_N{N}{out.suffix or '.csv'}")
         _write_sections(path, sections)

@@ -23,7 +23,6 @@ from .laguerre import (
     _checked_degree,
     _checked_int,
     _checked_length,
-    _frozen_array,
 )
 from .special import (
     _EPS,
@@ -35,7 +34,6 @@ from .special import (
 
 __all__ = [
     "OrderFunction",
-    "FracBasisValues",
     "frac_integral_basis",
     "vo_integral",
     "caputo_row",
@@ -47,6 +45,8 @@ __all__ = [
 
 # margin for the strict bound checks n-1 < rho_min <= rho_max < n
 _WINDOW_MARGIN = 1e-12
+# OrderFunction.from_callable certifies bounds from this many points of (0, L]
+_ORDER_SAMPLES = 2049
 
 # caputo_of_sin sums the power series up to here, the continued fraction beyond
 _SERIES_MAX_X = 3.0
@@ -103,7 +103,7 @@ class OrderFunction:
         return cls(eval=lambda _x, _v=v: _v, rho_min=v, rho_max=v, n=math.floor(v) + 1)
 
     @classmethod
-    def from_callable(cls, func, domain_length, samples: int = 2049) -> "OrderFunction":
+    def from_callable(cls, func, domain_length) -> "OrderFunction":
         """Certify bounds for func by dense sampling of (0, domain_length].
 
         Zero itself is excluded from the sample so orders that touch an
@@ -111,8 +111,7 @@ class OrderFunction:
         remain usable; pointwise checks still guard every later evaluation.
         """
         length = _checked_length(domain_length, "domain_length")
-        count = _checked_int(samples, "samples", 2)
-        xs = np.linspace(0.0, length, count + 1)[1:]
+        xs = np.linspace(0.0, length, _ORDER_SAMPLES + 1)[1:]
         vals = _sample(func, xs, "order function")
         rho_min = float(vals.min())
         rho_max = float(vals.max())
@@ -169,18 +168,6 @@ def _order_values(order: OrderFunction, points: np.ndarray) -> np.ndarray:
     return rho
 
 
-@dataclass(frozen=True)
-class FracBasisValues:
-    """Fractional integrals of the basis ladder at a single point."""
-
-    order_value: float
-    x: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values, "values"))
-
-
 def _frac_ladder(params: LaguerreParams, rho: np.ndarray, max_degree: int,
                  x: np.ndarray) -> np.ndarray:
     """Order-rho fractional integrals of the basis ladder, one column per point.
@@ -188,63 +175,66 @@ def _frac_ladder(params: LaguerreParams, rho: np.ndarray, max_degree: int,
     rho and x are matching 1-D arrays (the order may differ per point). The
     degree recurrence has the same three-term shape as the plain basis
     recurrence plus a boundary correction proportional to x^rho / Gamma(rho).
-    All values vanish at x = 0 since every entry carries a factor x^rho.
+    All values vanish at x = 0 since every entry carries a factor x^rho. A
+    column that leaves double range (x = 1e300, say) raises DomainError
+    naming its x, without a numpy warning.
     """
     theta, beta = params.theta, params.beta
-    pos = x > 0.0
-    log_x = np.log(np.where(pos, x, 1.0))
     out = np.zeros((max_degree + 1, x.size), dtype=float)
-    head = np.where(pos, np.exp(rho * log_x - log_gamma(rho + 1.0)), 0.0)
-    out[0] = head
-    if max_degree >= 1:
-        # x^(rho+1) / Gamma(rho+2) = head * x / (rho+1)
-        out[1] = (theta + 1.0) * head - beta * (head * x / (rho + 1.0))
-    if max_degree >= 2:
-        correction = head * rho  # x^rho / Gamma(rho)
-        zero_val = theta + 1.0  # L_1(0)
-        bx = beta * x
-        for i in range(1, max_degree):
-            # L_i(0) - L_{i+1}(0) collapses to -theta L_i(0) / (i+1), no cancellation
-            drop = -theta * zero_val / (i + 1.0)
-            out[i + 1] = ((2.0 * i + theta + rho + 1.0 - bx) * out[i]
-                          - (i + theta) * out[i - 1]
-                          - correction * drop) / (i + rho + 1.0)
-            zero_val *= (i + theta + 1.0) / (i + 1.0)
+    with np.errstate(all="ignore"):
+        pos = x > 0.0
+        log_x = np.log(np.where(pos, x, 1.0))
+        head = np.where(pos, np.exp(rho * log_x - log_gamma(rho + 1.0)), 0.0)
+        out[0] = head
+        if max_degree >= 1:
+            # x^(rho+1) / Gamma(rho+2) = head * x / (rho+1)
+            out[1] = (theta + 1.0) * head - beta * (head * x / (rho + 1.0))
+        if max_degree >= 2:
+            correction = head * rho  # x^rho / Gamma(rho)
+            zero_val = theta + 1.0  # L_1(0)
+            bx = beta * x
+            for i in range(1, max_degree):
+                # L_i(0) - L_{i+1}(0) collapses to -theta L_i(0) / (i+1), no cancellation
+                drop = -theta * zero_val / (i + 1.0)
+                out[i + 1] = ((2.0 * i + theta + rho + 1.0 - bx) * out[i]
+                              - (i + theta) * out[i - 1]
+                              - correction * drop) / (i + rho + 1.0)
+                zero_val *= (i + theta + 1.0) / (i + 1.0)
+    # a non-finite entry makes every later degree non-finite, so the last row tells
+    bad = np.flatnonzero(~np.isfinite(out[-1]))
+    if bad.size:
+        raise DomainError(f"fractional ladder leaves double range at x={x[bad[0]]}")
     return out
 
 
-def frac_integral_basis(params: LaguerreParams, rho, max_degree, x) -> FracBasisValues:
-    """Fractional integrals of order rho of the basis ladder at one point.
+def frac_integral_basis(params: LaguerreParams, order: OrderFunction, max_degree,
+                        x) -> np.ndarray:
+    """Fractional integrals of the basis ladder at x, order frozen at rho(x).
 
-    The degree-0 value is x^rho / Gamma(rho + 1); the degree-1 value is
-    (theta + 1) x^rho / Gamma(rho + 1) - beta x^(rho + 1) / Gamma(rho + 2).
+    x is a scalar (the result is the row of max_degree + 1 values) or a 1-D
+    array of points (a matrix with one column per point). Any positive order
+    value is admissible here; the (n-1, n) window only constrains
+    derivatives. The degree-0 value is x^rho / Gamma(rho + 1); the degree-1
+    value is (theta + 1) x^rho / Gamma(rho + 1) - beta x^(rho + 1) / Gamma(rho + 2).
     """
     deg = _checked_degree(max_degree, "max_degree")
-    order_value = float(rho)
-    if not np.isfinite(order_value) or order_value <= 0.0:
-        raise DomainError(f"fractional order must be positive and finite, got {rho!r}")
-    point = float(x)
-    if not np.isfinite(point) or point < 0.0:
-        raise DomainError(f"x must be nonnegative and finite, got {x!r}")
-    values = _frac_ladder(params, np.array([order_value]), deg, np.array([point]))[:, 0]
-    return FracBasisValues(order_value=order_value, x=point, values=values)
-
-
-def vo_integral(coeffs: InterpolantCoeffs, order: OrderFunction, x):
-    """Variable-order fractional integral of the expansion at x.
-
-    x is a scalar (the result is a float) or a 1-D array of points. Any
-    positive order value is admissible here; the (n-1, n) window only
-    constrains derivatives.
-    """
     pts, scalar = _as_points(x)
     rho = _sample(order.eval, pts, "order function")
     bad = np.flatnonzero(rho <= 0.0)
     if bad.size:
         j = bad[0]
         raise DomainError(f"integral order must be positive, got {rho[j]} at x={pts[j]}")
-    values = coeffs.coeffs @ _frac_ladder(coeffs.params, rho, coeffs.coeffs.size - 1, pts)
-    return float(values[0]) if scalar else values
+    rows = _frac_ladder(params, rho, deg, pts)
+    return rows[:, 0] if scalar else rows
+
+
+def vo_integral(coeffs: InterpolantCoeffs, order: OrderFunction, x):
+    """Variable-order fractional integral of the expansion at x.
+
+    x is a scalar (the result is a float) or a 1-D array of points.
+    """
+    values = coeffs.coeffs @ frac_integral_basis(coeffs.params, order, coeffs.coeffs.size - 1, x)
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def caputo_row(params: LaguerreParams, order: OrderFunction, max_degree, x) -> np.ndarray:

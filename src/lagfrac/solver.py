@@ -50,11 +50,10 @@ class IvpSpec:
     """An initial value problem with an added fractional derivative term.
 
     The equation is a(x) u^(m)(x) + b(x) D^(rho(x)) u(x) + c(x) u(x) = f(x)
-    on [0, domain_length] with u(0) = u0, plus u'(0) = v0 when the
-    fractional order lies in (1, 2). The coefficient and forcing callables
-    take a 1-D float array of points and return an array of the same shape
-    (a scalar return is broadcast); they must be pure and finite on the
-    domain.
+    for x >= 0 with u(0) = u0, plus u'(0) = v0 when the fractional order
+    lies in (1, 2). The coefficient and forcing callables take a 1-D float
+    array of points and return an array of the same shape (a scalar return
+    is broadcast); they must be pure and finite at the collocation nodes.
     """
 
     params: LaguerreParams
@@ -66,7 +65,6 @@ class IvpSpec:
     c: Callable[[np.ndarray], np.ndarray]
     f: Callable[[np.ndarray], np.ndarray]
     u0: float
-    domain_length: float
     v0: Optional[float] = None
 
     def __post_init__(self):
@@ -93,8 +91,6 @@ class IvpSpec:
         if not np.isfinite(float(self.u0)):
             raise ValueError("u0 must be finite")
         object.__setattr__(self, "u0", float(self.u0))
-        object.__setattr__(self, "domain_length",
-                           _checked_length(self.domain_length, "domain_length"))
 
 
 @dataclass(frozen=True)

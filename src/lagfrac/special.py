@@ -106,43 +106,6 @@ def gamma_ratio(a, b):
     return out
 
 
-def _converge(step, state, x: np.ndarray, name: str, max_steps: int) -> np.ndarray:
-    """Iterate step over per-point state until each point converges.
-
-    The continued fraction of reg_lower_incomplete_gamma is its one user.
-    state is a list of equal-length arrays, the last one holding the value;
-    step(k, *state) returns the state after step k and a mask of the points
-    that converged there. A converged point leaves the arrays with its value
-    of that step, so the result at a point does not depend on the others. A
-    point still live after max_steps raises RuntimeError naming its x.
-    """
-    out = np.empty(x.size, dtype=state[-1].dtype)
-    live = np.arange(x.size)
-    for k in range(1, max_steps + 1):
-        *state, done = step(k, *state)
-        if np.count_nonzero(done):  # cheaper than done.any() on short arrays
-            out[live[done]] = state[-1][done]
-            keep = ~done
-            live = live[keep]
-            if not live.size:
-                return out
-            state = [part[keep] for part in state]
-    raise RuntimeError(f"{name}: no convergence in {max_steps} steps at x={x[live[0]]}")
-
-
-def _lentz_step(k, nu, b, c, d, h):
-    """Step k of modified Lentz on K = 1 / (b_0 + a_1 / (b_1 + a_2 / (b_2 + ...))),
-    a_k = -k (k - nu), b_k = z + 2k + 1 - nu: Legendre's continued fraction
-    Gamma(nu, z) = e^(-z) z^nu K, here for real z > 0 (reg_lower_incomplete_gamma)."""
-    a = k * (nu - k)
-    b = b + 2.0
-    d = 1.0 / (a * d + b)
-    c = b + a / c
-    delta = c * d
-    h = h * delta
-    return nu, b, c, d, h, np.abs(delta - 1.0) <= _EPS
-
-
 def _positive_series(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_k x^k / (s + 1)_k for x > 0, every point until every term is negligible.
 
@@ -163,6 +126,40 @@ def _positive_series(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     moving = term > 0.25 * _EPS * total
     raise RuntimeError(f"reg_lower_incomplete_gamma: no convergence in {_MAX_STEPS} "
                        f"steps at x={x[np.argmax(moving)]}")
+
+
+def _legendre_fraction(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Legendre's continued fraction K = e^x x^(-s) Gamma(s, x) for x > 0, by modified Lentz.
+
+    K = 1 / (b_0 + a_1 / (b_1 + a_2 / (b_2 + ...))) with a_k = -k (k - s) and
+    b_k = x + 2k + 1 - s. A point leaves the arrays at the step where it
+    converges, with its value of that step, so the result at a point does
+    not depend on the others. A point still moving after the step cap
+    raises RuntimeError naming its x.
+    """
+    out = np.empty(x.size)
+    live = np.arange(x.size)
+    b = x + (1.0 - s)
+    # c starts at infinity in effect, so that the first step sets c = b
+    c = np.full(x.size, 1e300)
+    d = h = 1.0 / b
+    for k in range(1, _MAX_STEPS + 1):
+        a = k * (s - k)
+        b = b + 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h = h * delta
+        done = np.abs(delta - 1.0) <= _EPS
+        if np.count_nonzero(done):  # cheaper than done.any() on short arrays
+            out[live[done]] = h[done]
+            keep = ~done
+            live = live[keep]
+            if not live.size:
+                return out
+            s, b, c, d, h = s[keep], b[keep], c[keep], d[keep], h[keep]
+    raise RuntimeError(f"reg_lower_incomplete_gamma: no convergence in {_MAX_STEPS} "
+                       f"steps at x={x[live[0]]}")
 
 
 def reg_lower_incomplete_gamma(s, x):
@@ -197,10 +194,7 @@ def reg_lower_incomplete_gamma(s, x):
     far = x_all >= s_all + 1.0
     if far.any():
         v, p = s_all[far], x_all[far]
-        b = p + (1.0 - v)
-        # c starts at infinity in effect, so that the first step sets c = b
-        fraction = _converge(_lentz_step, [v, b, np.full(p.size, 1e300), 1.0 / b, 1.0 / b],
-                             p, "reg_lower_incomplete_gamma", _MAX_STEPS)
+        fraction = _legendre_fraction(v, p)
         out[far] = 1.0 - np.exp(v * np.log(p) - p - _elementwise(math.lgamma, v)) * fraction
     if np.ndim(s) == 0 and np.ndim(x) == 0:
         return float(out[0])

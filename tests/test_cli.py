@@ -405,3 +405,45 @@ def test_zero_m_reaches_the_problem_check(workdir, capsys):
     assert main(["solve", "--config", cfg]) == 1
     assert capsys.readouterr().err == "error: m must be 1 or 2, got 0\n"
     assert not Path("m0.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode,keys,message", [
+    ("solve", {"length": 1e80}, "solution returned non-finite value -inf at x=1e+79"),
+    ("solve", {"length": 1e80, "exact": "x"},
+     "solution returned non-finite value -inf at x=1e+79"),
+    ("derivative", {"length": 1e300, "u": "x", "exact": "x"},
+     "fractional ladder leaves double range at x=1e+299"),
+], ids=["solve", "solve with exact", "derivative with exact"])
+def test_values_beyond_double_range_are_numerical_errors(workdir, capsys, mode, keys, message):
+    # the solution and the operator values overflow far out on the grid
+    solve_keys = {"a": 1, "b": 1, "c": 1, "f": 1, "u0": 0} if mode == "solve" else {}
+    cfg = write_config(Path("far.json"), {
+        "mode": mode, "theta": 0, "beta": 1, "N": 4, "order": "0.5", "grid": 11,
+        "out": "far.csv", **solve_keys, **keys})
+    assert main(["solve", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not Path("far.csv").exists()
+
+
+@pytest.mark.parametrize("value", [True, 5, ["a.csv"]])
+@pytest.mark.parametrize("command", ["solve", "example3"])
+def test_non_string_out_is_config_error(workdir, capsys, command, value):
+    if command == "solve":
+        cfg = write_config(Path("out.json"), {
+            "mode": "derivative", "theta": 1, "beta": 3, "N": 8, "order": "0.5",
+            "u": "x", "out": value})
+    else:
+        cfg = write_config(Path("out.json"), {"N": 3, "out": value})
+    assert main([command, "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"error: out: expected a path string, got {value!r}\n"
+    assert sorted(os.listdir(".")) == ["out.json"]
+
+
+def test_integer_with_too_many_digits_is_config_error(workdir, capsys):
+    # int() refuses decimal literals of more than 4300 digits
+    Path("huge.json").write_text('{"mode": "derivative", "N": 1' + "0" * 5000 + "}",
+                                 encoding="utf-8")
+    assert main(["solve", "--config", "huge.json"]) == 1
+    assert capsys.readouterr().err == (
+        "error: config file huge.json holds an integer with too many digits\n")

@@ -36,40 +36,52 @@ def quad_frac_integral(params, rho, i, x):
 @pytest.mark.parametrize("rho", [0.3, 0.5, 0.9, 1.5])
 def test_frac_integral_matches_quadrature(theta, beta, rho):
     params = LaguerreParams(theta, beta)
+    order = OrderFunction.constant(rho)
     for x in (0.2, 1.0, 3.0):
-        values = frac_integral_basis(params, rho, 8, x).values
+        values = frac_integral_basis(params, order, 8, x)
+        assert values.shape == (9,)
         for i in range(9):
             assert abs(values[i] - quad_frac_integral(params, rho, i, x)) <= 1e-8
+    # under a variable order a point array gives one column per point, each
+    # the quadrature at that point's own order
+    variable = OrderFunction.from_callable(lambda x: rho + 0.2 * np.sin(3.0 * x), 3.0)
+    xs = np.array([0.0, 0.2, 1.0, 3.0])
+    columns = frac_integral_basis(params, variable, 8, xs)
+    assert np.array_equal(columns,
+                          np.column_stack([frac_integral_basis(params, variable, 8, x)
+                                           for x in xs]))
+    assert np.all(columns[:, 0] == 0.0)
+    for x, column in zip(xs[1:], columns.T[1:]):
+        rho_x = float(variable.eval(x))
+        for i in range(9):
+            assert abs(column[i] - quad_frac_integral(params, rho_x, i, x)) <= 1e-8
 
 
 def test_degree_one_value_carries_leading_factor():
     # at theta=1, beta=3, rho=1/2, x=1 the degree-1 value is
     # (theta+1)/Gamma(1.5) - beta/Gamma(2.5), which cancels to zero exactly;
     # without the (theta+1) factor it would be -1.128...
-    fb = frac_integral_basis(LaguerreParams(1.0, 3.0), 0.5, 1, 1.0)
-    assert fb.values[0] == pytest.approx(1.0 / math.gamma(1.5), rel=1e-13)
-    assert abs(fb.values[1]) <= 5e-14
+    values = frac_integral_basis(LaguerreParams(1.0, 3.0), OrderFunction.constant(0.5), 1, 1.0)
+    assert values[0] == pytest.approx(1.0 / math.gamma(1.5), rel=1e-13)
+    assert abs(values[1]) <= 5e-14
 
 
 def test_frac_integral_basis_at_origin():
-    fb = frac_integral_basis(LaguerreParams(2.0, 6.0), 0.7, 6, 0.0)
-    assert np.all(fb.values == 0.0)
+    values = frac_integral_basis(LaguerreParams(2.0, 6.0), OrderFunction.constant(0.7), 6, 0.0)
+    assert np.all(values == 0.0)
 
 
 def test_frac_integral_basis_validation():
     params = LaguerreParams(0.0, 1.0)
+    # bounds are not the values: each evaluation checks the order it samples
+    for value in (0.0, -0.5):
+        lying = OrderFunction(eval=lambda x, _v=value: _v, rho_min=0.5, rho_max=0.5, n=1)
+        with pytest.raises(DomainError, match=f"got {value} at x=1.0"):
+            frac_integral_basis(params, lying, 3, 1.0)
     with pytest.raises(DomainError):
-        frac_integral_basis(params, 0.0, 3, 1.0)
-    with pytest.raises(DomainError):
-        frac_integral_basis(params, -0.5, 3, 1.0)
-    with pytest.raises(DomainError):
-        frac_integral_basis(params, 0.5, 3, -1.0)
-
-
-def test_frac_basis_values_read_only():
-    fb = frac_integral_basis(LaguerreParams(0.0, 1.0), 0.5, 4, 1.0)
-    with pytest.raises(ValueError):
-        fb.values[0] = 1.0
+        frac_integral_basis(params, OrderFunction.constant(0.5), 3, -1.0)
+    with pytest.raises(ValueError, match="max_degree"):
+        frac_integral_basis(params, OrderFunction.constant(0.5), 2.5, 1.0)
 
 
 def test_vo_integral_of_constant_function():
@@ -96,8 +108,7 @@ def test_vo_integral_constant_order_reduction():
     coeffs = interpolate(rule, np.exp(rule.nodes / 2.0))
     order = OrderFunction.constant(0.8)
     for x in (0.0, 0.4, 1.3):
-        direct = float(np.dot(coeffs.coeffs,
-                              frac_integral_basis(params, 0.8, 12, x).values))
+        direct = float(np.dot(coeffs.coeffs, frac_integral_basis(params, order, 12, x)))
         assert vo_integral(coeffs, order, x) == direct
 
 
@@ -219,6 +230,25 @@ def test_operators_reject_bad_points(x, error):
         vo_derivative(coeffs, order, x)
     with pytest.raises(error):
         caputo_row(params, order, 6, x)
+    with pytest.raises(error):
+        frac_integral_basis(params, order, 6, x)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [1e300, np.array([1.0, 1e300])], ids=["scalar", "array"])
+def test_operators_leaving_double_range_raise_domain_error(x):
+    # x^rho overflows; the error names the point, and no numpy warning leaks
+    params = LaguerreParams(0.0, 1.0)
+    rule = gauss_rule(params, 4)
+    coeffs = interpolate(rule, rule.nodes)
+    order = OrderFunction.constant(0.5)
+    calls = [lambda: frac_integral_basis(params, order, 4, x),
+             lambda: caputo_row(params, order, 4, x),
+             lambda: vo_integral(coeffs, order, x),
+             lambda: vo_derivative(coeffs, order, x)]
+    for call in calls:
+        with pytest.raises(DomainError, match="x=1e"):
+            call()
 
 
 def test_caputo_power_rule_values():
@@ -388,9 +418,8 @@ def test_order_function_validation():
 
 @pytest.mark.parametrize("call,name", [
     (lambda: OrderFunction(eval=lambda x: 0.5, rho_min=0.5, rho_max=0.5, n=math.inf), "n"),
-    (lambda: OrderFunction.from_callable(lambda x: 0.5, 1.0, samples=math.inf), "samples"),
     (lambda: caputo_power_rule(2.0, 0.5, math.inf, 1.0), "n"),
-], ids=["OrderFunction-n", "from_callable-samples", "caputo_power_rule-n"])
+], ids=["OrderFunction-n", "caputo_power_rule-n"])
 def test_infinite_integer_argument_is_value_error(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         call()

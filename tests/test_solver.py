@@ -32,7 +32,7 @@ def basset_spec(N=10):
     forcing = lambda x: (2.0 * x + (2.0 / math.gamma(2.5)) * x ** 1.5
                          + x ** 2 + 1.0)
     return IvpSpec(params=LaguerreParams(2.0, 4.0), N=N, order=order, m=1,
-                   a=ONE, b=ONE, c=ONE, f=forcing, u0=1.0, domain_length=1.0)
+                   a=ONE, b=ONE, c=ONE, f=forcing, u0=1.0)
 
 
 def oscillator_spec(N, theta=3.0, beta=6.0):
@@ -40,15 +40,14 @@ def oscillator_spec(N, theta=3.0, beta=6.0):
     order = OrderFunction.constant(1.5)
     forcing = lambda x: caputo_of_sin(order, x)
     return IvpSpec(params=LaguerreParams(theta, beta), N=N, order=order, m=2,
-                   a=ONE, b=ONE, c=ONE, f=forcing, u0=0.0, domain_length=1.0,
-                   v0=1.0)
+                   a=ONE, b=ONE, c=ONE, f=forcing, u0=0.0, v0=1.0)
 
 
 def test_ivp_spec_validation():
     order1 = OrderFunction.constant(0.5)
     order2 = OrderFunction.constant(1.5)
     base = dict(params=LaguerreParams(1.0, 3.0), order=order1, m=1,
-                a=ONE, b=ONE, c=ONE, f=ONE, u0=0.0, domain_length=1.0)
+                a=ONE, b=ONE, c=ONE, f=ONE, u0=0.0)
     with pytest.raises(ValueError):
         IvpSpec(N=1, **base)
     with pytest.raises(ValueError):
@@ -64,8 +63,6 @@ def test_ivp_spec_validation():
         IvpSpec(N=5, **{**base, "a": 3.0})
     with pytest.raises(ValueError):
         IvpSpec(N=5, **{**base, "u0": math.nan})
-    with pytest.raises(ValueError):
-        IvpSpec(N=5, **{**base, "domain_length": 0.0})
 
 
 def test_collocation_nodes_are_smallest_gauss_nodes():
@@ -143,7 +140,7 @@ def test_singular_system_raises_solver_error():
     zero = lambda x: 0.0
     order = OrderFunction.constant(0.5)
     spec = IvpSpec(params=LaguerreParams(1.0, 3.0), N=8, order=order, m=1,
-                   a=zero, b=zero, c=zero, f=zero, u0=0.0, domain_length=1.0)
+                   a=zero, b=zero, c=zero, f=zero, u0=0.0)
     # an exact zero pivot is a SolverError, with no numpy warning on the way
     with pytest.raises(SolverError, match="rcond") as info:
         solve(spec)
@@ -181,7 +178,7 @@ def test_refusal_boundary(rho, solved, refused):
 
     def spec(N):
         return IvpSpec(params=LaguerreParams(2.0, 4.0), N=N, order=order, a=ONE, b=ONE,
-                       c=ONE, f=forcing, u0=0.0, domain_length=1.0, **extra)
+                       c=ONE, f=forcing, u0=0.0, **extra)
 
     report = max_abs_error(solve(spec(solved)), lambda x: x ** 3, 1.0, 201)
     assert report.max_abs_error < 1e-11
@@ -198,8 +195,7 @@ def test_solve_logs_condition_estimate(caplog):
 def test_nonfinite_forcing_rejected():
     spec = basset_spec(N=6)
     bad = IvpSpec(params=spec.params, N=6, order=spec.order, m=1,
-                  a=ONE, b=ONE, c=ONE, f=lambda x: math.inf, u0=1.0,
-                  domain_length=1.0)
+                  a=ONE, b=ONE, c=ONE, f=lambda x: math.inf, u0=1.0)
     with pytest.raises(ValueError, match="f"):
         assemble(bad)
 
@@ -214,12 +210,11 @@ def test_callables_are_sampled_once_on_the_node_array():
         return forcing(x)
 
     counted = IvpSpec(params=spec.params, N=spec.N, order=spec.order, m=1,
-                      a=ONE, b=ONE, c=ONE, f=recording, u0=1.0, domain_length=1.0)
+                      a=ONE, b=ONE, c=ONE, f=recording, u0=1.0)
     assert np.array_equal(assemble(counted).matrix, assemble(spec).matrix)
     assert shapes == [(spec.N,)]
     wrong = IvpSpec(params=spec.params, N=spec.N, order=spec.order, m=1,
-                    a=ONE, b=ONE, c=ONE, f=lambda x: np.ones(2), u0=1.0,
-                    domain_length=1.0)
+                    a=ONE, b=ONE, c=ONE, f=lambda x: np.ones(2), u0=1.0)
     with pytest.raises(ValueError, match="shape"):
         assemble(wrong)
 
