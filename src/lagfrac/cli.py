@@ -104,8 +104,8 @@ def _as_text(value, key: str) -> str:
 
 
 def _as_path(value, key: str) -> str:
-    """An output path; only a string names one."""
-    if not isinstance(value, str):
+    """An output path; only a nonempty string names one."""
+    if not (isinstance(value, str) and value):
         raise ConfigError(f"{key}: expected a path string, got {value!r}")
     return value
 
@@ -259,6 +259,11 @@ def _example_run(command: str, args) -> dict:
     if raw.get("single_order") and len(texts) != 1:
         raise ConfigError(f"{command} takes a single order expression")
     length = _checked_length(_as_float(raw["length"], "length"), "length")
+    names = {}
+    for pair in zip(thetas, betas) if raw.get("pointwise") else ():
+        other = names.setdefault("theta{:g}_beta{:g}".format(*pair), pair)
+        if other != pair:
+            raise ConfigError(f"(theta, beta) pairs {other} and {pair} share pointwise files")
     # a generator: each order is compiled and checked when the sweep reaches it
     orders = ((text, _order_from_text(text, length, n=raw.get("window"))) for text in texts)
     return dict(raw, name=command, table=True, N=degrees, grid=grid, length=length,
@@ -285,7 +290,8 @@ def _config_run(data: dict, out_override) -> dict:
     run = {"name": mode, "mode": mode, "table": False, "length": length, "grid": grid,
            "pairs": [(_as_float(data["theta"], "theta"), _as_float(data["beta"], "beta"))],
            "N": _as_list(data["N"], "N", _as_int),
-           "out": _as_path(out_override or data.get("out", f"{mode}.csv"), "out")}
+           "out": _as_path(data.get("out", f"{mode}.csv") if out_override is None
+                           else out_override, "out")}
     exact = _as_text(data.get("exact", ""), "exact")
     solve_keys = ("a", "b", "c", "f", "u0")
     for key in ("u",) if mode == "solve" else solve_keys + ("m", "v0"):

@@ -173,33 +173,34 @@ def _frac_ladder(params: LaguerreParams, rho: np.ndarray, max_degree: int,
     """Order-rho fractional integrals of the basis ladder, one column per point.
 
     rho and x are matching 1-D arrays (the order may differ per point). The
-    degree recurrence has the same three-term shape as the plain basis
-    recurrence plus a boundary correction proportional to x^rho / Gamma(rho).
-    All values vanish at x = 0 since every entry carries a factor x^rho. A
-    column that leaves double range (x = 1e300, say) raises DomainError
-    naming its x, without a numpy warning.
+    degree recurrence is the basis recurrence plus a boundary correction
+    proportional to x^rho / Gamma(rho); with its point-wise parts formed once,
+    a step is 8 ufunc calls into its row and a scratch row. Every entry carries
+    x^rho, so all vanish at x = 0. A column leaving double range (x = 1e300,
+    say) raises DomainError naming its x, without a numpy warning.
     """
     theta, beta = params.theta, params.beta
-    out = np.zeros((max_degree + 1, x.size), dtype=float)
+    out = np.empty((max_degree + 1, x.size))
     with np.errstate(all="ignore"):
         pos = x > 0.0
         log_x = np.log(np.where(pos, x, 1.0))
-        head = np.where(pos, np.exp(rho * log_x - log_gamma(rho + 1.0)), 0.0)
+        rho1 = rho + 1.0
+        head = np.where(pos, np.exp(rho * log_x - log_gamma(rho1)), 0.0)
         out[0] = head
         if max_degree >= 1:
             # x^(rho+1) / Gamma(rho+2) = head * x / (rho+1)
-            out[1] = (theta + 1.0) * head - beta * (head * x / (rho + 1.0))
-        if max_degree >= 2:
-            correction = head * rho  # x^rho / Gamma(rho)
-            zero_val = theta + 1.0  # L_1(0)
-            bx = beta * x
-            for i in range(1, max_degree):
-                # L_i(0) - L_{i+1}(0) collapses to -theta L_i(0) / (i+1), no cancellation
-                drop = -theta * zero_val / (i + 1.0)
-                out[i + 1] = ((2.0 * i + theta + rho + 1.0 - bx) * out[i]
-                              - (i + theta) * out[i - 1]
-                              - correction * drop) / (i + rho + 1.0)
-                zero_val *= (i + theta + 1.0) / (i + 1.0)
+            out[1] = (theta + 1.0) * head - beta * (head * x / rho1)
+        correction = head * rho  # x^rho / Gamma(rho)
+        zero_val = theta + 1.0  # L_1(0)
+        base, scratch = (theta + 1.0 + rho) - beta * x, np.empty(x.size)
+        for i, (prev, cur, row) in enumerate(zip(out, out[1:], out[2:]), start=1):
+            # L_i(0) - L_{i+1}(0) collapses to -theta L_i(0) / (i+1), no cancellation
+            drop = -theta * zero_val / (i + 1.0)
+            np.multiply(np.add(base, 2.0 * i, out=scratch), cur, out=scratch)
+            np.subtract(scratch, np.multiply(prev, i + theta, out=row), out=scratch)
+            np.subtract(scratch, np.multiply(correction, drop, out=row), out=scratch)
+            np.divide(scratch, np.add(rho1, i, out=row), out=row)
+            zero_val *= (i + theta + 1.0) / (i + 1.0)
     # a non-finite entry makes every later degree non-finite, so the last row tells
     bad = np.flatnonzero(~np.isfinite(out[-1]))
     if bad.size:
@@ -237,32 +238,40 @@ def vo_integral(coeffs: InterpolantCoeffs, order: OrderFunction, x):
     return float(values) if np.ndim(values) == 0 else values
 
 
+def _caputo_ladder(params: LaguerreParams, order: OrderFunction, deg: int, pts: np.ndarray):
+    """(-beta)^n and the unscaled caputo_row rows n..deg at pts; None if deg < n."""
+    n, rho = order.n, _order_values(order, pts)
+    shifted = LaguerreParams(params.theta + n, params.beta)
+    return (-params.beta) ** n, _frac_ladder(shifted, n - rho, deg - n, pts) if deg >= n else None
+
+
 def caputo_row(params: LaguerreParams, order: OrderFunction, max_degree, x) -> np.ndarray:
     """Caputo derivative values of the basis ladder at x, order frozen at rho(x).
 
     x is a scalar (the result is the row of max_degree + 1 values) or a 1-D
     array of points (a matrix with one column per point). Entries below
     degree n vanish identically: those polynomials are annihilated by the
-    inner integer derivative.
+    inner integer derivative; the rows from n on are _caputo_ladder scaled.
     """
     deg = _checked_degree(max_degree, "max_degree")
     pts, scalar = _as_points(x)
-    rho = _order_values(order, pts)
-    n = order.n
+    scale, ladder = _caputo_ladder(params, order, deg, pts)
     rows = np.zeros((deg + 1, pts.size))
-    if deg >= n:
-        shifted = LaguerreParams(params.theta + n, params.beta)
-        rows[n:] = (-params.beta) ** n * _frac_ladder(shifted, n - rho, deg - n, pts)
+    if ladder is not None:
+        np.multiply(ladder, scale, out=rows[order.n:])
     return rows[:, 0] if scalar else rows
 
 
 def vo_derivative(coeffs: InterpolantCoeffs, order: OrderFunction, x):
     """Variable-order Caputo derivative of the expansion at x.
 
-    x is a scalar (the result is a float) or a 1-D array of points.
+    x is a scalar (the result is a float) or a 1-D array of points. The
+    coefficients contract _caputo_ladder before (-beta)^n scales the sum.
     """
-    values = coeffs.coeffs @ caputo_row(coeffs.params, order, coeffs.coeffs.size - 1, x)
-    return float(values) if np.ndim(values) == 0 else values
+    pts, scalar = _as_points(x)
+    scale, ladder = _caputo_ladder(coeffs.params, order, coeffs.coeffs.size - 1, pts)
+    values = np.zeros(pts.size) if ladder is None else scale * (coeffs.coeffs[order.n:] @ ladder)
+    return float(values[0]) if scalar else values
 
 
 def caputo_power_rule(gamma_exp, order_value, n, x):

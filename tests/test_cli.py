@@ -440,6 +440,24 @@ def test_non_string_out_is_config_error(workdir, capsys, command, value):
     assert sorted(os.listdir(".")) == ["out.json"]
 
 
+@pytest.mark.parametrize("command,where", [("solve", "flag"), ("solve", "config"),
+                                           ("example3", "flag"), ("example3", "config")])
+def test_empty_out_is_config_error(workdir, capsys, monkeypatch, command, where):
+    # Path("") is the working directory: the run must stop before its first cell
+    def no_work(*_args):
+        raise AssertionError("work started")
+    monkeypatch.setattr("lagfrac.cli.gauss_rule", no_work)
+    monkeypatch.setattr("lagfrac.cli.solve", no_work)
+    payload = {"out": "kept.csv" if where == "flag" else ""}
+    if command == "solve":
+        payload.update(mode="derivative", theta=1, beta=3, N=8, order="0.5", u="x")
+    cfg = write_config(Path("out.json"), payload)
+    argv = [command, "--config", cfg] + (["--out", ""] if where == "flag" else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: out: expected a path string, got ''\n"
+    assert sorted(os.listdir(".")) == ["out.json"]
+
+
 def test_integer_with_too_many_digits_is_config_error(workdir, capsys):
     # int() refuses decimal literals of more than 4300 digits
     Path("huge.json").write_text('{"mode": "derivative", "N": 1' + "0" * 5000 + "}",

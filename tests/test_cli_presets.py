@@ -112,6 +112,18 @@ def test_example2_pointwise_name_without_suffix(workdir, capsys):
     assert capsys.readouterr().out == "example2: wrote noext (1 rows + pointwise files)\n"
 
 
+def test_example2_refuses_pairs_sharing_pointwise_files(workdir, capsys, monkeypatch):
+    # both pairs print as theta2_beta4: the second would overwrite the first's files
+    def no_work(*_args):
+        raise AssertionError("work started")
+    monkeypatch.setattr("lagfrac.cli.solve", no_work)
+    assert main(["example2", "--theta", "2.0000001,2.0000002", "--beta", "4,4",
+                 "--N", "5"]) == 1
+    assert capsys.readouterr().err == ("error: (theta, beta) pairs (2.0000001, 4.0) and "
+                                       "(2.0000002, 4.0) share pointwise files\n")
+    assert list(workdir.iterdir()) == []
+
+
 def test_solve_degree_list_without_suffix(workdir, capsys):
     cfg = write_config("nl.json", {
         "mode": "solve", "theta": 2, "beta": 4, "N": [4, 6], "order": "0.5",

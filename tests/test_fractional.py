@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from lagfrac import (
@@ -19,9 +21,11 @@ from lagfrac import (
     frac_integral_basis,
     gauss_rule,
     interpolate,
+    log_gamma,
     vo_derivative,
     vo_integral,
 )
+from lagfrac.fractional import _frac_ladder
 
 
 def quad_frac_integral(params, rho, i, x):
@@ -138,6 +142,103 @@ def test_vo_integral_rejects_nonpositive_order():
         vo_integral(coeffs, shrinking, 0.75)
 
 
+def expression_frac_ladder(params, rho, max_degree, x):
+    """The fractional ladder as written before its steps went in place, and the
+    same recurrence on the magnitudes of its terms.
+
+    Each degree row is one expression with temporaries, in that expression's
+    operation order. The magnitudes (every coefficient and term taken by its
+    absolute value, each sum by the sum of its parts' magnitudes) scale the
+    rounding of either operation order.
+    """
+    theta, beta = params.theta, params.beta
+    out = np.zeros((max_degree + 1, x.size))
+    size = np.zeros((max_degree + 1, x.size))
+    pos = x > 0.0
+    log_x = np.log(np.where(pos, x, 1.0))
+    head = np.where(pos, np.exp(rho * log_x - log_gamma(rho + 1.0)), 0.0)
+    out[0] = size[0] = head
+    if max_degree >= 1:
+        out[1] = (theta + 1.0) * head - beta * (head * x / (rho + 1.0))
+        size[1] = (abs(theta) + 1.0) * head + beta * (head * x / (rho + 1.0))
+    correction = head * rho
+    zero_val = theta + 1.0
+    bx = beta * x
+    for i in range(1, max_degree):
+        drop = -theta * zero_val / (i + 1.0)
+        out[i + 1] = ((2.0 * i + theta + rho + 1.0 - bx) * out[i]
+                      - (i + theta) * out[i - 1]
+                      - correction * drop) / (i + rho + 1.0)
+        size[i + 1] = ((2.0 * i + abs(theta) + rho + 1.0 + bx) * size[i]
+                       + abs(i + theta) * size[i - 1]
+                       + correction * abs(drop)) / (i + rho + 1.0)
+        zero_val *= (i + theta + 1.0) / (i + 1.0)
+    return out, size
+
+
+orders_in_0_2 = st.floats(0.0, 2.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta=st.floats(-1.0, 10.0, exclude_min=True), beta=st.floats(0.5, 10.0),
+       N=st.integers(0, 120), rho=orders_in_0_2, variable=st.booleans(), data=st.data())
+def test_frac_ladder_matches_expression_order(theta, beta, N, rho, variable, data):
+    params = LaguerreParams(theta, beta)
+    top = float(gauss_rule(params, max(N, 1)).nodes[-1])
+    xs = np.array(data.draw(st.lists(st.floats(0.0, top), min_size=1, max_size=12),
+                            label="xs"))
+    if variable:
+        rho = np.array(data.draw(st.lists(orders_in_0_2, min_size=xs.size,
+                                          max_size=xs.size), label="rho"))
+    orders = np.broadcast_to(rho, xs.shape).astype(float)
+    got = _frac_ladder(params, orders, N, xs)
+    want, size = expression_frac_ladder(params, orders, N, xs)
+    # degree i of either order is within a few (i + 1) eps of its term
+    # magnitudes; the two orders differ by at most 0.86 eps (i + 1) times
+    # those over 15000 random cases with theta down to -1 + 1e-16, rho down to
+    # 1e-300 and x from 5e-324 to the largest node (rows 0 and 1 are equal)
+    bound = 4e-16 * np.arange(1.0, N + 2.0)[:, None] * size
+    assert np.all(np.abs(got - want) <= bound)
+    assert np.array_equal(got[:2], want[:2])
+
+
+def mpmath_frac_ladder(params, rho, max_degree, x, dps=30):
+    """The ladder recurrence run in dps-digit mpmath from the same doubles."""
+    mpmath = pytest.importorskip("mpmath")
+    out = np.zeros((max_degree + 1, x.size))
+    with mpmath.workdps(dps):
+        theta, beta = mpmath.mpf(params.theta), mpmath.mpf(params.beta)
+        for j, (r, t) in enumerate(zip(rho.tolist(), x.tolist())):
+            r, t = mpmath.mpf(r), mpmath.mpf(t)
+            head = t ** r / mpmath.gamma(r + 1)
+            column = [head, (theta + 1) * head - beta * head * t / (r + 1)]
+            zero_val = theta + 1
+            for i in range(1, max_degree):
+                drop = -theta * zero_val / (i + 1)
+                column.append(((2 * i + theta + r + 1 - beta * t) * column[i]
+                               - (i + theta) * column[i - 1] - head * r * drop) / (i + r + 1))
+                zero_val *= (i + theta + 1) / mpmath.mpf(i + 1)
+            out[:, j] = [float(v) for v in column[:max_degree + 1]]
+    return out
+
+
+def test_frac_ladder_error_against_mpmath_at_degree_80():
+    # example1's (2, 6) under a variable order, on points up to the largest node
+    params = LaguerreParams(2.0, 6.0)
+    xs = np.linspace(0.0, gauss_rule(params, 80).nodes[-1], 41)[1:]
+    rho = 0.5 + 0.4 * np.sin(3.0 * xs)
+    exact = mpmath_frac_ladder(params, rho, 80, xs)
+    # each degree against the largest of the values its step combines: a
+    # plain relative error blows up wherever a degree crosses zero
+    window = np.abs(exact)
+    window[1:] = np.maximum(window[1:], np.abs(exact[:-1]))
+    window[2:] = np.maximum(window[2:], np.abs(exact[:-2]))
+    error = lambda values: np.max(np.abs(values - exact) / window)
+    # measured: 2.1e-14 in place against 1.6e-14 in the expression order
+    assert error(_frac_ladder(params, rho, 80, xs)) <= 2.0 * error(
+        expression_frac_ladder(params, rho, 80, xs)[0])
+
+
 def test_caputo_row_matches_quadrature():
     # order in (1,2): two integer derivatives, then an integral of order 2-rho
     params = LaguerreParams(2.0, 4.0)
@@ -169,6 +270,40 @@ def test_vo_derivative_linearity():
         lhs = vo_derivative(combo, order, x)
         rhs = 2.5 * vo_derivative(u, order, x) - 1.25 * vo_derivative(v, order, x)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("theta,beta", [(2.0, 6.0), (0.0, 1.0)])
+@pytest.mark.parametrize("rho", [0.5, 1.5])
+def test_vo_derivative_contracts_caputo_row(theta, beta, rho):
+    params = LaguerreParams(theta, beta)
+    rule = gauss_rule(params, 40)
+    coeffs = interpolate(rule, np.exp(rule.nodes))
+    order = OrderFunction.from_callable(lambda x: rho + 0.3 * np.sin(x), 1.0)
+    xs = np.linspace(0.0, 1.0, 101)
+    rows = caputo_row(params, order, 40, xs)
+    # rtol 1e-14 of the terms' magnitudes (the worst here is 7.4e-16): at
+    # (0, 1) with n = 1 the terms cancel to 1/1760 of their size and the two
+    # sums differ by 7e-14 of the value, at (2, 6) by at most 1e-15
+    size = np.abs(coeffs.coeffs) @ np.abs(rows)
+    assert np.all(np.abs(vo_derivative(coeffs, order, xs) - coeffs.coeffs @ rows)
+                  <= 1e-14 * size)
+    value = vo_derivative(coeffs, order, 0.7)
+    assert type(value) is float
+    row = caputo_row(params, order, 40, 0.7)
+    assert abs(value - coeffs.coeffs @ row) <= 1e-14 * (np.abs(coeffs.coeffs) @ np.abs(row))
+
+
+def test_vo_derivative_below_degree_n_is_zero():
+    # degree 1 under an order in (1, 2): both basis polynomials are annihilated
+    params = LaguerreParams(2.0, 6.0)
+    rule = gauss_rule(params, 1)
+    coeffs = interpolate(rule, np.exp(rule.nodes))
+    order = OrderFunction.constant(1.5)
+    value = vo_derivative(coeffs, order, 0.7)
+    assert type(value) is float and value == 0.0
+    xs = np.array([0.0, 0.3, 1.0])
+    assert np.array_equal(vo_derivative(coeffs, order, xs), np.zeros(3))
+    assert np.array_equal(caputo_row(params, order, 1, xs), np.zeros((2, 3)))
 
 
 def test_vo_derivative_polynomial_vs_power_rule():
