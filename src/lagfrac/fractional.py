@@ -47,6 +47,8 @@ __all__ = [
 _WINDOW_MARGIN = 1e-12
 # OrderFunction.from_callable certifies bounds from this many points of (0, L]
 _ORDER_SAMPLES = 2049
+# at x = 0 an order may lie less than this below n - 1 (4 ulps of max(n - 1, 1))
+_ORIGIN_SLACK = 4.0 * np.finfo(float).eps
 
 # caputo_of_sin sums the power series up to here, the continued fraction beyond
 _SERIES_MAX_X = 3.0
@@ -156,10 +158,12 @@ def _sample(func, points: np.ndarray, name: str) -> np.ndarray:
 
 def _order_values(order: OrderFunction, points: np.ndarray) -> np.ndarray:
     _require_derivative_window(order)
-    # rho(0) = n - 1 is harmless: every derivative ladder entry carries x^(n - rho)
+    # rho(0) = n - 1, up to rounding, is harmless: every derivative ladder entry
+    # carries x^(n - rho) and vanishes at x = 0
     rho = _sample(order.eval, points, "order function")
     n = order.n
-    inside = ((n - 1 < rho) & (rho < n)) | ((points == 0.0) & (rho == n - 1))
+    lower = np.where(points == 0.0, n - 1 - _ORIGIN_SLACK * max(n - 1, 1), n - 1)
+    inside = (lower < rho) & (rho < n)
     bad = np.flatnonzero(~inside)
     if bad.size:
         j = bad[0]

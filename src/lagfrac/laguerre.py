@@ -50,10 +50,13 @@ class LaguerreParams:
         object.__setattr__(self, "beta", beta)
 
 
-def _frozen_array(values, name: str) -> np.ndarray:
+def _frozen_array(values, name: str, shape=None) -> np.ndarray:
+    """values as a read-only finite float array: nonempty 1-D, or of the given shape."""
     arr = np.array(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
+    if shape is None and (arr.ndim != 1 or arr.size == 0):
         raise ValueError(f"{name} must be a nonempty 1-D array")
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
@@ -62,11 +65,17 @@ def _frozen_array(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss nodes and weights for one basis family; immutable after construction."""
+    """Gauss nodes and weights for one basis family, with the discrete transform.
+
+    basis is the ladder L_0..L_N at the nodes (rows by degree, a column per
+    node) and norms the squared norms gamma_0..gamma_N; all arrays are read-only.
+    """
 
     params: LaguerreParams
     nodes: np.ndarray
     weights: np.ndarray
+    basis: np.ndarray
+    norms: np.ndarray
 
     def __post_init__(self):
         nodes = _frozen_array(self.nodes, "nodes")
@@ -79,6 +88,8 @@ class QuadratureRule:
             raise ValueError("weights must be positive")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "basis", _frozen_array(self.basis, "basis", (nodes.size,) * 2))
+        object.__setattr__(self, "norms", _frozen_array(self.norms, "norms", nodes.shape))
 
 
 @dataclass(frozen=True)
@@ -255,52 +266,52 @@ def _gauss_nodes(params: LaguerreParams, n: int) -> np.ndarray:
 
 
 def gauss_rule(params: LaguerreParams, N) -> QuadratureRule:
-    """(N+1)-point Gauss rule for the weight x^theta exp(-beta x).
+    """(N+1)-point Gauss rule for the weight x^theta exp(-beta x), with its transform.
 
     Nodes are the zeros of the degree-(N+1) basis polynomial, computed as
     eigenvalues of the symmetric tridiagonal recurrence matrix (a dense
     ``numpy.linalg.eigvalsh``, about 0.3 ms at N = 80) and polished by two
     Newton sweeps; each sweep is one rolling three-term recurrence that
     keeps only L_(N+1) and L_N and takes the slope from
-    x L_(N+1)' = (N + 1) L_(N+1) - (N + 1 + theta) L_N. Weights come from
-    the inverse Christoffel sums w_j = 1 / sum_i p_i(x_j)^2 over the
-    orthonormal ladder p_i = L_i / sqrt(gamma_i), accumulated in a third
-    rolling recurrence; unlike squared first-eigenvector components these
-    keep full relative accuracy in the tiny far-node weights. From N ~ 190
-    the weights underflow and a RuntimeError names N.
+    x L_(N+1)' = (N + 1) L_(N+1) - (N + 1 + theta) L_N. The rule keeps the
+    ladder L_0..L_N at the nodes and the norms gamma_i; the weights are the
+    inverse Christoffel sums w_j = 1 / sum_i p_i(x_j)^2 over the orthonormal
+    ladder p_i = L_i / sqrt(gamma_i), added in degree order; unlike squared
+    first-eigenvector components these keep full relative accuracy in the
+    tiny far-node weights. From N ~ 190 the weights underflow and a
+    RuntimeError names N.
     """
     n = _checked_degree(N, "N")
     nodes = _gauss_nodes(params, n)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        scale = 1.0 / np.sqrt(norm(params, np.arange(n + 1)))
-        christoffel = np.zeros(n + 1)
-        for s, row in zip(scale, _ladder(params.theta, params.beta * nodes, n)):
-            p = row * s
-            christoffel += p * p
-        weights = 1.0 / christoffel
+        basis = eval_basis(params, n, nodes)
+        norms = norm(params, np.arange(n + 1))
+        ortho = basis * (1.0 / np.sqrt(norms))[:, None]
+        # a reduction over the leading axis adds the rows in degree order
+        weights = 1.0 / np.add.reduce(ortho * ortho, axis=0)
     _require_finite_positive(weights, "weights", n)
-    mu0 = norm(params, 0)
+    mu0 = float(norms[0])
     total = float(np.sum(weights))
     if not np.isfinite(total) or abs(total - mu0) > 1e-12 * mu0:
         raise RuntimeError(
             f"quadrature rule failed the zeroth moment check for N={n}: "
             f"sum of weights {total!r}, expected {mu0!r}")
-    return QuadratureRule(params=params, nodes=nodes, weights=weights)
+    return QuadratureRule(params=params, nodes=nodes, weights=weights,
+                          basis=basis, norms=norms)
 
 
 def interpolate(rule: QuadratureRule, samples) -> InterpolantCoeffs:
     """Spectral coefficients of the interpolant through (rule.nodes, samples).
 
-    Discrete transform: l_i = (1/gamma_i) sum_j samples[j] L_i(x_j) w_j.
+    Discrete transform: l_i = (1/gamma_i) sum_j samples[j] L_i(x_j) w_j,
+    one product with the ladder and norms the rule holds.
     """
     vals = np.asarray(samples, dtype=float)
     if vals.ndim != 1 or vals.size != rule.nodes.size:
         raise ValueError(f"expected {rule.nodes.size} samples, got shape {vals.shape}")
     if not np.all(np.isfinite(vals)):
         raise ValueError("samples must be finite")
-    n = rule.nodes.size - 1
-    basis = eval_basis(rule.params, n, rule.nodes)
-    coeffs = basis @ (vals * rule.weights) / norm(rule.params, np.arange(n + 1))
+    coeffs = rule.basis @ (vals * rule.weights) / rule.norms
     return InterpolantCoeffs(params=rule.params, coeffs=coeffs)
 
 

@@ -181,6 +181,10 @@ def test_order_touching_lower_integer_at_origin(workdir, capsys):
     args = ["example1", "--theta", "1", "--beta", "6", "--N", "20", "--out", "t.csv"]
     assert main(args + ["--order", "1+0.5*abs(sin(x))"]) == 0
     assert float(read_rows("t.csv")[1][4]) <= 1e-10
+    # so is rho(0) = n - 1 up to rounding: 1.4 - 0.4 is 0.9999999999999999
+    assert main(["example1", "--theta", "2", "--beta", "6", "--N", "10", "--order",
+                 "1.4-0.4*cos(x)", "--grid", "11", "--out", "r.csv"]) == 0
+    assert float(read_rows("r.csv")[1][4]) <= 1e-4
     # rho(0) = n is not
     assert main(args + ["--order", "2-0.5*abs(sin(x))"]) == 2
     assert "order value 2.0 at x=0.0" in capsys.readouterr().err

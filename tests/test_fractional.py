@@ -533,6 +533,18 @@ def test_order_may_touch_lower_integer_at_origin_only():
     assert np.all(caputo_row(params, touching, 6, 0.0) == 0.0)
     assert caputo_exp_exact(touching, 0.0) == 0.0
     assert caputo_of_sin(touching, 0.0) == 0.0
+    # 1.4 - 0.4 rounds to 0.9999999999999999: touching up to rounding counts
+    rounded = OrderFunction.from_callable(lambda x: 1.4 - 0.4 * np.cos(x), 1.0)
+    assert rounded.eval(0.0) < 1.0
+    assert np.all(caputo_row(params, rounded, 6, 0.0) == 0.0)
+    assert caputo_exp_exact(rounded, 0.0) == 0.0
+    assert caputo_of_sin(rounded, 0.0) == 0.0
+    below = OrderFunction(eval=lambda x: np.where(x == 0.0, 1.0 - 1e-9, 1.5),
+                          rho_min=1.5, rho_max=1.5, n=2)
+    for op in (lambda: caputo_row(params, below, 6, 0.0),
+               lambda: caputo_exp_exact(below, 0.0), lambda: caputo_of_sin(below, 0.0)):
+        with pytest.raises(DomainError, match="order value 0.999999999 at x=0.0"):
+            op()
     upper = OrderFunction.from_callable(lambda x: 2.0 - 0.5 * np.abs(np.sin(x)), 1.0)
     with pytest.raises(DomainError, match="order value 2.0 at x=0.0"):
         caputo_row(params, upper, 6, 0.0)

@@ -18,6 +18,7 @@ from lagfrac import (
     norm,
     value_at_zero,
 )
+from lagfrac import laguerre
 from lagfrac.solver import collocation_nodes
 
 PARAMS = [(0.0, 1.0), (1.0, 3.0), (2.0, 6.0), (0.5, 2.0)]
@@ -210,6 +211,14 @@ def test_rolling_gauss_rule_matches_five_ladders(theta, beta, N, data):
     nodes, weights = five_ladder_rule(params, N)
     assert np.array_equal(rule.nodes, nodes)
     assert np.array_equal(rule.weights, weights)
+    # the stored transform is the ladder and norms, bit for bit, and
+    # interpolate gives what building them afresh gives
+    basis = eval_basis(params, N, rule.nodes)
+    norms = norm(params, np.arange(N + 1))
+    assert np.array_equal(rule.basis, basis)
+    assert np.array_equal(rule.norms, norms)
+    for f in (np.exp(rule.nodes / 3.0), rule.nodes ** 3):
+        assert np.array_equal(interpolate(rule, f).coeffs, basis @ (f * rule.weights) / norms)
     count = data.draw(st.integers(0, N + 1), label="count")
     assert np.array_equal(collocation_nodes(params, N, count), rule.nodes[:count])
     # the Newton slope x L_(N+1)' = (N + 1) L_(N+1) - (N + 1 + theta) L_N; both
@@ -296,12 +305,33 @@ def test_interpolate_length_mismatch():
 def test_quadrature_rule_validation():
     params = LaguerreParams(0.0, 1.0)
     good = np.array([0.5, 1.5])
+    fields = dict(params=params, nodes=good, weights=np.ones(2),
+                  basis=np.ones((2, 2)), norms=np.ones(2))
+    for bad in [dict(nodes=np.array([1.5, 0.5])), dict(weights=np.array([1.0, -1.0])),
+                dict(weights=np.ones(3)), dict(basis=np.ones((2, 3))),
+                dict(basis=np.ones(4)), dict(basis=np.array([[1.0, np.inf], [1.0, 1.0]])),
+                dict(norms=np.ones(3))]:
+        with pytest.raises(ValueError):
+            QuadratureRule(**{**fields, **bad})
+    rule = QuadratureRule(**fields)
     with pytest.raises(ValueError):
-        QuadratureRule(params=params, nodes=np.array([1.5, 0.5]), weights=np.ones(2))
+        rule.basis[0, 0] = 5.0
     with pytest.raises(ValueError):
-        QuadratureRule(params=params, nodes=good, weights=np.array([1.0, -1.0]))
-    with pytest.raises(ValueError):
-        QuadratureRule(params=params, nodes=good, weights=np.ones(3))
+        rule.norms[0] = 5.0
+
+
+def test_interpolate_reuses_the_rule(monkeypatch):
+    # interpolate builds no ladder and evaluates no norm: the rule holds both
+    params = LaguerreParams(2.0, 6.0)
+    rule = gauss_rule(params, 20)
+    expected = interpolate(rule, np.exp(rule.nodes)).coeffs
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("interpolate rebuilt part of the transform")
+
+    for name in ("_ladder", "eval_basis", "norm"):
+        monkeypatch.setattr(laguerre, name, refuse)
+    assert np.array_equal(interpolate(rule, np.exp(rule.nodes)).coeffs, expected)
 
 
 def test_interpolant_coeffs_frozen():
