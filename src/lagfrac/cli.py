@@ -222,7 +222,7 @@ _EXAMPLES = {
         "help": "oscillator IVP error table + pointwise files",
         "flags": {"theta": "0,2,3", "beta": "1,4,6", "N": "5,10,15,20", "order": "3/2",
                   "length": 1.0, "grid": 1001, "out": "example2.csv"},
-        "run": {**_OSCILLATOR, "single_order": True, "pointwise": True, "u0": 0.0,
+        "run": {**_OSCILLATOR, "pointwise": True, "u0": 0.0,
                 "f": _BUILTIN_FORCINGS["builtin:caputo_sin"],
                 "exact": lambda _order, x: np.sin(x)},
     },
@@ -256,7 +256,8 @@ def _example_run(command: str, args) -> dict:
         raise ConfigError(f"theta list ({len(thetas)} values) and beta list "
                           f"({len(betas)} values) must pair up")
     texts = _as_list(raw["order"], "order", _as_text)
-    if raw.get("single_order") and len(texts) != 1:
+    # pointwise file names carry no order, so a pointwise run takes one
+    if raw.get("pointwise") and len(texts) != 1:
         raise ConfigError(f"{command} takes a single order expression")
     length = _checked_length(_as_float(raw["length"], "length"), "length")
     names = {}

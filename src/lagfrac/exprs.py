@@ -41,9 +41,6 @@ __all__ = [
     "FUNCTION_NAMES",
 ]
 
-FUNCTION_NAMES = ("sin", "cos", "tan", "tanh", "exp", "log", "sqrt", "abs", "gamma")
-
-
 class ExprError(ValueError):
     """Base class for expression language errors."""
 
@@ -242,6 +239,7 @@ _FUNCS = {
     "abs": np.abs,
     "gamma": _gamma,
 }
+FUNCTION_NAMES = tuple(_FUNCS)
 
 
 def evaluate(node: Expr, x):

@@ -61,12 +61,12 @@ _MAX_STEPS = 200
 class OrderFunction:
     """A variable fractional order x -> rho(x) with certified bounds.
 
-    rho_min and rho_max bound the values on the intended working range and
-    n is the integer ceiling used by the derivative formulas, which require
-    n - 1 < rho(x) < n pointwise (rho(0) = n - 1 is also accepted at the
-    origin). The bounds gate derivative usage up front; every evaluation is
-    additionally checked pointwise, so bounds certified by sampling are safe
-    to use.
+    rho_min and rho_max bound the values on the intended working range. The
+    integer ceiling n = floor(rho_min) + 1 used by the derivative formulas
+    follows from rho_min; they require n - 1 < rho(x) < n pointwise
+    (rho(0) = n - 1 is also accepted at the origin). The bounds gate
+    derivative usage up front; every evaluation is additionally checked
+    pointwise, so bounds certified by sampling are safe to use.
 
     The callable stored in ``eval`` takes a 1-D float array of points and
     returns the orders there as an array of the same shape; a scalar return
@@ -78,7 +78,6 @@ class OrderFunction:
     eval: Callable[[np.ndarray], np.ndarray]
     rho_min: float
     rho_max: float
-    n: int
 
     def __post_init__(self):
         if not callable(self.eval):
@@ -91,10 +90,13 @@ class OrderFunction:
             raise ValueError(f"order values must be positive, got rho_min={rho_min}")
         if rho_min > rho_max:
             raise ValueError(f"rho_min={rho_min} exceeds rho_max={rho_max}")
-        n = _checked_int(self.n, "n", 1)
         object.__setattr__(self, "rho_min", rho_min)
         object.__setattr__(self, "rho_max", rho_max)
-        object.__setattr__(self, "n", n)
+
+    @property
+    def n(self) -> int:
+        """The integer ceiling: floor(rho_min) + 1."""
+        return math.floor(self.rho_min) + 1
 
     @classmethod
     def constant(cls, value) -> "OrderFunction":
@@ -102,7 +104,7 @@ class OrderFunction:
         v = float(value)
         if not np.isfinite(v) or v <= 0.0:
             raise ValueError(f"constant order must be positive and finite, got {value!r}")
-        return cls(eval=lambda _x, _v=v: _v, rho_min=v, rho_max=v, n=math.floor(v) + 1)
+        return cls(eval=lambda _x, _v=v: _v, rho_min=v, rho_max=v)
 
     @classmethod
     def from_callable(cls, func, domain_length) -> "OrderFunction":
@@ -119,7 +121,7 @@ class OrderFunction:
         rho_max = float(vals.max())
         if rho_min <= 0.0:
             raise ValueError(f"order function must stay positive, sampled minimum {rho_min}")
-        return cls(eval=func, rho_min=rho_min, rho_max=rho_max, n=math.floor(rho_min) + 1)
+        return cls(eval=func, rho_min=rho_min, rho_max=rho_max)
 
 
 def _require_derivative_window(order: OrderFunction) -> None:

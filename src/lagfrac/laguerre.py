@@ -10,7 +10,7 @@ point samples to spectral coefficients and back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,13 +50,11 @@ class LaguerreParams:
         object.__setattr__(self, "beta", beta)
 
 
-def _frozen_array(values, name: str, shape=None) -> np.ndarray:
-    """values as a read-only finite float array: nonempty 1-D, or of the given shape."""
+def _frozen_array(values, name: str) -> np.ndarray:
+    """values as a read-only nonempty 1-D finite float array."""
     arr = np.array(values, dtype=float)
-    if shape is None and (arr.ndim != 1 or arr.size == 0):
+    if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-D array")
-    if shape is not None and arr.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
@@ -65,31 +63,48 @@ def _frozen_array(values, name: str, shape=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss nodes and weights for one basis family, with the discrete transform.
+    """Gauss rule for one basis family from its nodes, with the discrete transform.
 
-    basis is the ladder L_0..L_N at the nodes (rows by degree, a column per
-    node) and norms the squared norms gamma_0..gamma_N; all arrays are read-only.
+    Only params and the N + 1 nodes (positive, strictly increasing) are
+    given. basis is the ladder L_0..L_N at the nodes (rows by degree, a
+    column per node), norms the squared norms gamma_0..gamma_N, and the
+    weights the inverse Christoffel sums w_j = 1 / sum_i p_i(x_j)^2 over the
+    orthonormal ladder p_i = L_i / sqrt(gamma_i), added in degree order;
+    unlike squared first-eigenvector components these keep full relative
+    accuracy in the tiny far-node weights. Nodes other than the zeros of
+    L_(N+1) fail the zeroth moment check, a RuntimeError naming N, as do
+    weights that underflow (from N ~ 190). All four arrays are read-only.
     """
 
     params: LaguerreParams
     nodes: np.ndarray
-    weights: np.ndarray
-    basis: np.ndarray
-    norms: np.ndarray
+    weights: np.ndarray = field(init=False)
+    basis: np.ndarray = field(init=False)
+    norms: np.ndarray = field(init=False)
 
     def __post_init__(self):
         nodes = _frozen_array(self.nodes, "nodes")
-        weights = _frozen_array(self.weights, "weights")
-        if weights.size != nodes.size:
-            raise ValueError("nodes and weights must have equal length")
         if nodes[0] <= 0.0 or np.any(np.diff(nodes) <= 0.0):
             raise ValueError("nodes must be positive and strictly increasing")
-        if np.any(weights <= 0.0):
-            raise ValueError("weights must be positive")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "basis", _frozen_array(self.basis, "basis", (nodes.size,) * 2))
-        object.__setattr__(self, "norms", _frozen_array(self.norms, "norms", nodes.shape))
+        n = nodes.size - 1
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            basis = eval_basis(self.params, n, nodes)
+            norms = norm(self.params, np.arange(n + 1))
+            ortho = basis * (1.0 / np.sqrt(norms))[:, None]
+            # a reduction over the leading axis adds the rows in degree order
+            weights = 1.0 / np.add.reduce(ortho * ortho, axis=0)
+        _require_finite_positive(weights, "weights", n)
+        _require_finite_positive(norms, "norms", n)
+        mu0 = float(norms[0])
+        total = float(np.sum(weights))
+        if not np.isfinite(total) or abs(total - mu0) > 1e-12 * mu0:
+            raise RuntimeError(
+                f"quadrature rule failed the zeroth moment check for N={n}: "
+                f"sum of weights {total!r}, expected {mu0!r}")
+        for name, arr in (("nodes", nodes), ("weights", weights),
+                          ("basis", basis), ("norms", norms)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -219,7 +234,9 @@ def norm(params: LaguerreParams, i):
     i is one degree (the result is a float) or a 1-D array of degrees.
     """
     idx = _checked_degree(i, "i")
-    return gamma_ratio(idx + params.theta + 1.0, idx + 1.0) * params.beta ** (-(params.theta + 1.0))
+    # a norm past double range is inf, as gamma_ratio's own overflow is
+    with np.errstate(over="ignore"):
+        return gamma_ratio(idx + params.theta + 1.0, idx + 1.0) * params.beta ** (-(params.theta + 1.0))
 
 
 def _require_finite_positive(values: np.ndarray, name: str, n: int) -> None:
@@ -273,31 +290,11 @@ def gauss_rule(params: LaguerreParams, N) -> QuadratureRule:
     ``numpy.linalg.eigvalsh``, about 0.3 ms at N = 80) and polished by two
     Newton sweeps; each sweep is one rolling three-term recurrence that
     keeps only L_(N+1) and L_N and takes the slope from
-    x L_(N+1)' = (N + 1) L_(N+1) - (N + 1 + theta) L_N. The rule keeps the
-    ladder L_0..L_N at the nodes and the norms gamma_i; the weights are the
-    inverse Christoffel sums w_j = 1 / sum_i p_i(x_j)^2 over the orthonormal
-    ladder p_i = L_i / sqrt(gamma_i), added in degree order; unlike squared
-    first-eigenvector components these keep full relative accuracy in the
-    tiny far-node weights. From N ~ 190 the weights underflow and a
-    RuntimeError names N.
+    x L_(N+1)' = (N + 1) L_(N+1) - (N + 1 + theta) L_N. QuadratureRule
+    derives the weights, ladder and norms from the nodes; from N ~ 190 the
+    weights underflow and a RuntimeError names N.
     """
-    n = _checked_degree(N, "N")
-    nodes = _gauss_nodes(params, n)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        basis = eval_basis(params, n, nodes)
-        norms = norm(params, np.arange(n + 1))
-        ortho = basis * (1.0 / np.sqrt(norms))[:, None]
-        # a reduction over the leading axis adds the rows in degree order
-        weights = 1.0 / np.add.reduce(ortho * ortho, axis=0)
-    _require_finite_positive(weights, "weights", n)
-    mu0 = float(norms[0])
-    total = float(np.sum(weights))
-    if not np.isfinite(total) or abs(total - mu0) > 1e-12 * mu0:
-        raise RuntimeError(
-            f"quadrature rule failed the zeroth moment check for N={n}: "
-            f"sum of weights {total!r}, expected {mu0!r}")
-    return QuadratureRule(params=params, nodes=nodes, weights=weights,
-                          basis=basis, norms=norms)
+    return QuadratureRule(params=params, nodes=_gauss_nodes(params, _checked_degree(N, "N")))
 
 
 def interpolate(rule: QuadratureRule, samples) -> InterpolantCoeffs:

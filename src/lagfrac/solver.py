@@ -189,21 +189,14 @@ def solve(spec: IvpSpec) -> InterpolantCoeffs:
 
     Dense LU with partial pivoting (``numpy.linalg.solve``). The reciprocal
     condition number in the infinity norm, 1 / (||A|| ||A^-1||) with the
-    inverse formed explicitly (exact, not an estimate), is logged for every
-    solve and gates matrices that are singular at working precision: an
-    exactly singular matrix, a non-finite rcond or one below eps raises
-    SolverError.
+    inverse formed explicitly by ``numpy.linalg.cond`` (exact, not an
+    estimate), is logged for every solve and gates matrices that are
+    singular at working precision: an exactly singular matrix (whose
+    condition number is inf) or an rcond below eps raises SolverError.
     """
     system = assemble(spec)
-    try:
-        inverse = np.linalg.inv(system.matrix)
-    except np.linalg.LinAlgError:
-        rcond = 0.0  # an exact zero pivot
-    else:
-        with np.errstate(all="ignore"):
-            rcond = 1.0 / float(np.linalg.norm(system.matrix, np.inf)
-                                * np.linalg.norm(inverse, np.inf))
-    if not np.isfinite(rcond) or rcond < np.finfo(float).eps:
+    rcond = 1.0 / float(np.linalg.cond(system.matrix, np.inf))
+    if rcond < np.finfo(float).eps:
         raise SolverError(
             f"collocation matrix is singular to working precision "
             f"(rcond={rcond:.3e}, N={spec.N})")

@@ -79,7 +79,7 @@ def test_frac_integral_basis_validation():
     params = LaguerreParams(0.0, 1.0)
     # bounds are not the values: each evaluation checks the order it samples
     for value in (0.0, -0.5):
-        lying = OrderFunction(eval=lambda x, _v=value: _v, rho_min=0.5, rho_max=0.5, n=1)
+        lying = OrderFunction(eval=lambda x, _v=value: _v, rho_min=0.5, rho_max=0.5)
         with pytest.raises(DomainError, match=f"got {value} at x=1.0"):
             frac_integral_basis(params, lying, 3, 1.0)
     with pytest.raises(DomainError):
@@ -137,7 +137,7 @@ def test_vo_integral_rejects_nonpositive_order():
     params = LaguerreParams(0.0, 1.0)
     rule = gauss_rule(params, 4)
     coeffs = interpolate(rule, np.ones_like(rule.nodes))
-    shrinking = OrderFunction(eval=lambda x: 0.5 - x, rho_min=1e-3, rho_max=0.5, n=1)
+    shrinking = OrderFunction(eval=lambda x: 0.5 - x, rho_min=1e-3, rho_max=0.5)
     with pytest.raises(DomainError):
         vo_integral(coeffs, shrinking, 0.75)
 
@@ -540,7 +540,7 @@ def test_order_may_touch_lower_integer_at_origin_only():
     assert caputo_exp_exact(rounded, 0.0) == 0.0
     assert caputo_of_sin(rounded, 0.0) == 0.0
     below = OrderFunction(eval=lambda x: np.where(x == 0.0, 1.0 - 1e-9, 1.5),
-                          rho_min=1.5, rho_max=1.5, n=2)
+                          rho_min=1.5, rho_max=1.5)
     for op in (lambda: caputo_row(params, below, 6, 0.0),
                lambda: caputo_exp_exact(below, 0.0), lambda: caputo_of_sin(below, 0.0)):
         with pytest.raises(DomainError, match="order value 0.999999999 at x=0.0"):
@@ -549,24 +549,24 @@ def test_order_may_touch_lower_integer_at_origin_only():
     with pytest.raises(DomainError, match="order value 2.0 at x=0.0"):
         caputo_row(params, upper, 6, 0.0)
     lower = OrderFunction(eval=lambda x: np.where(x < 0.5, 1.0, 1.5),
-                          rho_min=1.0 + 1e-6, rho_max=1.5, n=2)
+                          rho_min=1.0 + 1e-6, rho_max=1.5)
     with pytest.raises(DomainError, match="order value 1.0 at x=0.25"):
         caputo_exp_exact(lower, np.array([0.0, 0.25]))
 
 
 def test_order_function_validation():
     with pytest.raises(ValueError):
-        OrderFunction(eval=lambda x: 0.5, rho_min=0.9, rho_max=0.5, n=1)
+        OrderFunction(eval=lambda x: 0.5, rho_min=0.9, rho_max=0.5)
     with pytest.raises(ValueError):
-        OrderFunction(eval=lambda x: 0.5, rho_min=-0.1, rho_max=0.5, n=1)
+        OrderFunction(eval=lambda x: 0.5, rho_min=-0.1, rho_max=0.5)
     with pytest.raises(ValueError):
         OrderFunction.from_callable(lambda x: -x, 1.0)
+    assert OrderFunction(eval=lambda x: 1.5, rho_min=1.2, rho_max=1.7).n == 2
 
 
 @pytest.mark.parametrize("call,name", [
-    (lambda: OrderFunction(eval=lambda x: 0.5, rho_min=0.5, rho_max=0.5, n=math.inf), "n"),
     (lambda: caputo_power_rule(2.0, 0.5, math.inf, 1.0), "n"),
-], ids=["OrderFunction-n", "caputo_power_rule-n"])
+], ids=["caputo_power_rule-n"])
 def test_infinite_integer_argument_is_value_error(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         call()
@@ -576,7 +576,7 @@ def test_derivative_window_gating():
     params = LaguerreParams(1.0, 3.0)
     with pytest.raises(DomainError):
         caputo_row(params, OrderFunction.constant(2.5), 5, 1.0)
-    edge = OrderFunction(eval=lambda x: 1.0, rho_min=1.0, rho_max=1.0, n=1)
+    edge = OrderFunction(eval=lambda x: 1.0, rho_min=1.0, rho_max=1.0)
     with pytest.raises(DomainError):
         caputo_row(params, edge, 5, 1.0)
 
@@ -584,7 +584,7 @@ def test_derivative_window_gating():
 def test_pointwise_window_check_catches_lying_bounds():
     params = LaguerreParams(1.0, 3.0)
     sneaky = OrderFunction(eval=lambda x: np.where(x < 1.0, 0.5, 1.5),
-                           rho_min=0.5, rho_max=0.9, n=1)
+                           rho_min=0.5, rho_max=0.9)
     caputo_row(params, sneaky, 5, 0.5)
     with pytest.raises(DomainError):
         caputo_row(params, sneaky, 5, 2.0)
