@@ -96,135 +96,100 @@ class Call(Expr):
     arg: Expr
 
 
-_NUMBER_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# one alternative per token kind; the last, any other non-space character, is an error
+_TOKEN_RE = re.compile(r"""\s*(?:
+    (?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
+  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<op>[-+*/^()])
+  | (?P<bad>\S))""", re.VERBOSE)
+
+# binary operators: printer and parser precedence level, and numpy ufunc
+_OPS = {
+    "+": (1, np.add),
+    "-": (1, np.subtract),
+    "*": (2, np.multiply),
+    "/": (2, np.divide),
+    "^": (4, np.power),
+}
+# levels of unary minus and of atoms, which sit above every binary operator
+_UNARY, _ATOM = 3, 5
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # number | ident | op | end
-    text: str
-    column: int  # 1-based
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _scan(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, 1-based column) tokens, closed by an 'end' token."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        column = pos + 1
-        match = _NUMBER_RE.match(text, pos)
-        if match:
-            tokens.append(_Token("number", match.group(), column))
-            pos = match.end()
-            continue
-        match = _IDENT_RE.match(text, pos)
-        if match:
-            tokens.append(_Token("ident", match.group(), column))
-            pos = match.end()
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token("op", ch, column))
-            pos += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r} at column {column}")
-    tokens.append(_Token("end", "", len(text) + 1))
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        column = match.start(kind) + 1
+        if kind == "bad":
+            raise ExprSyntaxError(
+                f"unexpected character {match.group(kind)!r} at column {column}")
+        tokens.append((kind, match.group(kind), column))
+    tokens.append(("end", "", len(text) + 1))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
+def _climb(tokens: list, pos: int, min_level: int) -> tuple[Expr, int]:
+    """An operand and every binary operator of level >= min_level after it."""
+    node, pos = _operand(tokens, pos)
+    op = tokens[pos][1]
+    while op in _OPS and _OPS[op][0] >= min_level:
+        level = _OPS[op][0]
+        # '^' is right associative, the others left associative
+        right, pos = _climb(tokens, pos + 1, level if op == "^" else level + 1)
+        node = BinOp(op, node, right)
+        op = tokens[pos][1]
+    return node, pos
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
+def _operand(tokens: list, pos: int) -> tuple[Expr, int]:
+    """A number, name, call, negation or parenthesized expression."""
+    kind, text, column = tokens[pos]
+    pos += 1
+    if kind == "number":
+        return Num(float(text)), pos
+    if kind == "ident":
+        if text == "x":
+            return Var(), pos
+        if text == "pi":
+            return Pi(), pos
+        if text in FUNCTION_NAMES:
+            if tokens[pos][1] != "(":
+                raise ExprSyntaxError(
+                    f"expected '(' after {text!r} at column {tokens[pos][2]}")
+            arg, pos = _climb(tokens, pos + 1, 1)
+            return Call(text, arg), _close(tokens, pos)
+        allowed = ", ".join(("x", "pi") + FUNCTION_NAMES)
+        raise ExprNameError(
+            f"unknown identifier {text!r} at column {column}; allowed names: {allowed}")
+    if text == "-":
+        operand, pos = _climb(tokens, pos, _UNARY + 1)
+        return Neg(operand), pos
+    if text == "(":
+        node, pos = _climb(tokens, pos, 1)
+        return node, _close(tokens, pos)
+    if kind == "end":
+        raise ExprSyntaxError(f"unexpected end of input at column {column}")
+    raise ExprSyntaxError(f"unexpected {text!r} at column {column}")
 
-    def expect_op(self, text: str) -> None:
-        token = self.peek()
-        if token.kind == "op" and token.text == text:
-            self.advance()
-            return
-        raise ExprSyntaxError(f"expected {text!r} at column {token.column}")
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self) -> Expr:
-        node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.unary())
-        return node
-
-    def unary(self) -> Expr:
-        token = self.peek()
-        if token.kind == "op" and token.text == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
-        node = self.atom()
-        token = self.peek()
-        if token.kind == "op" and token.text == "^":
-            self.advance()
-            return BinOp("^", node, self.unary())
-        return node
-
-    def atom(self) -> Expr:
-        token = self.advance()
-        if token.kind == "number":
-            return Num(float(token.text))
-        if token.kind == "ident":
-            if token.text == "x":
-                return Var()
-            if token.text == "pi":
-                return Pi()
-            if token.text in FUNCTION_NAMES:
-                opener = self.peek()
-                if not (opener.kind == "op" and opener.text == "("):
-                    raise ExprSyntaxError(
-                        f"expected '(' after {token.text!r} at column {opener.column}")
-                self.advance()
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(token.text, arg)
-            allowed = ", ".join(("x", "pi") + FUNCTION_NAMES)
-            raise ExprNameError(
-                f"unknown identifier {token.text!r} at column {token.column}; "
-                f"allowed names: {allowed}")
-        if token.kind == "op" and token.text == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        if token.kind == "end":
-            raise ExprSyntaxError(f"unexpected end of input at column {token.column}")
-        raise ExprSyntaxError(f"unexpected {token.text!r} at column {token.column}")
+def _close(tokens: list, pos: int) -> int:
+    if tokens[pos][1] != ")":
+        raise ExprSyntaxError(f"expected ')' at column {tokens[pos][2]}")
+    return pos + 1
 
 
 def parse(text: str) -> Expr:
     """Parse expression text into an AST; raises ExprSyntaxError / ExprNameError."""
-    if not isinstance(text, str) or not text.strip():
+    if not isinstance(text, str):
+        raise ExprSyntaxError(f"expression must be a string, got {type(text).__name__}")
+    if not text.strip():
         raise ExprSyntaxError("expression is empty at column 1")
-    parser = _Parser(_tokenize(text))
-    node = parser.expr()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ExprSyntaxError(
-            f"unexpected trailing input {trailing.text!r} at column {trailing.column}")
+    tokens = _scan(text)
+    node, pos = _climb(tokens, 0, 1)
+    kind, trailing, column = tokens[pos]
+    if kind != "end":
+        raise ExprSyntaxError(f"unexpected trailing input {trailing!r} at column {column}")
     return node
 
 
@@ -279,24 +244,16 @@ def _evaluate(node: Expr, x: np.ndarray) -> np.ndarray:
     if isinstance(node, BinOp):
         left = _evaluate(node.left, x)
         right = _evaluate(node.right, x)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
         if node.op == "/":
             _check(right == 0.0, "division by zero", node, x)
-            return left / right
-        if node.op == "^":
+        elif node.op == "^":
             # real pow is undefined here for finite operands; infinite ones take C99 limits
             finite = np.isfinite(left) & np.isfinite(right)
             fractional = (left < 0.0) & (right != np.floor(right))
             _check(finite & (fractional | ((left == 0.0) & (right < 0.0))),
                    "invalid power (negative base with fractional exponent, "
                    "or zero to a negative power)", node, x)
-            return np.power(left, right)
-        raise AssertionError(f"unreachable operator {node.op!r}")
+        return _OPS[node.op][1](left, right)
     if isinstance(node, Call):
         value = _evaluate(node.arg, x)
         if node.name in ("sin", "cos", "tan"):
@@ -311,30 +268,17 @@ def _evaluate(node: Expr, x: np.ndarray) -> np.ndarray:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-# printer precedence levels; atoms sit above everything
-_LEVEL_SUM = 1
-_LEVEL_PRODUCT = 2
-_LEVEL_UNARY = 3
-_LEVEL_POWER = 4
-_LEVEL_ATOM = 5
-
-
 def _level(node: Expr) -> int:
     if isinstance(node, BinOp):
-        if node.op in "+-":
-            return _LEVEL_SUM
-        if node.op in "*/":
-            return _LEVEL_PRODUCT
-        return _LEVEL_POWER
-    if isinstance(node, Neg):
-        return _LEVEL_UNARY
-    return _LEVEL_ATOM
+        return _OPS[node.op][0]
+    return _UNARY if isinstance(node, Neg) else _ATOM
 
 
 def to_text(node: Expr) -> str:
     """Render the AST with minimal parentheses; parse(to_text(e)) == e."""
     if isinstance(node, Num):
-        return repr(node.value)
+        # a literal past double range such as 2e400 parses to inf, and so does 1e999
+        return "1e999" if node.value == math.inf else repr(node.value)
     if isinstance(node, Var):
         return "x"
     if isinstance(node, Pi):
@@ -343,7 +287,7 @@ def to_text(node: Expr) -> str:
         return f"{node.name}({to_text(node.arg)})"
     if isinstance(node, Neg):
         inner = to_text(node.operand)
-        if _level(node.operand) < _LEVEL_UNARY:
+        if _level(node.operand) < _UNARY:
             inner = f"({inner})"
         return f"-{inner}"
     if isinstance(node, BinOp):
@@ -351,12 +295,12 @@ def to_text(node: Expr) -> str:
         right = to_text(node.right)
         if node.op == "^":
             # left operand must be an atom; a signed exponent needs no parens
-            if _level(node.left) < _LEVEL_ATOM:
+            if _level(node.left) < _ATOM:
                 left = f"({left})"
-            if _level(node.right) < _LEVEL_UNARY:
+            if _level(node.right) < _UNARY:
                 right = f"({right})"
         else:
-            level = _LEVEL_SUM if node.op in "+-" else _LEVEL_PRODUCT
+            level = _OPS[node.op][0]
             if _level(node.left) < level:
                 left = f"({left})"
             # left-associative: an equal-level right operand would regroup

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import DomainError, gamma_ratio
+from .special import DomainError, gamma_ratio, log_gamma
 
 __all__ = [
     "LaguerreParams",
@@ -28,6 +28,9 @@ __all__ = [
     "interpolate",
     "eval_interpolant",
 ]
+
+
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -229,14 +232,23 @@ def derivative_basis(params: LaguerreParams, i, m, x):
 
 
 def norm(params: LaguerreParams, i):
-    """Squared weighted L2 norm gamma_i of L_i, always formed in log space.
+    """Squared weighted L2 norm gamma_i = Gamma(i + theta + 1) / (i! beta^(theta + 1)) of L_i.
 
-    i is one degree (the result is a float) or a 1-D array of degrees.
+    i is one degree (the result is a float) or a 1-D array of degrees. A norm
+    in double range gets its value; one beyond it is inf, without a warning.
     """
     idx = _checked_degree(i, "i")
-    # a norm past double range is inf, as gamma_ratio's own overflow is
-    with np.errstate(over="ignore"):
-        return gamma_ratio(idx + params.theta + 1.0, idx + 1.0) * params.beta ** (-(params.theta + 1.0))
+    a, b, power = idx + params.theta + 1.0, idx + 1.0, -(params.theta + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = float(np.float64(params.beta) ** power)
+        out = gamma_ratio(a, b) * scale
+        # where a factor or the product leaves the normal range, the power
+        # joins the log-gamma difference instead
+        direct = (_TINY <= scale < math.inf) & (out > 0.0) & (out < math.inf)
+        if np.all(direct):
+            return out
+        out = np.where(direct, out, np.exp(log_gamma(a) - log_gamma(b) + power * math.log(params.beta)))
+    return float(out) if np.ndim(idx) == 0 else out
 
 
 def _require_finite_positive(values: np.ndarray, name: str, n: int) -> None:

@@ -190,6 +190,13 @@ def test_order_touching_lower_integer_at_origin(workdir, capsys):
     assert "order value 2.0 at x=0.0" in capsys.readouterr().err
 
 
+def test_norm_past_double_range_is_numerical_error(workdir, capsys):
+    assert main(["example1", "--theta", "400", "--beta", "0.1", "--N", "5",
+                 "--order", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "N=5" in err
+
+
 def test_unknown_flag_is_config_error(workdir):
     assert main(["example1", "--nope", "1"]) == 1
 

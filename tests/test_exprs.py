@@ -1,12 +1,16 @@
 import math
 import random
+import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from lagfrac.exprs import (
+    FUNCTION_NAMES,
     BinOp,
     Call,
+    Expr,
     ExprDomainError,
     ExprError,
     ExprNameError,
@@ -120,6 +124,12 @@ def test_to_text_spot_checks():
     assert to_text(BinOp("-", Num(1.0), BinOp("+", Var(), Num(2.0)))) == "1.0-(x+2.0)"
 
 
+def test_literal_past_double_range_round_trips():
+    tree = parse("2e400*x")
+    assert tree == BinOp("*", Num(math.inf), Var())
+    assert parse(to_text(tree)) == tree
+
+
 def random_expr(rng, depth):
     kinds = ["num", "var", "pi"]
     if depth > 0:
@@ -185,3 +195,204 @@ def test_array_evaluation_of_constants_keeps_shape():
     values = evaluate(parse("2*pi"), np.zeros(3))
     assert values.shape == (3,)
     assert np.all(values == 2.0 * math.pi)
+
+
+@pytest.mark.parametrize("value", [5, None, b"x", 2.5])
+def test_parse_names_a_non_string_argument(value):
+    with pytest.raises(ExprSyntaxError, match=f"must be a string, got {type(value).__name__}"):
+        parse(value)
+
+
+# ---- the recursive-descent front end the scanner regex and the
+# precedence-climbing parser replaced, kept as the reference for the
+# differential test below -----------------------------------------------------
+
+_NUMBER_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # number | ident | op | end
+    text: str
+    column: int  # 1-based
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        column = pos + 1
+        match = _NUMBER_RE.match(text, pos)
+        if match:
+            tokens.append(_Token("number", match.group(), column))
+            pos = match.end()
+            continue
+        match = _IDENT_RE.match(text, pos)
+        if match:
+            tokens.append(_Token("ident", match.group(), column))
+            pos = match.end()
+            continue
+        if ch in "+-*/^()":
+            tokens.append(_Token("op", ch, column))
+            pos += 1
+            continue
+        raise ExprSyntaxError(f"unexpected character {ch!r} at column {column}")
+    tokens.append(_Token("end", "", len(text) + 1))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _Token:
+        token = self.tokens[self.pos]
+        self.pos += 1
+        return token
+
+    def expect_op(self, text: str) -> None:
+        token = self.peek()
+        if token.kind == "op" and token.text == text:
+            self.advance()
+            return
+        raise ExprSyntaxError(f"expected {text!r} at column {token.column}")
+
+    def expr(self) -> Expr:
+        node = self.term()
+        while self.peek().kind == "op" and self.peek().text in "+-":
+            op = self.advance().text
+            node = BinOp(op, node, self.term())
+        return node
+
+    def term(self) -> Expr:
+        node = self.unary()
+        while self.peek().kind == "op" and self.peek().text in "*/":
+            op = self.advance().text
+            node = BinOp(op, node, self.unary())
+        return node
+
+    def unary(self) -> Expr:
+        token = self.peek()
+        if token.kind == "op" and token.text == "-":
+            self.advance()
+            return Neg(self.unary())
+        return self.power()
+
+    def power(self) -> Expr:
+        node = self.atom()
+        token = self.peek()
+        if token.kind == "op" and token.text == "^":
+            self.advance()
+            return BinOp("^", node, self.unary())
+        return node
+
+    def atom(self) -> Expr:
+        token = self.advance()
+        if token.kind == "number":
+            return Num(float(token.text))
+        if token.kind == "ident":
+            if token.text == "x":
+                return Var()
+            if token.text == "pi":
+                return Pi()
+            if token.text in FUNCTION_NAMES:
+                opener = self.peek()
+                if not (opener.kind == "op" and opener.text == "("):
+                    raise ExprSyntaxError(
+                        f"expected '(' after {token.text!r} at column {opener.column}")
+                self.advance()
+                arg = self.expr()
+                self.expect_op(")")
+                return Call(token.text, arg)
+            allowed = ", ".join(("x", "pi") + FUNCTION_NAMES)
+            raise ExprNameError(
+                f"unknown identifier {token.text!r} at column {token.column}; "
+                f"allowed names: {allowed}")
+        if token.kind == "op" and token.text == "(":
+            node = self.expr()
+            self.expect_op(")")
+            return node
+        if token.kind == "end":
+            raise ExprSyntaxError(f"unexpected end of input at column {token.column}")
+        raise ExprSyntaxError(f"unexpected {token.text!r} at column {token.column}")
+
+
+def reference_parse(text: str) -> Expr:
+    """Parse expression text into an AST; raises ExprSyntaxError / ExprNameError."""
+    if not isinstance(text, str) or not text.strip():
+        raise ExprSyntaxError("expression is empty at column 1")
+    parser = _Parser(_tokenize(text))
+    node = parser.expr()
+    trailing = parser.peek()
+    if trailing.kind != "end":
+        raise ExprSyntaxError(
+            f"unexpected trailing input {trailing.text!r} at column {trailing.column}")
+    return node
+
+
+NUMBERS = ["2", "3.5", ".5", "1e-3", "2.E+4", "1.2.3", "\u0663"]
+NAMES = ["x", "pi", *FUNCTION_NAMES, "foo", "x1"]
+OPERATORS = ["+", "-", "*", "/", "^", "(", ")"]
+SPACES = [" ", "\t", "\u00a0"]
+PIECES = NUMBERS + NAMES + OPERATORS + SPACES + [".", "#"]
+
+
+def _spaces(rng):
+    return "".join(rng.choice(SPACES) for _ in range(rng.choice((0, 0, 0, 1, 2))))
+
+
+def _well_formed(rng, depth):
+    """Expression text along the grammar, with random whitespace between tokens."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return rng.choice(NUMBERS + ["x", "pi"])
+    if roll < 0.4:
+        return "-" + _spaces(rng) + _well_formed(rng, depth - 1)
+    inner = _spaces(rng) + _well_formed(rng, depth - 1) + _spaces(rng)
+    if roll < 0.55:
+        return rng.choice(FUNCTION_NAMES) + _spaces(rng) + "(" + inner + ")"
+    if roll < 0.65:
+        return "(" + inner + ")"
+    return _well_formed(rng, depth - 1) + _spaces(rng) + rng.choice(OPERATORS[:5]) + inner
+
+
+def expression_text(rng):
+    """A string of the expression language's pieces: a random run of them, or
+    grammar-built text with up to two pieces inserted or swapped in."""
+    if rng.random() < 0.4:
+        return "".join(rng.choice(PIECES) for _ in range(rng.randint(0, 12)))
+    text = _well_formed(rng, 4)
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        at = rng.randint(0, len(text))
+        text = text[:at] + rng.choice(PIECES) + text[at + rng.randint(0, 1):]
+    return text
+
+
+def _outcome(parser, text):
+    try:
+        return parser(text)
+    except ExprError as exc:
+        return type(exc), str(exc)
+
+
+def test_parse_matches_reference_front_end():
+    rng = random.Random(15)
+    accepted = 0
+    for _ in range(20_000):
+        text = expression_text(rng)
+        got = _outcome(parse, text)
+        assert got == _outcome(reference_parse, text), repr(text)
+        if isinstance(got, Expr):
+            accepted += 1
+            assert parse(to_text(got)) == got, repr(text)
+    # both branches of the comparison are exercised
+    assert 2_000 < accepted < 18_000

@@ -117,6 +117,24 @@ def test_norm_past_double_range_is_inf_without_warning():
     assert np.array_equal(norm(params, np.arange(3)), singles)
 
 
+def test_norm_with_beta_power_past_double_range_is_inf():
+    # 0.1^-401 alone overflows; so does the norm, to inf without a warning
+    params = LaguerreParams(400.0, 0.1)
+    assert norm(params, 0) == math.inf
+    assert np.array_equal(norm(params, np.arange(3)), [math.inf] * 3)
+    with pytest.raises(RuntimeError, match="N=5"):
+        gauss_rule(params, 5)
+
+
+def test_norm_in_range_with_factors_out_of_range():
+    # Gamma(201) overflows and 1000^-201 underflows, but gamma_0 = 7.9e-229
+    params = LaguerreParams(200.0, 1000.0)
+    want = [math.exp(math.lgamma(i + 201.0) - math.lgamma(i + 1.0) - 201.0 * math.log(1000.0))
+            for i in range(3)]
+    assert norm(params, 0) == pytest.approx(want[0], rel=1e-12)
+    assert norm(params, np.arange(3)) == pytest.approx(want, rel=1e-12)
+
+
 @pytest.mark.parametrize("theta,beta", PARAMS)
 def test_norm_matches_quadrature(theta, beta):
     params = LaguerreParams(theta, beta)
