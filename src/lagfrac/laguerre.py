@@ -69,14 +69,14 @@ class QuadratureRule:
     """Gauss rule for one basis family from its nodes, with the discrete transform.
 
     Only params and the N + 1 nodes (positive, strictly increasing) are
-    given. basis is the ladder L_0..L_N at the nodes (rows by degree, a
-    column per node), norms the squared norms gamma_0..gamma_N, and the
-    weights the inverse Christoffel sums w_j = 1 / sum_i p_i(x_j)^2 over the
-    orthonormal ladder p_i = L_i / sqrt(gamma_i), added in degree order;
-    unlike squared first-eigenvector components these keep full relative
-    accuracy in the tiny far-node weights. Nodes other than the zeros of
-    L_(N+1) fail the zeroth moment check, a RuntimeError naming N, as do
-    weights that underflow (from N ~ 190). All four arrays are read-only.
+    given; all four arrays are read-only. basis is the ladder L_0..L_N at
+    the nodes (rows by degree, a column per node), norms the squared norms
+    gamma_0..gamma_N, and the weights the inverse Christoffel sums
+    w_j = 1 / sum_i p_i(x_j)^2 over the orthonormal ladder p_i = L_i / sqrt(gamma_i),
+    added in degree order: unlike squared first-eigenvector components they
+    keep full relative accuracy in the tiny far-node weights. Nodes that are
+    not zeros of L_(N+1), norms past double range, weights that underflow
+    (from N ~ 190) or a failed zeroth moment check raise RuntimeError naming N.
     """
 
     params: LaguerreParams
@@ -90,14 +90,14 @@ class QuadratureRule:
         if nodes[0] <= 0.0 or np.any(np.diff(nodes) <= 0.0):
             raise ValueError("nodes must be positive and strictly increasing")
         n = nodes.size - 1
+        basis = _certified_basis(self.params, nodes, n)
+        norms = norm(self.params, np.arange(n + 1))
+        _require_finite_positive(norms, "norms", n, "Gamma(i + theta + 1) / (i! beta^(theta + 1))")
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            basis = eval_basis(self.params, n, nodes)
-            norms = norm(self.params, np.arange(n + 1))
             ortho = basis * (1.0 / np.sqrt(norms))[:, None]
             # a reduction over the leading axis adds the rows in degree order
             weights = 1.0 / np.add.reduce(ortho * ortho, axis=0)
-        _require_finite_positive(weights, "weights", n)
-        _require_finite_positive(norms, "norms", n)
+        _require_finite_positive(weights, "weights", n, "the basis ladder")
         mu0 = float(norms[0])
         total = float(np.sum(weights))
         if not np.isfinite(total) or abs(total - mu0) > 1e-12 * mu0:
@@ -251,60 +251,59 @@ def norm(params: LaguerreParams, i):
     return float(out) if np.ndim(idx) == 0 else out
 
 
-def _require_finite_positive(values: np.ndarray, name: str, n: int) -> None:
+def _require_finite_positive(values: np.ndarray, name: str, n: int, cause: str) -> None:
     if not np.all(np.isfinite(values) & (values > 0.0)):
         raise RuntimeError(f"quadrature {name} for N={n} are not finite and positive: "
-                           f"the basis ladder leaves double range")
+                           f"{cause} leaves double range")
+
+
+def _certified_basis(params: LaguerreParams, nodes: np.ndarray, n: int) -> np.ndarray:
+    """Ladder L_0..L_n at nodes that must be zeros of L_(n+1), or a RuntimeError naming n.
+
+    By x L_(n+1)' = (n + 1) L_(n+1) - (n + 1 + theta) L_n the top rows give
+    each node's Newton step, which must be finite (the ladder leaves double
+    range at the far nodes from N ~ 375) and at most 1e-8 of the node.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ladder = eval_basis(params, n + 1, nodes)
+        top = ladder[n + 1]
+        step = nodes * top / ((n + 1.0) * top - (n + 1.0 + params.theta) * ladder[n])
+    if not np.all(np.abs(step) <= 1e-8 * nodes):
+        cause = ("a Newton step on L_(N+1) moves one by more than 1e-8 relative"
+                 if np.all(np.isfinite(top)) else "the basis ladder leaves double range")
+        raise RuntimeError(f"quadrature nodes for N={n} are not certified: {cause}")
+    return ladder[:n + 1]
 
 
 def _gauss_nodes(params: LaguerreParams, n: int) -> np.ndarray:
-    """Ascending zeros of L_(n+1): Jacobi eigenvalues polished by two Newton sweeps.
+    """Ascending zeros of L_(n+1): the Jacobi matrix's eigenvalues, unpolished.
 
-    Each sweep runs one rolling recurrence to degree n + 1 and takes the
-    slope from x L_(n+1)' = (n + 1) L_(n+1) - (n + 1 + theta) L_n. The
-    second step certifies the nodes: it must move none of them by more
-    than 1e-8 relative.
+    A Newton sweep would move the worst node error only at rounding level
+    (379 -> 371 eps at N = 80); see _certified_basis for the node check.
     """
     theta, beta = params.theta, params.beta
     k = np.arange(n + 1, dtype=float)
     diag = (2.0 * k + theta + 1.0) / beta
     off = np.sqrt(k[1:] * (k[1:] + theta)) / beta
-    # eigvalsh reads the lower triangle
-    jacobi = np.diag(diag) + np.diag(off, -1)
     try:
-        nodes = np.linalg.eigvalsh(jacobi)
+        # eigvalsh reads the lower triangle
+        nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"tridiagonal eigenvalue solve failed for N={n}: {exc}") from exc
-    # the ladder leaves double range at the far nodes from N ~ 370; the
-    # checks turn that into a RuntimeError instead of numpy warnings
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(2):
-            below = top = None
-            for row in _ladder(theta, beta * nodes, n + 1):
-                below, top = top, row
-            step = nodes * top / ((n + 1.0) * top - (n + 1.0 + theta) * below)
-            nodes = nodes - step
-            _require_finite_positive(nodes, "nodes", n)
-    if np.any(np.abs(step) > 1e-8 * nodes):
-        raise RuntimeError(f"quadrature nodes for N={n} did not settle: the second "
-                           f"Newton step moved one by more than 1e-8 relative")
-    nodes = np.sort(nodes)
-    if np.any(np.diff(nodes) <= 0.0):
-        raise RuntimeError(f"quadrature nodes for N={n} are not strictly increasing")
+    if nodes[0] <= 0.0 or np.any(np.diff(nodes) <= 0.0):
+        raise RuntimeError(f"quadrature nodes for N={n} are not positive and strictly increasing")
     return nodes
 
 
 def gauss_rule(params: LaguerreParams, N) -> QuadratureRule:
     """(N+1)-point Gauss rule for the weight x^theta exp(-beta x), with its transform.
 
-    Nodes are the zeros of the degree-(N+1) basis polynomial, computed as
+    Nodes are the zeros of the degree-(N+1) basis polynomial: the
     eigenvalues of the symmetric tridiagonal recurrence matrix (a dense
-    ``numpy.linalg.eigvalsh``, about 0.3 ms at N = 80) and polished by two
-    Newton sweeps; each sweep is one rolling three-term recurrence that
-    keeps only L_(N+1) and L_N and takes the slope from
-    x L_(N+1)' = (N + 1) L_(N+1) - (N + 1 + theta) L_N. QuadratureRule
-    derives the weights, ladder and norms from the nodes; from N ~ 190 the
-    weights underflow and a RuntimeError names N.
+    ``numpy.linalg.eigvalsh``), unpolished. QuadratureRule derives the
+    ladder, norms and weights from them and certifies them from the same
+    ladder, one degree longer. From N ~ 190 the weights underflow and a
+    RuntimeError names N.
     """
     return QuadratureRule(params=params, nodes=_gauss_nodes(params, _checked_degree(N, "N")))
 

@@ -18,6 +18,7 @@ from .fractional import OrderFunction, _require_derivative_window, _sample, capu
 from .laguerre import (
     InterpolantCoeffs,
     LaguerreParams,
+    _certified_basis,
     _checked_degree,
     _checked_int,
     _checked_length,
@@ -134,10 +135,10 @@ class ErrorReport:
 def collocation_nodes(params: LaguerreParams, N, count) -> np.ndarray:
     """The `count` smallest zeros of the degree-(N+1) basis polynomial, ascending.
 
-    The nodes of ``gauss_rule(params, N)``, bit for bit, from the same
-    eigenvalue solve and two rolling-recurrence Newton sweeps, but with no
-    weights or norms: the solver needs none, so this works past the
-    N ~ 190 where the Gauss weights underflow (to at least N = 360).
+    The nodes of ``gauss_rule(params, N)``, bit for bit, with no ladder,
+    weights or norms, so past the N ~ 190 where the Gauss weights
+    underflow. assemble certifies the nodes from its basis ladder, which
+    leaves double range from N ~ 375.
     """
     degree = _checked_degree(N, "N")
     c = _checked_degree(count, "count")
@@ -160,7 +161,7 @@ def assemble(spec: IvpSpec) -> LinearSystem:
     theta, beta = spec.params.theta, spec.params.beta
 
     # ladders with one row per basis degree and one column per node
-    basis = eval_basis(spec.params, spec.N, nodes)
+    basis = _certified_basis(spec.params, nodes, spec.N)
     frac = caputo_row(spec.params, spec.order, spec.N, nodes)
     integer = np.zeros((spec.N + 1, count))
     shifted = LaguerreParams(theta + spec.m, beta)

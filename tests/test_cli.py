@@ -194,7 +194,7 @@ def test_norm_past_double_range_is_numerical_error(workdir, capsys):
     assert main(["example1", "--theta", "400", "--beta", "0.1", "--N", "5",
                  "--order", "0.5"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "N=5" in err
+    assert err.startswith("error: quadrature norms for N=5 ") and "ladder" not in err
 
 
 def test_unknown_flag_is_config_error(workdir):
@@ -407,6 +407,16 @@ def test_exp_overflow_at_gauss_nodes_is_numerical_error_without_warning(workdir,
                    "--order", "0.5"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: function 'u' returned non-finite")
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_past_ladder_range_is_numerical_error(workdir, capsys):
+    cfg = write_config(Path("big.json"), {
+        "mode": "solve", "theta": 1, "beta": 3, "N": 380, "order": "0.5",
+        "a": "1", "b": "1", "c": "1", "f": "1", "u0": 0, "m": 1, "out": "big.csv"})
+    assert main(["solve", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: quadrature nodes for N=380 are not certified")
+    assert not Path("big.csv").exists()
 
 
 def test_zero_m_reaches_the_problem_check(workdir, capsys):

@@ -195,46 +195,78 @@ def test_gauss_rule_overflow_is_runtime_error():
     assert np.sum(rule.weights) == pytest.approx(1.0 / 9.0, rel=1e-12)
 
 
-def five_ladder_rule(params, n):
-    """Gauss nodes and weights as built before the rolling recurrences.
+@pytest.mark.filterwarnings("error")
+def test_rule_refuses_nodes_that_are_not_zeros():
+    params = LaguerreParams(1.0, 3.0)
+    nodes = gauss_rule(params, 20).nodes
+    with pytest.raises(RuntimeError, match=r"N=20 are not certified: a Newton step"):
+        QuadratureRule(params, nodes * (1.0 + 1e-6))
 
-    Eigenvalues, then two Newton sweeps of two full ladders each (the slope
-    from the shifted family, d/dx L_(n+1) = -beta L_n^(theta+1)), then the
-    inverse Christoffel sums over a fifth full ladder.
+
+def polished_zeros(params, n, nodes):
+    """The zeros of L_(n+1) near nodes: one Newton step each in 60-digit mpmath.
+
+    A step squares the relative error of a start within about 1e-12, so the
+    results are good to far below double rounding.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    ctx = mpmath.mp.clone()
+    ctx.dps = 60
+    theta, top = ctx.mpf(params.theta), n + 1
+    steps = [(2 * i + theta + 1, i + theta, ctx.one / (i + 1)) for i in range(1, top)]
+    zeros = []
+    for node in nodes:
+        x = ctx.mpf(node)
+        bx = params.beta * x
+        prev, cur = ctx.one, theta + 1 - bx
+        for a, c, inv in steps:
+            prev, cur = cur, ((a - bx) * cur - c * prev) * inv
+        zeros.append(x - x * cur / (top * cur - (top + theta) * prev))
+    return zeros
+
+
+@pytest.mark.parametrize("theta,beta", [(-0.9, 1.0), (0.0, 1.0), (2.0, 4.0), (10.0, 10.0)])
+@pytest.mark.parametrize("N", [20, 80, 150])
+def test_gauss_nodes_match_polished_mpmath_zeros(theta, beta, N):
+    # unpolished eigenvalues: worst 5.1e-13 and median 2.5 eps over these cells
+    params = LaguerreParams(theta, beta)
+    nodes = gauss_rule(params, N).nodes
+    zeros = polished_zeros(params, N, nodes)
+    rel = np.array([float(abs(x - z) / z) for x, z in zip(nodes, zeros)])
+    assert rel.max() <= 1e-12
+    assert np.median(rel) <= 8.0 * np.finfo(float).eps
+
+
+def one_ladder_rule(params, n):
+    """Gauss nodes and weights from an eigenvalue solve and one full ladder.
+
+    The nodes are the Jacobi matrix's eigenvalues, unpolished; the weights
+    are the inverse Christoffel sums over the ladder L_0..L_n at them.
     """
     theta, beta = params.theta, params.beta
-
-    def ladder(shift, deg, xs):
-        out = np.empty((deg + 1, xs.size), dtype=float)
-        out[0] = 1.0
-        if deg >= 1:
-            out[1] = theta + shift + 1.0 - beta * xs
-        for i in range(1, deg):
-            out[i + 1] = ((2.0 * i + (theta + shift) + 1.0 - beta * xs) * out[i]
-                          - (i + (theta + shift)) * out[i - 1]) / (i + 1.0)
-        return out
-
     k = np.arange(n + 1, dtype=float)
     diag = (2.0 * k + theta + 1.0) / beta
     off = np.sqrt(k[1:] * (k[1:] + theta)) / beta
-    nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
-    for _ in range(2):
-        residual = ladder(0.0, n + 1, nodes)[n + 1]
-        slope = -beta * ladder(1.0, n, nodes)[n]
-        nodes = nodes - residual / slope
-    nodes = np.sort(nodes)
+    nodes = np.sort(np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1)))
+    ladder = np.empty((n + 1, nodes.size), dtype=float)
+    ladder[0] = 1.0
+    if n >= 1:
+        ladder[1] = theta + 1.0 - beta * nodes
+    for i in range(1, n):
+        ladder[i + 1] = ((2.0 * i + theta + 1.0 - beta * nodes) * ladder[i]
+                         - (i + theta) * ladder[i - 1]) / (i + 1.0)
     scale = 1.0 / np.sqrt(norm(params, np.arange(n + 1)))
-    ortho = ladder(0.0, n, nodes) * scale[:, None]
+    ortho = ladder * scale[:, None]
     return nodes, 1.0 / np.sum(ortho * ortho, axis=0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(theta=st.floats(-1.0, 10.0, exclude_min=True), beta=st.floats(0.5, 10.0),
        N=st.integers(1, 150), data=st.data())
-def test_rolling_gauss_rule_matches_five_ladders(theta, beta, N, data):
+def test_gauss_rule_matches_eigenvalues_and_one_ladder(theta, beta, N, data):
     params = LaguerreParams(theta, beta)
     rule = gauss_rule(params, N)
-    nodes, weights = five_ladder_rule(params, N)
+    nodes, weights = one_ladder_rule(params, N)
     assert np.array_equal(rule.nodes, nodes)
     assert np.array_equal(rule.weights, weights)
     # the rule is a function of its nodes: rebuilding it from them changes no bit
@@ -251,8 +283,8 @@ def test_rolling_gauss_rule_matches_five_ladders(theta, beta, N, data):
         assert np.array_equal(interpolate(rule, f).coeffs, basis @ (f * rule.weights) / norms)
     count = data.draw(st.integers(0, N + 1), label="count")
     assert np.array_equal(collocation_nodes(params, N, count), rule.nodes[:count])
-    # the Newton slope x L_(N+1)' = (N + 1) L_(N+1) - (N + 1 + theta) L_N; both
-    # sides carry the rounding of an N-step recurrence (at (0, 1), N = 86, each
+    # the certificate's Newton slope x L_(N+1)' = (N + 1) L_(N+1) - (N + 1 + theta) L_N;
+    # both sides carry the rounding of an N-step recurrence (at (0, 1), N = 86, each
     # is within 6e-14 of 50-digit mpmath at the smallest node), hence the N
     ladder = eval_basis(params, N + 1, rule.nodes)
     slope = ((N + 1.0) * ladder[N + 1] - (N + 1.0 + theta) * ladder[N]) / rule.nodes

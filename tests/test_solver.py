@@ -155,6 +155,15 @@ def test_solve_past_weight_underflow_reaches_rcond_gate():
         solve(oscillator_spec(200))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("N", [380, 400])
+def test_solve_past_ladder_range_is_runtime_error(N):
+    # the nodes need no ladder; assemble's certificate finds its ladder out of range
+    with pytest.raises(RuntimeError, match=f"N={N} are not certified") as info:
+        solve(oscillator_spec(N))
+    assert not isinstance(info.value, SolverError)
+
+
 @pytest.mark.parametrize("key", ["N", "m"])
 def test_ivp_spec_rejects_infinite_integers(key):
     spec = basset_spec()
