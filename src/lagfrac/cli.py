@@ -15,6 +15,8 @@ checked key by key and compiled into the same kind of run. Problem callables
 (a, b, c, f, exact) take ``(order, x)``; ``u`` and the order take ``x``.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+Nothing is logged by default; with -v (after the subcommand) each solve's
+INFO line, which reports its rcond, goes to stderr.
 All output is CSV with a header row, LF line endings, and 17 significant
 digits, so reruns with the same inputs are byte identical.
 """
@@ -22,6 +24,7 @@ digits, so reruns with the same inputs are byte identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
@@ -413,6 +416,9 @@ def _build_parser() -> _Parser:
     ps = sub.add_parser("solve", help="run a JSON config file")
     ps.add_argument("--config", required=True, help="JSON config file")
     ps.add_argument("--out", help="override the config output path")
+    for command_parser in sub.choices.values():
+        command_parser.add_argument("-v", "--verbose", action="store_true",
+                                    help="log each solve's rcond to stderr (INFO)")
     return parser
 
 
@@ -420,17 +426,36 @@ def _build_parser() -> _Parser:
 _PARSER = _build_parser()
 
 
+@contextlib.contextmanager
+def _info_to_stderr():
+    """While open, the package's INFO records go to stderr.
+
+    The handler and level are set on the package logger and undone on exit,
+    so the root logger of an embedding process is never touched.
+    """
+    log = logging.getLogger(__package__)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, stream=sys.stderr,
-                        format="%(levelname)s %(name)s: %(message)s")
     try:
         args = _PARSER.parse_args(argv)
         if args.command is None:
             raise ConfigError(f"a subcommand is required: {', '.join(_EXAMPLES)}, or solve")
-        if args.command == "solve":
-            _run(_config_run(_load_config(args.config, _SOLVE_KEYS), args.out))
-        else:
-            _run(_example_run(args.command, args))
+        with _info_to_stderr() if args.verbose else contextlib.nullcontext():
+            if args.command == "solve":
+                _run(_config_run(_load_config(args.config, _SOLVE_KEYS), args.out))
+            else:
+                _run(_example_run(args.command, args))
     except SystemExit as exc:  # from argparse, only after printing --help
         return exc.code
     except (DomainError, RuntimeError) as exc:

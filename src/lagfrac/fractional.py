@@ -175,17 +175,21 @@ def _order_values(order: OrderFunction, points: np.ndarray) -> np.ndarray:
 
 
 def _frac_ladder(params: LaguerreParams, rho: np.ndarray, max_degree: int,
-                 x: np.ndarray) -> np.ndarray:
+                 x: np.ndarray, shift=0.0) -> np.ndarray:
     """Order-rho fractional integrals of the basis ladder, one column per point.
 
-    rho and x are matching 1-D arrays (the order may differ per point). The
-    degree recurrence is the basis recurrence plus a boundary correction
-    proportional to x^rho / Gamma(rho); with its point-wise parts formed once,
-    a step is 8 ufunc calls into its row and a scratch row. Every entry carries
-    x^rho, so all vanish at x = 0. A column leaving double range (x = 1e300,
-    say) raises DomainError naming its x, without a numpy warning.
+    rho and x are matching 1-D arrays. The ladder is that of the family
+    (params.theta + shift, params.beta), with shift one number or an array
+    matching x, so the order and the family may differ per point; a column
+    with rho = 0 is the basis ladder itself. The degree recurrence is
+    the basis recurrence plus a boundary correction proportional to
+    x^rho / Gamma(rho); with its point-wise parts and its per-degree family
+    factors formed once, a step is 8 ufunc calls into its row and a scratch
+    row. Every entry with rho > 0 carries x^rho, so those vanish at x = 0.
+    Entries past double range are left non-finite and unwarned; see
+    _checked_range.
     """
-    theta, beta = params.theta, params.beta
+    theta, beta = params.theta + shift, params.beta
     out = np.empty((max_degree + 1, x.size))
     with np.errstate(all="ignore"):
         pos = x > 0.0
@@ -197,21 +201,34 @@ def _frac_ladder(params: LaguerreParams, rho: np.ndarray, max_degree: int,
             # x^(rho+1) / Gamma(rho+2) = head * x / (rho+1)
             out[1] = (theta + 1.0) * head - beta * (head * x / rho1)
         correction = head * rho  # x^rho / Gamma(rho)
-        zero_val = theta + 1.0  # L_1(0)
+        # per degree i (rows) and family: i + theta, and L_i(0) - L_(i+1)(0),
+        # which collapses to -theta L_i(0) / (i + 1) with no cancellation;
+        # L_(i+1)(0) = L_i(0) (i + theta + 1) / (i + 1) multiplies in degree order
+        degree = np.arange(float(max_degree))
+        if np.ndim(theta):
+            degree = degree[:, None]
+        family = degree + theta
+        drop = -theta * np.cumprod((family + 1.0) / (degree + 1.0), axis=0) / (degree + 2.0)
         base, scratch = (theta + 1.0 + rho) - beta * x, np.empty(x.size)
-        for i, (prev, cur, row) in enumerate(zip(out, out[1:], out[2:]), start=1):
-            # L_i(0) - L_{i+1}(0) collapses to -theta L_i(0) / (i+1), no cancellation
-            drop = -theta * zero_val / (i + 1.0)
+        steps = zip(out, out[1:], out[2:], family[1:], drop)
+        for i, (prev, cur, row, family_i, drop_i) in enumerate(steps, start=1):
             np.multiply(np.add(base, 2.0 * i, out=scratch), cur, out=scratch)
-            np.subtract(scratch, np.multiply(prev, i + theta, out=row), out=scratch)
-            np.subtract(scratch, np.multiply(correction, drop, out=row), out=scratch)
+            np.subtract(scratch, np.multiply(prev, family_i, out=row), out=scratch)
+            np.subtract(scratch, np.multiply(correction, drop_i, out=row), out=scratch)
             np.divide(scratch, np.add(rho1, i, out=row), out=row)
-            zero_val *= (i + theta + 1.0) / (i + 1.0)
-    # a non-finite entry makes every later degree non-finite, so the last row tells
-    bad = np.flatnonzero(~np.isfinite(out[-1]))
+    return out
+
+
+def _checked_range(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """rows, a _frac_ladder from degree 0 at the points x, or DomainError naming an x.
+
+    A non-finite entry makes every later degree non-finite, so the last row
+    tells where a column leaves double range (x = 1e300, say).
+    """
+    bad = np.flatnonzero(~np.isfinite(rows[-1]))
     if bad.size:
         raise DomainError(f"fractional ladder leaves double range at x={x[bad[0]]}")
-    return out
+    return rows
 
 
 def frac_integral_basis(params: LaguerreParams, order: OrderFunction, max_degree,
@@ -231,7 +248,7 @@ def frac_integral_basis(params: LaguerreParams, order: OrderFunction, max_degree
     if bad.size:
         j = bad[0]
         raise DomainError(f"integral order must be positive, got {rho[j]} at x={pts[j]}")
-    rows = _frac_ladder(params, rho, deg, pts)
+    rows = _checked_range(_frac_ladder(params, rho, deg, pts), pts)
     return rows[:, 0] if scalar else rows
 
 
@@ -247,8 +264,10 @@ def vo_integral(coeffs: InterpolantCoeffs, order: OrderFunction, x):
 def _caputo_ladder(params: LaguerreParams, order: OrderFunction, deg: int, pts: np.ndarray):
     """(-beta)^n and the unscaled caputo_row rows n..deg at pts; None if deg < n."""
     n, rho = order.n, _order_values(order, pts)
-    shifted = LaguerreParams(params.theta + n, params.beta)
-    return (-params.beta) ** n, _frac_ladder(shifted, n - rho, deg - n, pts) if deg >= n else None
+    scale = (-params.beta) ** n
+    if deg < n:
+        return scale, None
+    return scale, _checked_range(_frac_ladder(params, n - rho, deg - n, pts, shift=n), pts)
 
 
 def caputo_row(params: LaguerreParams, order: OrderFunction, max_degree, x) -> np.ndarray:

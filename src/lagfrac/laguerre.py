@@ -90,7 +90,8 @@ class QuadratureRule:
         if nodes[0] <= 0.0 or np.any(np.diff(nodes) <= 0.0):
             raise ValueError("nodes must be positive and strictly increasing")
         n = nodes.size - 1
-        basis = _certified_basis(self.params, nodes, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            basis = _certified_basis(self.params, nodes, eval_basis(self.params, n + 1, nodes))
         norms = norm(self.params, np.arange(n + 1))
         _require_finite_positive(norms, "norms", n, "Gamma(i + theta + 1) / (i! beta^(theta + 1))")
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -199,12 +200,14 @@ def value_at_zero(params: LaguerreParams, i):
     i is one degree (the result is a float) or a 1-D array of degrees. The
     values come from the multiplicative ladder
     L_(k+1)(0) = L_k(0) (k + theta + 1) / (k + 1), with no gamma evaluations.
+    A value beyond double range is inf, without a warning.
     """
     idx = _checked_degree(i, "i")
-    ladder = np.ones(np.max(idx, initial=0) + 1)
-    for k in range(ladder.size - 1):
-        ladder[k + 1] = ladder[k] * (k + params.theta + 1.0) / (k + 1.0)
-    return float(ladder[idx]) if np.ndim(idx) == 0 else ladder[idx]
+    # Python floats, unlike numpy scalars, overflow to inf without a warning
+    ladder = [1.0]
+    for k in range(np.max(idx, initial=0)):
+        ladder.append(ladder[k] * (k + params.theta + 1.0) / (k + 1.0))
+    return ladder[idx] if np.ndim(idx) == 0 else np.array(ladder)[idx]
 
 
 def derivative_basis(params: LaguerreParams, i, m, x):
@@ -257,16 +260,17 @@ def _require_finite_positive(values: np.ndarray, name: str, n: int, cause: str) 
                            f"{cause} leaves double range")
 
 
-def _certified_basis(params: LaguerreParams, nodes: np.ndarray, n: int) -> np.ndarray:
-    """Ladder L_0..L_n at nodes that must be zeros of L_(n+1), or a RuntimeError naming n.
+def _certified_basis(params: LaguerreParams, nodes: np.ndarray, ladder: np.ndarray) -> np.ndarray:
+    """Rows L_0..L_n of the ladder L_0..L_(n+1) at nodes that must be zeros of L_(n+1).
 
     By x L_(n+1)' = (n + 1) L_(n+1) - (n + 1 + theta) L_n the top rows give
     each node's Newton step, which must be finite (the ladder leaves double
-    range at the far nodes from N ~ 375) and at most 1e-8 of the node.
+    range at the far nodes from N ~ 375) and at most 1e-8 of the node, or a
+    RuntimeError names n.
     """
+    n = ladder.shape[0] - 2
+    top = ladder[n + 1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ladder = eval_basis(params, n + 1, nodes)
-        top = ladder[n + 1]
         step = nodes * top / ((n + 1.0) * top - (n + 1.0 + params.theta) * ladder[n])
     if not np.all(np.abs(step) <= 1e-8 * nodes):
         cause = ("a Newton step on L_(N+1) moves one by more than 1e-8 relative"

@@ -14,7 +14,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fractional import OrderFunction, _require_derivative_window, _sample, caputo_row
+from .fractional import (
+    OrderFunction,
+    _checked_range,
+    _frac_ladder,
+    _order_values,
+    _require_derivative_window,
+    _sample,
+)
 from .laguerre import (
     InterpolantCoeffs,
     LaguerreParams,
@@ -23,7 +30,6 @@ from .laguerre import (
     _checked_int,
     _checked_length,
     _gauss_nodes,
-    eval_basis,
     eval_interpolant,
     value_at_zero,
 )
@@ -154,33 +160,43 @@ def assemble(spec: IvpSpec) -> LinearSystem:
     a(x_j) u^(m) + b(x_j) D^(rho) u + c(x_j) u = f(x_j); the remaining one
     or two rows carry the initial conditions via the basis boundary
     values L_i(0) and (for orders in (1, 2)) the slopes L_i'(0).
-    """
-    n = spec.order.n
-    count = spec.N if n == 1 else spec.N - 1
-    nodes = collocation_nodes(spec.params, spec.N, count)
-    theta, beta = spec.params.theta, spec.params.beta
 
-    # ladders with one row per basis degree and one column per node
-    basis = _certified_basis(spec.params, nodes, spec.N)
-    frac = caputo_row(spec.params, spec.order, spec.N, nodes)
-    integer = np.zeros((spec.N + 1, count))
-    shifted = LaguerreParams(theta + spec.m, beta)
-    integer[spec.m:] = (-beta) ** spec.m * eval_basis(shifted, spec.N - spec.m, nodes)
+    The three ladders at the nodes come from one recurrence pass, a column
+    block each: the basis to degree N + 1 (whose top rows certify the nodes),
+    the family theta + m whose rows scaled by (-beta)^m are the m-th
+    derivatives, and the family theta + n at order n - rho, the Caputo rows.
+    """
+    n, m, N = spec.order.n, spec.m, spec.N
+    count = N if n == 1 else N - 1
+    nodes = collocation_nodes(spec.params, N, count)
+    theta, beta = spec.params.theta, spec.params.beta
+    zeros = np.zeros(count)
+    ladder = _frac_ladder(spec.params,
+                          np.concatenate([zeros, zeros, n - _order_values(spec.order, nodes)]),
+                          N + 1, np.concatenate([nodes, nodes, nodes]),
+                          shift=np.repeat([0.0, m, n], count))
+    # rows by degree, a column per node; rows past the ones kept may be out of range
+    basis = _certified_basis(spec.params, nodes, ladder[:, :count])
+    integer = np.zeros((N + 1, count))
+    np.multiply(ladder[:N - m + 1, count:2 * count], (-beta) ** m, out=integer[m:])
+    frac = np.zeros((N + 1, count))
+    np.multiply(_checked_range(ladder[:N - n + 1, 2 * count:], nodes), (-beta) ** n,
+                out=frac[n:])
 
     a_vals = _sample(spec.a, nodes, "function 'a'")
     b_vals = _sample(spec.b, nodes, "function 'b'")
     c_vals = _sample(spec.c, nodes, "function 'c'")
     f_vals = _sample(spec.f, nodes, "function 'f'")
 
-    matrix = np.zeros((spec.N + 1, spec.N + 1))
+    matrix = np.zeros((N + 1, N + 1))
     matrix[:count] = (a_vals * integer + b_vals * frac + c_vals * basis).T
-    matrix[count] = value_at_zero(spec.params, np.arange(spec.N + 1))
-    rhs = np.empty(spec.N + 1)
+    matrix[count] = value_at_zero(spec.params, np.arange(N + 1))
+    rhs = np.empty(N + 1)
     rhs[:count] = f_vals
     rhs[count] = spec.u0
     if n == 2:
         slope_family = LaguerreParams(theta + 1.0, beta)
-        matrix[count + 1, 1:] = -beta * value_at_zero(slope_family, np.arange(spec.N))
+        matrix[count + 1, 1:] = -beta * value_at_zero(slope_family, np.arange(N))
         rhs[count + 1] = spec.v0
     return LinearSystem(matrix=matrix, rhs=rhs)
 

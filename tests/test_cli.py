@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import json
+import logging
 import math
 import os
 import subprocess
@@ -407,6 +409,57 @@ def test_exp_overflow_at_gauss_nodes_is_numerical_error_without_warning(workdir,
                    "--order", "0.5"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: function 'u' returned non-finite")
+
+
+@contextlib.contextmanager
+def bare_root_logger():
+    """The root logger with no handlers at WARNING, restored afterwards.
+
+    Entered in the test body: pytest adds its capture handlers to the root
+    logger at the start of each test phase, after fixtures are set up.
+    """
+    root = logging.getLogger()
+    handlers, level = root.handlers[:], root.level
+    for handler in handlers:
+        root.removeHandler(handler)
+    root.setLevel(logging.WARNING)
+    try:
+        yield root
+    finally:
+        for handler in root.handlers[:]:
+            root.removeHandler(handler)
+        for handler in handlers:
+            root.addHandler(handler)
+        root.setLevel(level)
+
+
+def small_solve_config():
+    return write_config(Path("small.json"), {
+        "mode": "solve", "theta": 1, "beta": 3, "N": 8, "order": "0.5",
+        "a": "1", "b": "1", "c": "1", "f": "1", "u0": 0, "m": 1, "out": "small.csv"})
+
+
+def test_main_configures_no_logging_by_default(workdir, capsys):
+    cfg = small_solve_config()
+    package = logging.getLogger("lagfrac")
+    with bare_root_logger() as root:
+        for _ in range(2):
+            assert main(["solve", "--config", cfg]) == 0
+            assert root.handlers == [] and root.level == logging.WARNING
+            assert package.handlers == [] and package.level == logging.NOTSET
+            assert "INFO" not in capsys.readouterr().err
+
+
+def test_verbose_logs_the_rcond_line(workdir, capsys):
+    cfg = small_solve_config()
+    with bare_root_logger() as root:
+        for _ in range(3):
+            assert main(["solve", "--config", cfg, "-v"]) == 0
+            lines = capsys.readouterr().err.splitlines()
+            # one line per call: handlers do not pile up over repeated calls
+            assert len(lines) == 1
+            assert lines[0].startswith("INFO lagfrac.solver: solved collocation system N=8, rcond=")
+        assert root.handlers == [] and logging.getLogger("lagfrac").handlers == []
 
 
 @pytest.mark.filterwarnings("error")

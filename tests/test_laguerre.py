@@ -126,6 +126,15 @@ def test_norm_with_beta_power_past_double_range_is_inf():
         gauss_rule(params, 5)
 
 
+@pytest.mark.filterwarnings("error")
+def test_value_at_zero_past_double_range_is_inf_without_warning():
+    # L_i(0) = C(i + 800, i) leaves double range at i = 351
+    params = LaguerreParams(800.0, 1.0)
+    values = value_at_zero(params, np.arange(401))
+    assert np.all(np.isfinite(values[:351])) and np.all(values[351:] == math.inf)
+    assert value_at_zero(params, 400) == math.inf
+
+
 def test_norm_in_range_with_factors_out_of_range():
     # Gamma(201) overflows and 1000^-201 underflows, but gamma_0 = 7.9e-229
     params = LaguerreParams(200.0, 1000.0)

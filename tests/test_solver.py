@@ -14,8 +14,10 @@ from lagfrac import (
     SolverError,
     assemble,
     caputo_of_sin,
+    caputo_row,
     collocation_nodes,
     derivative_basis,
+    eval_basis,
     eval_interpolant,
     gauss_rule,
     max_abs_error,
@@ -98,6 +100,61 @@ def test_assemble_second_order_layout():
     assert np.allclose(system.matrix[6], expected_slope, rtol=1e-13)
     assert system.rhs[5] == spec.u0
     assert system.rhs[6] == spec.v0
+
+
+def window_order(n, variable):
+    """Order n - 1/2, constant or varying by 0.3 about it."""
+    if variable:
+        return OrderFunction.from_callable(lambda x: n - 0.5 + 0.3 * np.sin(3.0 * x), 1.0)
+    return OrderFunction.constant(n - 0.5)
+
+
+def equation_spec(params, N, order, m, a, b, c):
+    n = order.n
+    return IvpSpec(params=params, N=N, order=order, m=m, a=a, b=b, c=c, f=np.cos,
+                   u0=1.0, v0=0.5 if n == 2 else None)
+
+
+@pytest.mark.parametrize("variable", [False, True])
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2)])
+def test_assemble_matches_separate_ladders(m, n, variable):
+    # the one stacked pass against the basis, the shifted basis and caputo_row
+    # each run on its own; they round differently, so agreement is to a row's max
+    order = window_order(n, variable)
+    a, b, c = (lambda x: 1.0 + x), (lambda x: 0.5 + x * x), (lambda x: 0.3 * x - 1.0)
+    for theta in (-0.5, 0.0, 2.0, 10.0):
+        for beta in (1.0, 4.0, 10.0):
+            params = LaguerreParams(theta, beta)
+            for N in (2, 3, 8, 20, 40):
+                count = N if n == 1 else N - 1
+                x = collocation_nodes(params, N, count)
+                integer = np.zeros((N + 1, count))
+                shifted = LaguerreParams(theta + m, beta)
+                integer[m:] = (-beta) ** m * eval_basis(shifted, N - m, x)
+                want = np.zeros((N + 1, N + 1))
+                want[:count] = (a(x) * integer + b(x) * caputo_row(params, order, N, x)
+                                + c(x) * eval_basis(params, N, x)).T
+                want[count] = value_at_zero(params, np.arange(N + 1))
+                if n == 2:
+                    slope = LaguerreParams(theta + 1.0, beta)
+                    want[count + 1, 1:] = -beta * value_at_zero(slope, np.arange(N))
+                got = assemble(equation_spec(params, N, order, m, a, b, c)).matrix
+                scale = np.max(np.abs(want), axis=1, keepdims=True)
+                assert np.all(np.abs(got - want) <= 1e-13 * scale), (theta, beta, N)
+
+
+@pytest.mark.parametrize("variable", [False, True])
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2)])
+def test_assemble_fractional_rows_are_caputo_row(m, n, variable):
+    # with a = c = 0 and b = 1 the equation rows are the Caputo block alone
+    order = window_order(n, variable)
+    zero = lambda x: 0.0
+    for theta, beta, N in [(-0.5, 1.0, 2), (0.0, 4.0, 8), (2.0, 6.0, 20), (10.0, 10.0, 40)]:
+        params = LaguerreParams(theta, beta)
+        count = N if n == 1 else N - 1
+        got = assemble(equation_spec(params, N, order, m, zero, ONE, zero)).matrix[:count]
+        want = caputo_row(params, order, N, collocation_nodes(params, N, count))
+        assert np.array_equal(got, want.T)
 
 
 def test_residual_of_solution():
