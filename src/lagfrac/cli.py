@@ -27,7 +27,6 @@ import argparse
 import contextlib
 import csv
 import json
-import logging
 import math
 import sys
 from functools import partial
@@ -431,8 +430,11 @@ def _info_to_stderr():
     """While open, the package's INFO records go to stderr.
 
     The handler and level are set on the package logger and undone on exit,
-    so the root logger of an embedding process is never touched.
+    so the root logger of an embedding process is never touched. logging is
+    imported here, not at module level: a run without -v never loads it.
     """
+    import logging
+
     log = logging.getLogger(__package__)
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .special import DomainError, _gamma
 
 __all__ = [
@@ -57,43 +57,49 @@ class ExprDomainError(ExprError, DomainError):
     """Evaluation left a function's domain; names the offending subexpression."""
 
 
-class Expr:
+class Expr(Record):
     """Abstract syntax tree node."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Num(Expr):
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Pi(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    operand: Expr
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: Expr):
+        object.__setattr__(self, "operand", operand)
 
 
-@dataclass(frozen=True)
 class BinOp(Expr):
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    name: str
-    arg: Expr
+    __slots__ = ("name", "arg")
+
+    def __init__(self, name: str, arg: Expr):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "arg", arg)
 
 
 # one alternative per token kind; the last, any other non-space character, is an error
@@ -271,14 +277,27 @@ def _evaluate(node: Expr, x: np.ndarray) -> np.ndarray:
 def _level(node: Expr) -> int:
     if isinstance(node, BinOp):
         return _OPS[node.op][0]
-    return _UNARY if isinstance(node, Neg) else _ATOM
+    if isinstance(node, Neg):
+        return _UNARY
+    # a negative literal, -0.0 included, prints with its sign and binds as a negation
+    if isinstance(node, Num) and math.copysign(1.0, node.value) < 0.0:
+        return _UNARY
+    return _ATOM
 
 
 def to_text(node: Expr) -> str:
-    """Render the AST with minimal parentheses; parse(to_text(e)) == e."""
+    """Render the AST with minimal parentheses.
+
+    parse(to_text(e)) == e for every tree e that parse returns. parse never
+    builds a negative Num (it reads -2 as Neg(Num(2.0))), but a tree built by
+    hand may hold one: it prints parenthesized wherever a Neg would be, so
+    the text still evaluates to the tree's value, though it parses to a Neg.
+    """
     if isinstance(node, Num):
         # a literal past double range such as 2e400 parses to inf, and so does 1e999
-        return "1e999" if node.value == math.inf else repr(node.value)
+        if math.isinf(node.value):
+            return "1e999" if node.value > 0.0 else "-1e999"
+        return repr(node.value)
     if isinstance(node, Var):
         return "x"
     if isinstance(node, Pi):

@@ -11,11 +11,11 @@ references and exact forcing terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from ._record import Record
 from .laguerre import (
     InterpolantCoeffs,
     LaguerreParams,
@@ -57,8 +57,7 @@ _SERIES_MAX_X = 3.0
 _MAX_STEPS = 200
 
 
-@dataclass(frozen=True)
-class OrderFunction:
+class OrderFunction(Record):
     """A variable fractional order x -> rho(x) with certified bounds.
 
     rho_min and rho_max bound the values on the intended working range. The
@@ -75,23 +74,21 @@ class OrderFunction:
     fails. It must be pure and thread safe.
     """
 
-    eval: Callable[[np.ndarray], np.ndarray]
-    rho_min: float
-    rho_max: float
+    __slots__ = ("eval", "rho_min", "rho_max")
 
-    def __post_init__(self):
-        if not callable(self.eval):
+    def __init__(self, eval: Callable[[np.ndarray], np.ndarray], rho_min: float,
+                 rho_max: float):
+        if not callable(eval):
             raise ValueError("eval must be callable")
-        rho_min = float(self.rho_min)
-        rho_max = float(self.rho_max)
-        if not (np.isfinite(rho_min) and np.isfinite(rho_max)):
+        rho_min = float(rho_min)
+        rho_max = float(rho_max)
+        if not (math.isfinite(rho_min) and math.isfinite(rho_max)):
             raise ValueError("order bounds must be finite")
         if rho_min <= 0.0:
             raise ValueError(f"order values must be positive, got rho_min={rho_min}")
         if rho_min > rho_max:
             raise ValueError(f"rho_min={rho_min} exceeds rho_max={rho_max}")
-        object.__setattr__(self, "rho_min", rho_min)
-        object.__setattr__(self, "rho_max", rho_max)
+        self._fill(eval, rho_min, rho_max)
 
     @property
     def n(self) -> int:

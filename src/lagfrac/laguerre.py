@@ -10,10 +10,10 @@ point samples to spectral coefficients and back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import Record
 from .special import DomainError, gamma_ratio, log_gamma
 
 __all__ = [
@@ -33,24 +33,21 @@ __all__ = [
 _TINY = float(np.finfo(float).tiny)
 
 
-@dataclass(frozen=True)
-class LaguerreParams:
+class LaguerreParams(Record):
     """Parameters (theta, beta) of one basis family."""
 
-    theta: float
-    beta: float
+    __slots__ = ("theta", "beta")
 
-    def __post_init__(self):
-        theta = float(self.theta)
-        beta = float(self.beta)
-        if not (np.isfinite(theta) and np.isfinite(beta)):
+    def __init__(self, theta: float, beta: float):
+        theta = float(theta)
+        beta = float(beta)
+        if not (math.isfinite(theta) and math.isfinite(beta)):
             raise ValueError("LaguerreParams entries must be finite")
         if theta <= -1.0:
             raise ValueError(f"theta must exceed -1, got {theta}")
         if beta <= 0.0:
             raise ValueError(f"beta must be positive, got {beta}")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "beta", beta)
+        self._fill(theta, beta)
 
 
 def _frozen_array(values, name: str) -> np.ndarray:
@@ -64,8 +61,7 @@ def _frozen_array(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(Record):
     """Gauss rule for one basis family from its nodes, with the discrete transform.
 
     Only params and the N + 1 nodes (positive, strictly increasing) are
@@ -79,20 +75,16 @@ class QuadratureRule:
     (from N ~ 190) or a failed zeroth moment check raise RuntimeError naming N.
     """
 
-    params: LaguerreParams
-    nodes: np.ndarray
-    weights: np.ndarray = field(init=False)
-    basis: np.ndarray = field(init=False)
-    norms: np.ndarray = field(init=False)
+    __slots__ = ("params", "nodes", "weights", "basis", "norms")
 
-    def __post_init__(self):
-        nodes = _frozen_array(self.nodes, "nodes")
+    def __init__(self, params: LaguerreParams, nodes: np.ndarray):
+        nodes = _frozen_array(nodes, "nodes")
         if nodes[0] <= 0.0 or np.any(np.diff(nodes) <= 0.0):
             raise ValueError("nodes must be positive and strictly increasing")
         n = nodes.size - 1
         with np.errstate(over="ignore", invalid="ignore"):
-            basis = _certified_basis(self.params, nodes, eval_basis(self.params, n + 1, nodes))
-        norms = norm(self.params, np.arange(n + 1))
+            basis = _certified_basis(params, nodes, eval_basis(params, n + 1, nodes))
+        norms = norm(params, np.arange(n + 1))
         _require_finite_positive(norms, "norms", n, "Gamma(i + theta + 1) / (i! beta^(theta + 1))")
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             ortho = basis * (1.0 / np.sqrt(norms))[:, None]
@@ -105,21 +97,18 @@ class QuadratureRule:
             raise RuntimeError(
                 f"quadrature rule failed the zeroth moment check for N={n}: "
                 f"sum of weights {total!r}, expected {mu0!r}")
-        for name, arr in (("nodes", nodes), ("weights", weights),
-                          ("basis", basis), ("norms", norms)):
+        for arr in (nodes, weights, basis, norms):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        self._fill(params, nodes, weights, basis, norms)
 
 
-@dataclass(frozen=True)
-class InterpolantCoeffs:
+class InterpolantCoeffs(Record):
     """Spectral coefficients of an expansion in one basis family."""
 
-    params: LaguerreParams
-    coeffs: np.ndarray
+    __slots__ = ("params", "coeffs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _frozen_array(self.coeffs, "coeffs"))
+    def __init__(self, params: LaguerreParams, coeffs: np.ndarray):
+        self._fill(params, _frozen_array(coeffs, "coeffs"))
 
 
 def _checked_int(value, name: str, low: int) -> int:

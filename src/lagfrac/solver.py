@@ -8,12 +8,12 @@ is solved directly by LU with partial pivoting.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
+import sys
 from typing import Callable, Optional
 
 import numpy as np
 
+from ._record import Record
 from .fractional import (
     OrderFunction,
     _checked_range,
@@ -45,15 +45,12 @@ __all__ = [
     "max_abs_error",
 ]
 
-logger = logging.getLogger(__name__)
-
 
 class SolverError(RuntimeError):
     """The collocation system could not be solved reliably."""
 
 
-@dataclass(frozen=True)
-class IvpSpec:
+class IvpSpec(Record):
     """An initial value problem with an added fractional derivative term.
 
     The equation is a(x) u^(m)(x) + b(x) D^(rho(x)) u(x) + c(x) u(x) = f(x)
@@ -63,53 +60,44 @@ class IvpSpec:
     is broadcast); they must be pure and finite at the collocation nodes.
     """
 
-    params: LaguerreParams
-    N: int
-    order: OrderFunction
-    m: int
-    a: Callable[[np.ndarray], np.ndarray]
-    b: Callable[[np.ndarray], np.ndarray]
-    c: Callable[[np.ndarray], np.ndarray]
-    f: Callable[[np.ndarray], np.ndarray]
-    u0: float
-    v0: Optional[float] = None
+    __slots__ = ("params", "N", "order", "m", "a", "b", "c", "f", "u0", "v0")
 
-    def __post_init__(self):
-        object.__setattr__(self, "N", _checked_int(self.N, "N", 2))
-        if self.m not in (1, 2):
-            raise ValueError(f"m must be 1 or 2, got {self.m!r}")
-        m = int(self.m)
-        object.__setattr__(self, "m", m)
-        _require_derivative_window(self.order)
-        if self.order.n == 2:
-            if self.v0 is None:
+    def __init__(self, params: LaguerreParams, N: int, order: OrderFunction, m: int,
+                 a: Callable[[np.ndarray], np.ndarray], b: Callable[[np.ndarray], np.ndarray],
+                 c: Callable[[np.ndarray], np.ndarray], f: Callable[[np.ndarray], np.ndarray],
+                 u0: float, v0: Optional[float] = None):
+        N = _checked_int(N, "N", 2)
+        if m not in (1, 2):
+            raise ValueError(f"m must be 1 or 2, got {m!r}")
+        m = int(m)
+        _require_derivative_window(order)
+        if order.n == 2:
+            if v0 is None:
                 raise ValueError("v0 is required when the order lies in (1, 2)")
-            if not np.isfinite(float(self.v0)):
+            if not np.isfinite(float(v0)):
                 raise ValueError("v0 must be finite")
-            object.__setattr__(self, "v0", float(self.v0))
+            v0 = float(v0)
         else:
-            if self.v0 is not None:
+            if v0 is not None:
                 raise ValueError("v0 must be omitted when the order lies in (0, 1)")
             if m != 1:
                 raise ValueError("m must be 1 when the order lies in (0, 1)")
-        for name in ("a", "b", "c", "f"):
-            if not callable(getattr(self, name)):
+        for name, func in (("a", a), ("b", b), ("c", c), ("f", f)):
+            if not callable(func):
                 raise ValueError(f"{name} must be callable")
-        if not np.isfinite(float(self.u0)):
+        if not np.isfinite(float(u0)):
             raise ValueError("u0 must be finite")
-        object.__setattr__(self, "u0", float(self.u0))
+        self._fill(params, N, order, m, a, b, c, f, float(u0), v0)
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(Record):
     """Dense collocation system, one row per equation: matrix @ coeffs = rhs."""
 
-    matrix: np.ndarray
-    rhs: np.ndarray
+    __slots__ = ("matrix", "rhs")
 
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=float)
-        vec = np.array(self.rhs, dtype=float)
+    def __init__(self, matrix: np.ndarray, rhs: np.ndarray):
+        mat = np.array(matrix, dtype=float)
+        vec = np.array(rhs, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"matrix must be square, got shape {mat.shape}")
         if vec.shape != (mat.shape[0],):
@@ -118,24 +106,20 @@ class LinearSystem:
             raise ValueError("system entries must be finite")
         mat.setflags(write=False)
         vec.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "rhs", vec)
+        self._fill(mat, vec)
 
 
-@dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(Record):
     """Maximum absolute deviation of an expansion from a reference on [0, L]."""
 
-    N: int
-    params: LaguerreParams
-    max_abs_error: float
-    grid_size: int
-    domain_length: float
+    __slots__ = ("N", "params", "max_abs_error", "grid_size", "domain_length")
 
-    def __post_init__(self):
-        if not np.isfinite(self.max_abs_error) or self.max_abs_error < 0.0:
+    def __init__(self, N: int, params: LaguerreParams, max_abs_error: float, grid_size: int,
+                 domain_length: float):
+        if not np.isfinite(max_abs_error) or max_abs_error < 0.0:
             raise ValueError(f"max_abs_error must be finite and nonnegative, "
-                             f"got {self.max_abs_error!r}")
+                             f"got {max_abs_error!r}")
+        self._fill(N, params, max_abs_error, grid_size, domain_length)
 
 
 def collocation_nodes(params: LaguerreParams, N, count) -> np.ndarray:
@@ -207,7 +191,8 @@ def solve(spec: IvpSpec) -> InterpolantCoeffs:
     Dense LU with partial pivoting (``numpy.linalg.solve``). The reciprocal
     condition number in the infinity norm, 1 / (||A|| ||A^-1||) with the
     inverse formed explicitly by ``numpy.linalg.cond`` (exact, not an
-    estimate), is logged for every solve and gates matrices that are
+    estimate), is logged at INFO on the lagfrac.solver logger for every
+    solve once some code has imported logging, and gates matrices that are
     singular at working precision: an exactly singular matrix (whose
     condition number is inf) or an rcond below eps raises SolverError.
     """
@@ -220,7 +205,11 @@ def solve(spec: IvpSpec) -> InterpolantCoeffs:
     coeffs = np.linalg.solve(system.matrix, system.rhs)
     if not np.all(np.isfinite(coeffs)):
         raise SolverError("linear solve produced non-finite coefficients")
-    logger.info("solved collocation system N=%d, rcond=%.3e", spec.N, rcond)
+    # no handler or level can exist before logging is imported, so until then nothing listens
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(__name__).info("solved collocation system N=%d, rcond=%.3e",
+                                         spec.N, rcond)
     return InterpolantCoeffs(params=spec.params, coeffs=coeffs)
 
 

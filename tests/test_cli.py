@@ -379,17 +379,22 @@ def test_config_value_outside_doubles_is_config_error(workdir, capsys, key, valu
     assert not Path("bad.csv").exists()
 
 
-@pytest.mark.parametrize("module", ["mpmath", "scipy"])
-def test_import_leaves_test_dependency_out(module):
-    # mpmath and scipy are test-only dependencies; the package and its CLI must not load them
+def run_python(*args, cwd=None):
+    """A fresh interpreter that imports lagfrac from this checkout, run to the end."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys, lagfrac, lagfrac.cli; print({module!r} in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+@pytest.mark.parametrize("module", ["mpmath", "scipy", "dataclasses", "logging"])
+def test_import_loads_no_module_a_run_does_not_need(module):
+    # mpmath and scipy are test-only dependencies; the records are plain classes, and
+    # logging loads only with -v or when the embedding program imports it
+    proc = run_python("-c", f"import sys, lagfrac, lagfrac.cli; print({module!r} in sys.modules)")
     assert proc.stdout.strip() == "False"
 
 
@@ -460,6 +465,38 @@ def test_verbose_logs_the_rcond_line(workdir, capsys):
             assert len(lines) == 1
             assert lines[0].startswith("INFO lagfrac.solver: solved collocation system N=8, rcond=")
         assert root.handlers == [] and logging.getLogger("lagfrac").handlers == []
+
+
+RCOND_LINE = "solved collocation system N=8, rcond="
+
+
+def test_solve_logs_once_logging_is_configured_in_a_fresh_interpreter():
+    # pytest has loaded logging in this process; a fresh one starts without it
+    script = "; ".join([
+        "import logging, sys",
+        "from lagfrac import IvpSpec, LaguerreParams, OrderFunction, solve",
+        "one = lambda x: 1.0",
+        "spec = IvpSpec(LaguerreParams(1, 3), 8, OrderFunction.constant(0.5), 1, "
+        "one, one, one, one, 0.0)",
+        "solve(spec)",
+        "print('configured', file=sys.stderr)",
+        "logging.basicConfig(level=logging.INFO)",
+        "solve(spec)",
+    ])
+    before, after = run_python("-c", script).stderr.split("configured\n")
+    assert before == ""
+    lines = after.splitlines()
+    assert len(lines) == 1 and RCOND_LINE in lines[0]
+
+
+def test_verbose_logs_the_rcond_line_in_a_fresh_interpreter(workdir):
+    cfg = small_solve_config()
+    quiet = run_python("-m", "lagfrac.cli", "solve", "--config", cfg, cwd=workdir)
+    assert quiet.stderr == ""
+    lines = run_python("-m", "lagfrac.cli", "solve", "--config", cfg, "-v",
+                       cwd=workdir).stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"INFO lagfrac.solver: {RCOND_LINE}")
 
 
 @pytest.mark.filterwarnings("error")

@@ -130,6 +130,25 @@ def test_literal_past_double_range_round_trips():
     assert parse(to_text(tree)) == tree
 
 
+@pytest.mark.parametrize("tree,text", [
+    (BinOp("^", Num(-1.0), Num(2.0)), "(-1.0)^2.0"),
+    (BinOp("^", Num(-2.0), Var()), "(-2.0)^x"),
+    (BinOp("^", Num(-0.0), Num(2.0)), "(-0.0)^2.0"),
+    (Num(-math.inf), "-1e999"),
+], ids=["minus one squared", "negative base", "negative zero", "minus infinity"])
+def test_negative_literal_prints_as_its_value(tree, text):
+    # parse builds Neg, never a negative Num; a hand-built one must still print its value
+    assert to_text(tree) == text
+    for x in (0.0, 1.0, 2.0, 3.0):
+        again = evaluate(parse(to_text(tree)), x)
+        assert np.float64(again).tobytes() == np.float64(evaluate(tree, x)).tobytes(), x
+
+
+def test_domain_error_parenthesizes_a_negative_literal():
+    with pytest.raises(ExprDomainError, match=r"in '\(-2\.0\)\^x' at x=0\.5"):
+        evaluate(BinOp("^", Num(-2.0), Var()), 0.5)
+
+
 def random_expr(rng, depth):
     kinds = ["num", "var", "pi"]
     if depth > 0:
