@@ -42,8 +42,8 @@ def main():
                        f=lambda x: caputo_of_sin(order, x),
                        u0=0.0, v0=1.0)
         coeffs = solve(spec)
-        report = max_abs_error(coeffs, np.sin, 1.0, 1001)
-        print(f"{N:<3d} {report.max_abs_error:.3e}")
+        error = max_abs_error(coeffs, np.sin, 1.0, 1001)
+        print(f"{N:<3d} {error:.3e}")
         last = coeffs
 
     xs = np.linspace(0.0, 1.0, 1001)
@@ -62,8 +62,8 @@ def main():
                    a=one, b=one, c=one,
                    f=lambda x: caputo_of_sin(variable, x),
                    u0=0.0, v0=1.0)
-    report = max_abs_error(solve(spec), np.sin, 1.0, 1001)
-    print(f"variable order (9+sin(x-10))/5, N=20: {report.max_abs_error:.3e}")
+    error = max_abs_error(solve(spec), np.sin, 1.0, 1001)
+    print(f"variable order (9+sin(x-10))/5, N=20: {error:.3e}")
 
 
 if __name__ == "__main__":

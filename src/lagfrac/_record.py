@@ -1,8 +1,17 @@
 """The frozen record base shared by the package's value classes."""
 
+import numpy as np
+
 
 def _rebuild(cls, values):
-    """A record of class cls holding values, restored without running __init__."""
+    """A record of class cls holding values, restored without running __init__.
+
+    Arrays come back from pickle and deepcopy writeable; they are made
+    read-only again, as every array a record holds is.
+    """
+    for value in values:
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
     record = object.__new__(cls)
     record._fill(*values)
     return record
@@ -15,8 +24,8 @@ class Record:
     __init__, which checks the arguments and stores the fields with _fill
     (or object.__setattr__ on hot paths). Assigning or deleting an attribute
     raises AttributeError; == and hash go by class and fields; repr reads
-    Name(field=value, ...); pickle and copy restore the fields as they are,
-    without running __init__ again.
+    Name(field=value, ...); pickle and copy restore the fields, arrays
+    read-only, without running __init__ again.
     """
 
     __slots__ = ()

@@ -294,9 +294,12 @@ def to_text(node: Expr) -> str:
     the text still evaluates to the tree's value, though it parses to a Neg.
     """
     if isinstance(node, Num):
-        # a literal past double range such as 2e400 parses to inf, and so does 1e999
+        # a literal past double range such as 2e400 parses to inf, and so does 1e999;
+        # no literal reads as NaN, but inf - inf evaluates to it
         if math.isinf(node.value):
             return "1e999" if node.value > 0.0 else "-1e999"
+        if math.isnan(node.value):
+            return "(1e999-1e999)"
         return repr(node.value)
     if isinstance(node, Var):
         return "x"

@@ -3,7 +3,8 @@
 The workhorse is a ladder of fractionally integrated basis polynomials,
 computed by a three-term recurrence in the degree with the order frozen at
 the evaluation point. Caputo derivative ladders reuse the integral ladders
-with the family parameter shifted by the integer part of the order. Closed
+with the family parameter shifted by the integer part of the order, and
+the order-0 ladder of a shifted family gives integer derivatives. Closed
 forms for powers, the exponential and the sine provide independent
 references and exact forcing terms.
 """
@@ -37,6 +38,7 @@ __all__ = [
     "frac_integral_basis",
     "vo_integral",
     "caputo_row",
+    "derivative_basis",
     "vo_derivative",
     "caputo_power_rule",
     "caputo_exp_exact",
@@ -192,7 +194,8 @@ def _frac_ladder(params: LaguerreParams, rho: np.ndarray, max_degree: int,
         pos = x > 0.0
         log_x = np.log(np.where(pos, x, 1.0))
         rho1 = rho + 1.0
-        head = np.where(pos, np.exp(rho * log_x - log_gamma(rho1)), 0.0)
+        # x^rho / Gamma(rho + 1), with 0^0 = 1: a rho = 0 column is the basis at x = 0 too
+        head = np.where(pos | (rho == 0.0), np.exp(rho * log_x - log_gamma(rho1)), 0.0)
         out[0] = head
         if max_degree >= 1:
             # x^(rho+1) / Gamma(rho+2) = head * x / (rho+1)
@@ -281,6 +284,25 @@ def caputo_row(params: LaguerreParams, order: OrderFunction, max_degree, x) -> n
     rows = np.zeros((deg + 1, pts.size))
     if ladder is not None:
         np.multiply(ladder, scale, out=rows[order.n:])
+    return rows[:, 0] if scalar else rows
+
+
+def derivative_basis(params: LaguerreParams, max_degree, m, x) -> np.ndarray:
+    """m-th derivatives of the basis ladder at x, by the parameter shift.
+
+    d^m/dx^m L_i^(theta,beta) = (-beta)^m L_(i-m)^(theta+m,beta), and zero
+    when i < m. x is a scalar (the result is the row of max_degree + 1
+    values) or a 1-D array of points (a matrix with one column per point).
+    The rows from m on are the order-0 _frac_ladder of the shifted family
+    scaled, the block assemble stacks for its integer-derivative rows.
+    """
+    deg = _checked_degree(max_degree, "max_degree")
+    shift = _checked_degree(m, "m")
+    pts, scalar = _as_points(x)
+    rows = np.zeros((deg + 1, pts.size))
+    if deg >= shift:
+        ladder = _frac_ladder(params, np.zeros(pts.size), deg - shift, pts, shift=shift)
+        np.multiply(_checked_range(ladder, pts), (-params.beta) ** shift, out=rows[shift:])
     return rows[:, 0] if scalar else rows
 
 

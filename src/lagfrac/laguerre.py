@@ -2,9 +2,9 @@
 
 The family with parameters (theta, beta) is orthogonal on (0, inf) against
 the weight x^theta * exp(-beta * x), theta > -1, beta > 0. This module
-evaluates the polynomial ladder and its derivatives, computes norms and
-boundary values, builds the matching Gauss quadrature rule, and converts
-point samples to spectral coefficients and back.
+evaluates the polynomial ladder, computes norms and boundary values, builds
+the matching Gauss quadrature rule, and converts point samples to spectral
+coefficients and back.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "InterpolantCoeffs",
     "eval_basis",
     "value_at_zero",
-    "derivative_basis",
     "norm",
     "gauss_rule",
     "interpolate",
@@ -197,30 +196,6 @@ def value_at_zero(params: LaguerreParams, i):
     for k in range(np.max(idx, initial=0)):
         ladder.append(ladder[k] * (k + params.theta + 1.0) / (k + 1.0))
     return ladder[idx] if np.ndim(idx) == 0 else np.array(ladder)[idx]
-
-
-def derivative_basis(params: LaguerreParams, i, m, x):
-    """m-th derivative of L_i at x via the parameter-shift identity.
-
-    The derivative of the family is again a family member:
-    d^m/dx^m L_i^(theta,beta) = (-beta)^m L_(i-m)^(theta+m,beta),
-    and identically zero when i < m.
-
-    The ladder runs in np.longdouble (80-bit extended on x86-64; plain
-    double where numpy has nothing wider): at the smallest Gauss nodes, with
-    theta close to -1 and i ~ 150, a double ladder keeps only about 1e-12
-    of relative accuracy.
-    """
-    idx = _checked_degree(i, "i")
-    order = _checked_degree(m, "m")
-    xs, scalar = _as_points(x)
-    if idx < order:
-        return 0.0 if scalar else np.zeros(xs.size)
-    for top in _ladder(np.longdouble(params.theta) + order,
-                       np.longdouble(params.beta) * xs, idx - order):
-        pass
-    vals = (top * (-params.beta) ** order).astype(float)
-    return float(vals[0]) if scalar else vals
 
 
 def norm(params: LaguerreParams, i):

@@ -9,6 +9,7 @@ is solved directly by LU with partial pivoting.
 from __future__ import annotations
 
 import sys
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,8 +38,6 @@ from .laguerre import (
 __all__ = [
     "SolverError",
     "IvpSpec",
-    "LinearSystem",
-    "ErrorReport",
     "collocation_nodes",
     "assemble",
     "solve",
@@ -90,38 +89,6 @@ class IvpSpec(Record):
         self._fill(params, N, order, m, a, b, c, f, float(u0), v0)
 
 
-class LinearSystem(Record):
-    """Dense collocation system, one row per equation: matrix @ coeffs = rhs."""
-
-    __slots__ = ("matrix", "rhs")
-
-    def __init__(self, matrix: np.ndarray, rhs: np.ndarray):
-        mat = np.array(matrix, dtype=float)
-        vec = np.array(rhs, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {mat.shape}")
-        if vec.shape != (mat.shape[0],):
-            raise ValueError("rhs length must match the matrix dimension")
-        if not (np.all(np.isfinite(mat)) and np.all(np.isfinite(vec))):
-            raise ValueError("system entries must be finite")
-        mat.setflags(write=False)
-        vec.setflags(write=False)
-        self._fill(mat, vec)
-
-
-class ErrorReport(Record):
-    """Maximum absolute deviation of an expansion from a reference on [0, L]."""
-
-    __slots__ = ("N", "params", "max_abs_error", "grid_size", "domain_length")
-
-    def __init__(self, N: int, params: LaguerreParams, max_abs_error: float, grid_size: int,
-                 domain_length: float):
-        if not np.isfinite(max_abs_error) or max_abs_error < 0.0:
-            raise ValueError(f"max_abs_error must be finite and nonnegative, "
-                             f"got {max_abs_error!r}")
-        self._fill(N, params, max_abs_error, grid_size, domain_length)
-
-
 def collocation_nodes(params: LaguerreParams, N, count) -> np.ndarray:
     """The `count` smallest zeros of the degree-(N+1) basis polynomial, ascending.
 
@@ -137,8 +104,8 @@ def collocation_nodes(params: LaguerreParams, N, count) -> np.ndarray:
     return _gauss_nodes(params, degree)[:c]
 
 
-def assemble(spec: IvpSpec) -> LinearSystem:
-    """Build the square collocation system for the given problem.
+def assemble(spec: IvpSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The square collocation system (matrix, rhs), matrix @ coeffs = rhs.
 
     One row per collocation node carries the equation
     a(x_j) u^(m) + b(x_j) D^(rho) u + c(x_j) u = f(x_j); the remaining one
@@ -148,7 +115,9 @@ def assemble(spec: IvpSpec) -> LinearSystem:
     The three ladders at the nodes come from one recurrence pass, a column
     block each: the basis to degree N + 1 (whose top rows certify the nodes),
     the family theta + m whose rows scaled by (-beta)^m are the m-th
-    derivatives, and the family theta + n at order n - rho, the Caputo rows.
+    derivatives (derivative_basis), and the family theta + n at order
+    n - rho, the Caputo rows. A row that leaves double range (a huge
+    coefficient, say) raises SolverError naming N and the row's x.
     """
     n, m, N = spec.order.n, spec.m, spec.N
     count = N if n == 1 else N - 1
@@ -173,16 +142,23 @@ def assemble(spec: IvpSpec) -> LinearSystem:
     f_vals = _sample(spec.f, nodes, "function 'f'")
 
     matrix = np.zeros((N + 1, N + 1))
-    matrix[:count] = (a_vals * integer + b_vals * frac + c_vals * basis).T
-    matrix[count] = value_at_zero(spec.params, np.arange(N + 1))
     rhs = np.empty(N + 1)
     rhs[:count] = f_vals
     rhs[count] = spec.u0
-    if n == 2:
-        slope_family = LaguerreParams(theta + 1.0, beta)
-        matrix[count + 1, 1:] = -beta * value_at_zero(slope_family, np.arange(N))
-        rhs[count + 1] = spec.v0
-    return LinearSystem(matrix=matrix, rhs=rhs)
+    # a row past double range is reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix[:count] = (a_vals * integer + b_vals * frac + c_vals * basis).T
+        matrix[count] = value_at_zero(spec.params, np.arange(N + 1))
+        if n == 2:
+            slope_family = LaguerreParams(theta + 1.0, beta)
+            matrix[count + 1, 1:] = -beta * value_at_zero(slope_family, np.arange(N))
+            rhs[count + 1] = spec.v0
+    bad = np.flatnonzero(~np.all(np.isfinite(matrix), axis=1))
+    if bad.size:
+        x = nodes[bad[0]] if bad[0] < count else 0.0
+        raise SolverError(f"collocation system for N={N} leaves double range "
+                          f"in its row at x={x}")
+    return matrix, rhs
 
 
 def solve(spec: IvpSpec) -> InterpolantCoeffs:
@@ -196,13 +172,13 @@ def solve(spec: IvpSpec) -> InterpolantCoeffs:
     singular at working precision: an exactly singular matrix (whose
     condition number is inf) or an rcond below eps raises SolverError.
     """
-    system = assemble(spec)
-    rcond = 1.0 / float(np.linalg.cond(system.matrix, np.inf))
+    matrix, rhs = assemble(spec)
+    rcond = 1.0 / float(np.linalg.cond(matrix, np.inf))
     if rcond < np.finfo(float).eps:
         raise SolverError(
             f"collocation matrix is singular to working precision "
             f"(rcond={rcond:.3e}, N={spec.N})")
-    coeffs = np.linalg.solve(system.matrix, system.rhs)
+    coeffs = np.linalg.solve(matrix, rhs)
     if not np.all(np.isfinite(coeffs)):
         raise SolverError("linear solve produced non-finite coefficients")
     # no handler or level can exist before logging is imported, so until then nothing listens
@@ -213,18 +189,17 @@ def solve(spec: IvpSpec) -> InterpolantCoeffs:
     return InterpolantCoeffs(params=spec.params, coeffs=coeffs)
 
 
-def max_abs_error(coeffs: InterpolantCoeffs, exact, domain_length, grid_size) -> ErrorReport:
+def max_abs_error(coeffs: InterpolantCoeffs, exact, domain_length, grid_size) -> float:
     """Max |expansion - exact| over a uniform grid including both endpoints.
 
     exact takes the 1-D array of grid points and returns an array of the
     same shape (a scalar return is broadcast); write it with numpy
-    functions, as ``np.sin`` rather than ``math.sin``.
+    functions, as ``np.sin`` rather than ``math.sin``. A non-finite value
+    of the expansion or of exact raises DomainError naming its x.
     """
     size = _checked_int(grid_size, "grid_size", 2)
     length = _checked_length(domain_length, "domain_length")
     xs = np.linspace(0.0, length, size)
-    approx = eval_interpolant(coeffs, xs)
+    approx = _sample(partial(eval_interpolant, coeffs), xs, "expansion")
     reference = _sample(exact, xs, "exact")
-    value = float(np.max(np.abs(approx - reference)))
-    return ErrorReport(N=coeffs.coeffs.size - 1, params=coeffs.params,
-                       max_abs_error=value, grid_size=size, domain_length=length)
+    return float(np.max(np.abs(approx - reference)))

@@ -156,6 +156,17 @@ def test_non_finite_sampled_value_is_numerical_error(workdir, capsys, mode, keys
     assert "non-finite value inf" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_collocation_system_is_numerical_error(workdir, capsys):
+    cfg = write_config(Path("huge.json"), {
+        "mode": "solve", "theta": 1, "beta": 3, "N": 20, "order": "0.5",
+        "a": "1e300", "b": "1", "c": "1", "f": "1", "u0": 0, "out": "huge.csv"})
+    assert main(["solve", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: collocation system for N=20 leaves double range in its row at x=")
+    assert not Path("huge.csv").exists()
+
+
 def test_unknown_config_key(workdir, capsys):
     cfg = write_config(Path("odd.json"), {
         "mode": "solve", "theta": 1, "beta": 3, "N": 8, "order": "0.5",

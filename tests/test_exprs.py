@@ -144,6 +144,17 @@ def test_negative_literal_prints_as_its_value(tree, text):
         assert np.float64(again).tobytes() == np.float64(evaluate(tree, x)).tobytes(), x
 
 
+@pytest.mark.parametrize("tree", [
+    Num(math.nan),
+    BinOp("^", Num(math.nan), Num(2.0)),
+    Call("sin", BinOp("+", Num(math.nan), Var())),
+], ids=["nan", "nan base", "nan inside sin"])
+def test_nan_literal_prints_as_text_that_evaluates_to_nan(tree):
+    # no literal reads as NaN; the text inf - inf evaluates to it
+    for x in (0.0, 1.0):
+        assert math.isnan(evaluate(parse(to_text(tree)), x))
+
+
 def test_domain_error_parenthesizes_a_negative_literal():
     with pytest.raises(ExprDomainError, match=r"in '\(-2\.0\)\^x' at x=0\.5"):
         evaluate(BinOp("^", Num(-2.0), Var()), 0.5)

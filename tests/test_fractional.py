@@ -16,7 +16,6 @@ from lagfrac import (
     caputo_power_rule,
     caputo_row,
     collocation_nodes,
-    derivative_basis,
     eval_basis,
     frac_integral_basis,
     gauss_rule,
@@ -243,6 +242,8 @@ def test_caputo_row_matches_quadrature():
     # order in (1,2): two integer derivatives, then an integral of order 2-rho
     params = LaguerreParams(2.0, 4.0)
     order = OrderFunction.constant(1.5)
+    # L_i'' = beta^2 L_(i-2) of the family theta + 2
+    shifted = LaguerreParams(params.theta + 2.0, params.beta)
     xs = np.array([0.4, 0.8, 1.6])
     # a point array gives one column per point
     assert np.array_equal(caputo_row(params, order, 6, xs),
@@ -252,7 +253,8 @@ def test_caputo_row_matches_quadrature():
         assert row.shape == (7,)
         assert row[0] == 0.0 and row[1] == 0.0
         for i in range(2, 7):
-            integrand = lambda t, _i=i: derivative_basis(params, _i, 2, t)
+            integrand = lambda t, _i=i: (params.beta ** 2
+                                         * eval_basis(shifted, _i - 2, t)[_i - 2])
             val, _ = quad(integrand, 0.0, x, weight="alg", wvar=(0.0, -0.5),
                           limit=200)
             assert abs(row[i] - val / math.gamma(0.5)) <= 1e-8

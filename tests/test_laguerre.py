@@ -32,6 +32,19 @@ def explicit_low_degrees(theta, beta, x):
     return l0, l1, l2
 
 
+def longdouble_derivative_basis(params, max_degree, m, x):
+    """derivative_basis at the points x, as (-beta)^m times the ladder of the
+    family theta + m by the plain forward recurrence in np.longdouble."""
+    theta = np.longdouble(params.theta) + m
+    bx = np.longdouble(params.beta) * np.asarray(x, dtype=float)
+    rows = np.zeros((max_degree + 1,) + bx.shape, dtype=np.longdouble)
+    prev, cur = np.zeros_like(bx), np.ones_like(bx)
+    for k in range(max_degree + 1 - m):
+        rows[m + k] = cur
+        prev, cur = cur, ((2 * k + theta + 1 - bx) * cur - (k + theta) * prev) / (k + 1)
+    return (rows * (-params.beta) ** m).astype(float)
+
+
 @pytest.mark.parametrize("theta,beta", PARAMS)
 def test_eval_basis_low_degrees(theta, beta):
     params = LaguerreParams(theta, beta)
@@ -73,10 +86,10 @@ def test_value_at_zero_matches_basis(theta, beta):
 
 def test_derivative_basis_zero_below_order():
     params = LaguerreParams(1.0, 3.0)
-    assert derivative_basis(params, 0, 1, 0.7) == 0.0
-    assert derivative_basis(params, 1, 2, 0.7) == 0.0
+    assert derivative_basis(params, 0, 1, 0.7)[0] == 0.0
+    assert derivative_basis(params, 1, 2, 0.7)[1] == 0.0
     # m = 0 returns the plain value
-    assert derivative_basis(params, 4, 0, 0.7) == pytest.approx(
+    assert derivative_basis(params, 4, 0, 0.7)[4] == pytest.approx(
         eval_basis(params, 4, 0.7)[4], rel=1e-14)
 
 
@@ -89,7 +102,7 @@ def test_derivative_basis_vs_finite_difference(theta, beta, i):
         plus = eval_basis(params, i, x + h)[i]
         minus = eval_basis(params, i, x - h)[i]
         fd = (plus - minus) / (2.0 * h)
-        exact = derivative_basis(params, i, 1, x)
+        exact = derivative_basis(params, i, 1, x)[i]
         assert abs(fd - exact) <= 2e-5 * max(1.0, abs(exact))
 
 
@@ -97,10 +110,36 @@ def test_second_derivative_vs_finite_difference():
     params = LaguerreParams(2.0, 4.0)
     h = 1e-5
     for x in (0.5, 1.5):
-        fd = (derivative_basis(params, 6, 1, x + h)
-              - derivative_basis(params, 6, 1, x - h)) / (2.0 * h)
-        exact = derivative_basis(params, 6, 2, x)
+        fd = (derivative_basis(params, 6, 1, x + h)[6]
+              - derivative_basis(params, 6, 1, x - h)[6]) / (2.0 * h)
+        exact = derivative_basis(params, 6, 2, x)[6]
         assert abs(fd - exact) <= 1e-4 * max(1.0, abs(exact))
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2)])
+def test_derivative_basis_accuracy(m, n):
+    # at the collocation nodes the double ladder is within the rounding of an
+    # N-step recurrence of the long-double one, against each column's largest
+    # entry (3.9e-14 at worst, at N = 40); at x = 0 it is the closed form
+    # (-beta)^m L_(i-m)(0) of the family theta + m
+    worst = 0.0
+    for theta in (-0.5, 0.0, 2.0, 10.0):
+        for beta in (1.0, 4.0, 10.0):
+            params = LaguerreParams(theta, beta)
+            for N in (2, 8, 20, 40):
+                x = collocation_nodes(params, N, N if n == 1 else N - 1)
+                got = derivative_basis(params, N, m, x)
+                want = longdouble_derivative_basis(params, N, m, x)
+                scale = np.max(np.abs(want), axis=0)
+                assert np.all(np.abs(got - want) <= 2e-15 * (N + 1) * scale), (theta, beta, N)
+                worst = max(worst, float(np.max(np.abs(got - want))) / float(np.max(scale)))
+                at_zero = derivative_basis(params, N, m, 0.0)
+                closed = np.zeros(N + 1)
+                closed[m:] = (-beta) ** m * value_at_zero(LaguerreParams(theta + m, beta),
+                                                         np.arange(N + 1 - m))
+                assert np.all(np.abs(at_zero - closed) <= 1e-14 * np.abs(closed)), (theta, beta, N)
+    # against the largest entry of the whole matrix
+    assert worst <= 1e-14
 
 
 def test_norm_known_value():
@@ -297,7 +336,7 @@ def test_gauss_rule_matches_eigenvalues_and_one_ladder(theta, beta, N, data):
     # is within 6e-14 of 50-digit mpmath at the smallest node), hence the N
     ladder = eval_basis(params, N + 1, rule.nodes)
     slope = ((N + 1.0) * ladder[N + 1] - (N + 1.0 + theta) * ladder[N]) / rule.nodes
-    reference = derivative_basis(params, N + 1, 1, rule.nodes)
+    reference = longdouble_derivative_basis(params, N + 1, 1, rule.nodes)[N + 1]
     assert np.all(np.abs(slope - reference) <= 1e-14 * (N + 1) * np.abs(reference))
 
 

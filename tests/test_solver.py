@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from lagfrac import (
-    ErrorReport,
+    DomainError,
+    InterpolantCoeffs,
     IvpSpec,
     LaguerreParams,
-    LinearSystem,
     OrderFunction,
     SolverError,
     assemble,
@@ -81,26 +81,26 @@ def test_collocation_nodes_are_smallest_gauss_nodes():
 
 def test_assemble_first_order_layout():
     spec = basset_spec(N=6)
-    system = assemble(spec)
-    assert system.matrix.shape == (7, 7)
-    assert system.rhs.shape == (7,)
+    matrix, rhs = assemble(spec)
+    assert matrix.shape == (7, 7)
+    assert rhs.shape == (7,)
     # initial-condition column carries the basis boundary values
     expected = [value_at_zero(spec.params, i) for i in range(7)]
-    assert np.allclose(system.matrix[6], expected, rtol=1e-13)
-    assert system.rhs[6] == spec.u0
+    assert np.allclose(matrix[6], expected, rtol=1e-13)
+    assert rhs[6] == spec.u0
 
 
 def test_assemble_second_order_layout():
     spec = oscillator_spec(N=6)
-    system = assemble(spec)
-    assert system.matrix.shape == (7, 7)
+    matrix, rhs = assemble(spec)
+    assert matrix.shape == (7, 7)
     # N - 1 equation columns, then value and slope columns
     expected_value = [value_at_zero(spec.params, i) for i in range(7)]
-    assert np.allclose(system.matrix[5], expected_value, rtol=1e-13)
-    expected_slope = [derivative_basis(spec.params, i, 1, 0.0) for i in range(7)]
-    assert np.allclose(system.matrix[6], expected_slope, rtol=1e-13)
-    assert system.rhs[5] == spec.u0
-    assert system.rhs[6] == spec.v0
+    assert np.allclose(matrix[5], expected_value, rtol=1e-13)
+    expected_slope = derivative_basis(spec.params, 6, 1, 0.0)
+    assert np.allclose(matrix[6], expected_slope, rtol=1e-13)
+    assert rhs[5] == spec.u0
+    assert rhs[6] == spec.v0
 
 
 def window_order(n, variable):
@@ -139,7 +139,7 @@ def test_assemble_matches_separate_ladders(m, n, variable):
                 if n == 2:
                     slope = LaguerreParams(theta + 1.0, beta)
                     want[count + 1, 1:] = -beta * value_at_zero(slope, np.arange(N))
-                got = assemble(equation_spec(params, N, order, m, a, b, c)).matrix
+                got, _ = assemble(equation_spec(params, N, order, m, a, b, c))
                 scale = np.max(np.abs(want), axis=1, keepdims=True)
                 assert np.all(np.abs(got - want) <= 1e-13 * scale), (theta, beta, N)
 
@@ -153,17 +153,33 @@ def test_assemble_fractional_rows_are_caputo_row(m, n, variable):
     for theta, beta, N in [(-0.5, 1.0, 2), (0.0, 4.0, 8), (2.0, 6.0, 20), (10.0, 10.0, 40)]:
         params = LaguerreParams(theta, beta)
         count = N if n == 1 else N - 1
-        got = assemble(equation_spec(params, N, order, m, zero, ONE, zero)).matrix[:count]
+        got, _ = assemble(equation_spec(params, N, order, m, zero, ONE, zero))
         want = caputo_row(params, order, N, collocation_nodes(params, N, count))
-        assert np.array_equal(got, want.T)
+        assert np.array_equal(got[:count], want.T)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2)])
+def test_assemble_integer_rows_are_derivative_basis(m, n):
+    # with a = 1 and b = c = 0 the equation rows are the integer-derivative block
+    # alone, the derivative_basis matrix at the nodes bit for bit
+    zero = lambda x: 0.0
+    order = window_order(n, False)
+    for theta in (-0.5, 0.0, 2.0, 10.0):
+        for beta in (1.0, 4.0, 10.0):
+            params = LaguerreParams(theta, beta)
+            for N in (2, 8, 20, 40):
+                count = N if n == 1 else N - 1
+                got, _ = assemble(equation_spec(params, N, order, m, ONE, zero, zero))
+                want = derivative_basis(params, N, m, collocation_nodes(params, N, count))
+                assert np.array_equal(got[:count], want.T), (theta, beta, N)
 
 
 def test_residual_of_solution():
     spec = basset_spec(N=10)
-    system = assemble(spec)
+    matrix, rhs = assemble(spec)
     coeffs = solve(spec)
-    residual = system.matrix @ coeffs.coeffs - system.rhs
-    scale = max(1.0, float(np.max(np.abs(system.rhs))))
+    residual = matrix @ coeffs.coeffs - rhs
+    scale = max(1.0, float(np.max(np.abs(rhs))))
     assert np.max(np.abs(residual)) <= 1e-10 * scale
 
 
@@ -171,24 +187,21 @@ def test_initial_conditions_hold():
     coeffs = solve(oscillator_spec(N=12))
     params = coeffs.params
     assert eval_interpolant(coeffs, 0.0) == pytest.approx(0.0, abs=1e-10)
-    slope = sum(c * derivative_basis(params, i, 1, 0.0)
-                for i, c in enumerate(coeffs.coeffs))
+    slopes = derivative_basis(params, coeffs.coeffs.size - 1, 1, 0.0)
+    slope = sum(c * slopes[i] for i, c in enumerate(coeffs.coeffs))
     assert slope == pytest.approx(1.0, abs=1e-10)
 
 
 def test_basset_manufactured_solution():
     coeffs = solve(basset_spec(N=10))
-    report = max_abs_error(coeffs, lambda x: x ** 2 + 1.0, 1.0, 1001)
-    assert report.max_abs_error <= 1e-10
-    assert report.N == 10
-    assert report.grid_size == 1001
+    assert max_abs_error(coeffs, lambda x: x ** 2 + 1.0, 1.0, 1001) <= 1e-10
 
 
 def test_oscillator_error_decays_with_degree():
     errs = []
     for N in (5, 10):
         coeffs = solve(oscillator_spec(N))
-        errs.append(max_abs_error(coeffs, np.sin, 1.0, 1001).max_abs_error)
+        errs.append(max_abs_error(coeffs, np.sin, 1.0, 1001))
     assert errs[1] <= 1e-2 * errs[0]
     assert errs[1] <= 2e-7
 
@@ -247,8 +260,7 @@ def test_refusal_boundary(rho, solved, refused):
         return IvpSpec(params=LaguerreParams(2.0, 4.0), N=N, order=order, a=ONE, b=ONE,
                        c=ONE, f=forcing, u0=0.0, **extra)
 
-    report = max_abs_error(solve(spec(solved)), lambda x: x ** 3, 1.0, 201)
-    assert report.max_abs_error < 1e-11
+    assert max_abs_error(solve(spec(solved)), lambda x: x ** 3, 1.0, 201) < 1e-11
     with pytest.raises(SolverError, match=f"N={refused}"):
         solve(spec(refused))
 
@@ -278,31 +290,12 @@ def test_callables_are_sampled_once_on_the_node_array():
 
     counted = IvpSpec(params=spec.params, N=spec.N, order=spec.order, m=1,
                       a=ONE, b=ONE, c=ONE, f=recording, u0=1.0)
-    assert np.array_equal(assemble(counted).matrix, assemble(spec).matrix)
+    assert np.array_equal(assemble(counted)[0], assemble(spec)[0])
     assert shapes == [(spec.N,)]
     wrong = IvpSpec(params=spec.params, N=spec.N, order=spec.order, m=1,
                     a=ONE, b=ONE, c=ONE, f=lambda x: np.ones(2), u0=1.0)
     with pytest.raises(ValueError, match="shape"):
         assemble(wrong)
-
-
-def test_linear_system_validation():
-    with pytest.raises(ValueError):
-        LinearSystem(matrix=np.ones((2, 3)), rhs=np.ones(2))
-    with pytest.raises(ValueError):
-        LinearSystem(matrix=np.ones((2, 2)), rhs=np.ones(3))
-    with pytest.raises(ValueError):
-        LinearSystem(matrix=np.full((2, 2), math.nan), rhs=np.ones(2))
-
-
-def test_error_report_validation():
-    params = LaguerreParams(0.0, 1.0)
-    with pytest.raises(ValueError):
-        ErrorReport(N=5, params=params, max_abs_error=-1.0, grid_size=11,
-                    domain_length=1.0)
-    with pytest.raises(ValueError):
-        ErrorReport(N=5, params=params, max_abs_error=math.nan, grid_size=11,
-                    domain_length=1.0)
 
 
 def test_max_abs_error_validation():
@@ -327,6 +320,25 @@ def test_max_abs_error_silences_warnings_inside_the_reference():
     coeffs = solve(basset_spec(N=6))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = max_abs_error(coeffs, lambda x: np.where(x > 0, np.sin(x) / x, 1.0),
-                               1.0, 11)
-    assert report.grid_size == 11 and report.max_abs_error > 0.0
+        error = max_abs_error(coeffs, lambda x: np.where(x > 0, np.sin(x) / x, 1.0),
+                              1.0, 11)
+    assert error > 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_max_abs_error_names_a_non_finite_expansion():
+    # the expansion overflows on [0, 50]: a DomainError naming x, with no numpy warning
+    coeffs = InterpolantCoeffs(LaguerreParams(0.0, 50.0), 1e300 * np.ones(200))
+    with pytest.raises(DomainError, match=r"^expansion returned non-finite value .* at x="):
+        max_abs_error(coeffs, np.sin, 50.0, 101)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_system_is_a_solver_error():
+    # a = 1e300 times the derivative rows leaves double range at some node
+    spec = basset_spec(N=20)
+    huge = IvpSpec(params=spec.params, N=20, order=spec.order, m=1, a=lambda x: 1e300,
+                   b=ONE, c=ONE, f=spec.f, u0=1.0)
+    with pytest.raises(SolverError, match=r"^collocation system for N=20 leaves double "
+                                          r"range in its row at x=\d"):
+        solve(huge)
