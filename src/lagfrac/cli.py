@@ -28,6 +28,8 @@ import contextlib
 import csv
 import json
 import math
+import os
+import stat
 import sys
 from functools import partial
 from pathlib import Path
@@ -66,23 +68,53 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _write_sections(path: Path, sections) -> None:
-    """Write one or more (header, rows) CSV sections to a single file.
+class _Chunks(list):
+    """A list that csv.writer writes into: each written line becomes an item."""
+
+    write = list.append
+
+
+def _csv_text(sections) -> str:
+    """One or more (header, rows) CSV sections as the text of one file.
 
     rows is a list of text rows, written by csv.writer, or a tuple of
     equal-length float arrays, one per column, written in one %.17g format
     call ('%.17g' % v and _fmt(v) give the same digits).
     """
-    with open(path, "w", encoding="ascii", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        for header, rows in sections:
-            writer.writerow(header)
-            if isinstance(rows, tuple):
-                line = ",".join(["%.17g"] * len(rows)) + "\n"
-                handle.write(line * len(rows[0])
-                             % tuple(np.column_stack(rows).ravel().tolist()))
-            else:
-                writer.writerows(rows)
+    chunks = _Chunks()
+    writer = csv.writer(chunks, lineterminator="\n")
+    for header, rows in sections:
+        writer.writerow(header)
+        if isinstance(rows, tuple):
+            line = ",".join(["%.17g"] * len(rows)) + "\n"
+            chunks.append(line * len(rows[0])
+                          % tuple(np.column_stack(rows).ravel().tolist()))
+        else:
+            writer.writerows(rows)
+    return "".join(chunks)
+
+
+def _write_sections(path: Path, sections) -> None:
+    """Write the _csv_text of sections, ASCII with LF line endings, to path.
+
+    The whole file is formatted and encoded before the path is opened, so a
+    failure there leaves an existing file as it was. The file is then
+    overwritten in place and cut to length, never truncated to zero first:
+    on ext4 (auto_da_alloc) a truncate-to-zero rewrite allocates blocks and
+    starts writeback on every close.
+    """
+    # the pieces are freed on return: two copies of the file at most are alive
+    data = memoryview(_csv_text(sections).encode("ascii"))
+    size = len(data)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        while data:  # os.write may write less than it is given
+            data = data[os.write(fd, data):]
+        info = os.fstat(fd)
+        if stat.S_ISREG(info.st_mode) and info.st_size > size:
+            os.ftruncate(fd, size)
+    finally:
+        os.close(fd)
 
 
 def _as_list(value, key: str, read) -> list:
@@ -332,7 +364,7 @@ def _run(run: dict) -> None:
     Operator mode builds one Gauss rule and interpolant of u per (theta,
     beta, N) for every order. A value beyond double range on the grid is a
     numerical failure naming its x; each cell's error is the max |value -
-    exact| over the grid.
+    exact| over the grid, inf where finite values lie a double range apart.
     """
     length, grid, out = run["length"], run["grid"], Path(run["out"])
     xs = np.linspace(0.0, length, grid)
@@ -361,7 +393,9 @@ def _run(run: dict) -> None:
         values = _sample(evaluate, xs, "solution" if run["mode"] == "solve" else run["mode"])
         error = None
         if run["exact"] is not None:
-            errors = np.abs(values - _sample(partial(run["exact"], order), xs, "exact"))
+            reference = _sample(partial(run["exact"], order), xs, "exact")
+            with np.errstate(over="ignore"):  # finite values a double range apart: inf
+                errors = np.abs(values - reference)
             error = float(np.max(errors))
         if run["table"]:
             row = [_fmt(theta), _fmt(beta), str(N), text, _fmt(error)]

@@ -219,15 +219,16 @@ def _frac_ladder(params: LaguerreParams, rho: np.ndarray, max_degree: int,
     return out
 
 
-def _checked_range(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _checked_range(rows: np.ndarray, x: np.ndarray, ladder="fractional") -> np.ndarray:
     """rows, a _frac_ladder from degree 0 at the points x, or DomainError naming an x.
 
     A non-finite entry makes every later degree non-finite, so the last row
-    tells where a column leaves double range (x = 1e300, say).
+    tells where a column leaves double range (x = 1e300, say). ladder names
+    the ladder in the message.
     """
     bad = np.flatnonzero(~np.isfinite(rows[-1]))
     if bad.size:
-        raise DomainError(f"fractional ladder leaves double range at x={x[bad[0]]}")
+        raise DomainError(f"{ladder} ladder leaves double range at x={x[bad[0]]}")
     return rows
 
 
@@ -302,7 +303,8 @@ def derivative_basis(params: LaguerreParams, max_degree, m, x) -> np.ndarray:
     rows = np.zeros((deg + 1, pts.size))
     if deg >= shift:
         ladder = _frac_ladder(params, np.zeros(pts.size), deg - shift, pts, shift=shift)
-        np.multiply(_checked_range(ladder, pts), (-params.beta) ** shift, out=rows[shift:])
+        np.multiply(_checked_range(ladder, pts, "derivative"), (-params.beta) ** shift,
+                    out=rows[shift:])
     return rows[:, 0] if scalar else rows
 
 

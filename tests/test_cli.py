@@ -305,6 +305,71 @@ def test_numeric_sections_match_csv_writer_bytes(tmp_path):
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
 
 
+def test_rerun_with_fewer_rows_leaves_no_stale_tail(workdir):
+    args = ["example1", "--theta", "1", "--beta", "3", "--N", "10"]
+    assert main(args + ["--order", "0.2,0.5,0.8,1.2", "--out", "t.csv"]) == 0
+    assert len(read_rows("t.csv")) == 5
+    assert main(args + ["--order", "0.5", "--out", "t.csv"]) == 0
+    assert main(args + ["--order", "0.5", "--out", "fresh.csv"]) == 0
+    assert Path("t.csv").read_bytes() == Path("fresh.csv").read_bytes()
+    assert len(read_rows("t.csv")) == 2
+
+
+def test_read_only_output_is_config_error_and_keeps_its_bytes(workdir, capsys):
+    Path("t.csv").write_bytes(b"old bytes\n")
+    Path("t.csv").chmod(0o444)
+    if os.access("t.csv", os.W_OK):
+        pytest.skip("this user may write to read-only files")
+    assert main(["example1", "--theta", "1", "--beta", "3", "--N", "10",
+                 "--order", "0.5", "--out", "t.csv"]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 13] Permission denied")
+    assert Path("t.csv").read_bytes() == b"old bytes\n"
+
+
+def test_directory_output_is_config_error(workdir, capsys):
+    Path("t.csv").mkdir()
+    assert main(["example1", "--theta", "1", "--beta", "3", "--N", "10",
+                 "--order", "0.5", "--out", "t.csv"]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+    assert Path("t.csv").is_dir()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_output_to_dev_null(workdir, capsys):
+    assert main(["example1", "--theta", "1", "--beta", "3", "--N", "10",
+                 "--order", "0.5", "--out", "/dev/null"]) == 0
+    assert capsys.readouterr().out == "example1: wrote /dev/null (1 rows)\n"
+
+
+def test_unencodable_row_fails_before_the_file_is_touched(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"old bytes\n")
+    with pytest.raises(UnicodeEncodeError):
+        _write_sections(path, [(["x", "y"], (np.arange(3.0), np.arange(3.0))),
+                               (["order"], [["\u03c1"]])])
+    assert path.read_bytes() == b"old bytes\n"
+
+
+def test_new_output_mode_follows_the_umask(tmp_path):
+    old = os.umask(0o002)
+    try:
+        _write_sections(tmp_path / "t.csv", [(["h"], [["1"]])])
+    finally:
+        os.umask(old)
+    assert (tmp_path / "t.csv").stat().st_mode & 0o777 == 0o664
+    assert (tmp_path / "t.csv").read_bytes() == b"h\n1\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_grid_error_of_finite_values_a_double_range_apart_is_inf(workdir, capsys):
+    cfg = write_config(Path("far.json"), {
+        "mode": "integral", "theta": 0, "beta": 1, "N": 4, "order": "0.5",
+        "u": "1e308", "exact": "-1e308", "grid": 5, "out": "far.csv"})
+    assert main(["solve", "--config", cfg]) == 0
+    assert capsys.readouterr() == ("integral: wrote far.csv, max_abs_error=inf\n", "")
+    assert read_rows("far.csv")[-1][4] == "inf"
+
+
 def test_repeated_main_matches_fresh_processes(tmp_path, capsys):
     # the parser is built once per process; no call may see another's flags
     solve_config = {

@@ -16,6 +16,7 @@ from lagfrac import (
     caputo_power_rule,
     caputo_row,
     collocation_nodes,
+    derivative_basis,
     eval_basis,
     frac_integral_basis,
     gauss_rule,
@@ -386,6 +387,17 @@ def test_operators_leaving_double_range_raise_domain_error(x):
     for call in calls:
         with pytest.raises(DomainError, match="x=1e"):
             call()
+
+
+@pytest.mark.filterwarnings("error")
+def test_range_errors_name_the_ladder_they_check():
+    params = LaguerreParams(0.0, 1.0)
+    with pytest.raises(DomainError) as integer:
+        derivative_basis(params, 40, 1, 1e300)
+    assert str(integer.value) == "derivative ladder leaves double range at x=1e+300"
+    with pytest.raises(DomainError) as fractional:
+        caputo_row(params, OrderFunction.constant(0.5), 40, 1e300)
+    assert str(fractional.value) == "fractional ladder leaves double range at x=1e+300"
 
 
 def test_caputo_power_rule_values():

@@ -24,15 +24,24 @@ def test_probe_of_this_tree_matches_itself(tmp_path):
     records = json.loads((tmp_path / "a.json").read_text())
     # every task exits 0 with its files written, or 2 (a numerical refusal) with none
     assert {(r["exit"], bool(r["files"])) for r in records.values()} == {(0, True), (2, False)}
+    # a rerun over the files of the first run leaves the same bytes
+    for record in records.values():
+        rerun = record.pop("rerun")
+        assert rerun == record
 
 
 def test_compare_lists_the_tasks_that_differ(tmp_path):
-    record = {"exit": 0, "stdout": "0" * 64, "stderr": "1" * 64, "files": {"t.csv": "2" * 64}}
-    a = {"w:5:same": record, "w:5:changed": record, "w:5:only_in_a": record}
-    b = {"w:5:same": record, "w:5:changed": dict(record, files={"t.csv": "3" * 64})}
+    first = {"exit": 0, "stdout": "0" * 64, "stderr": "1" * 64, "files": {"t.csv": "2" * 64}}
+    record = dict(first, rerun=first)
+    stale = dict(first, rerun=dict(first, files={"t.csv": "4" * 64}))
+    a = {"w:5:same": record, "w:5:changed": record, "w:5:only_in_a": record,
+         "w:5:rerun_in_a": stale, "w:5:rerun_in_b": record}
+    b = {"w:5:same": record, "w:5:changed": dict(record, files={"t.csv": "3" * 64}),
+         "w:5:rerun_in_a": stale, "w:5:rerun_in_b": stale}
     (tmp_path / "a.json").write_text(json.dumps(a))
     (tmp_path / "b.json").write_text(json.dumps(b))
     proc = run_probe("--compare", tmp_path / "a.json", tmp_path / "b.json")
     assert proc.returncode == 1
     assert proc.stdout == ("differs: w:5:changed\ndiffers: w:5:only_in_a\n"
-                           "2 of 3 tasks differ\n")
+                           "differs: w:5:rerun_in_a\ndiffers: w:5:rerun_in_b\n"
+                           "4 of 5 tasks differ\n")

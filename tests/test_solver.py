@@ -308,6 +308,12 @@ def test_max_abs_error_validation():
         max_abs_error(coeffs, lambda x: 1.0, -1.0, 11)
 
 
+@pytest.mark.filterwarnings("error")
+def test_max_abs_error_of_finite_values_a_double_range_apart_is_inf():
+    coeffs = InterpolantCoeffs(LaguerreParams(0.0, 1.0), [1e308])
+    assert max_abs_error(coeffs, lambda x: -1e308 + 0 * x, 1.0, 11) == math.inf
+
+
 def test_max_abs_error_rejects_infinite_grid_size():
     coeffs = solve(basset_spec(N=6))
     with pytest.raises(ValueError, match="^grid_size must be an integer"):

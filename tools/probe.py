@@ -11,10 +11,14 @@ this script, imported and left as it is) at seeds 5 and 6, one
 ``lagfrac.cli.main(argv)`` call per task in a fresh directory, in the
 benchmark's order and with BLAS pinned to one thread, as the benchmark
 runs them. Per task it records the exit code and the sha256 of stdout, of
-stderr (every warning printed) and of each file the task wrote.
+stderr (every warning printed) and of each file the task wrote. It then
+runs the task a second time in the same directory, over the files the
+first run left, as every benchmark pass after the first does, and records
+the same digests after that rerun under ``rerun``.
 
-The second form lists the tasks whose records differ between two probes
-and exits 1 if any do, 0 if none do.
+The second form lists the tasks whose records differ between two probes,
+or whose rerun left other bytes than their first run in either probe, and
+exits 1 if any do, 0 if none do.
 """
 
 from __future__ import annotations
@@ -44,30 +48,37 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _call(main, task: dict, work: Path, inputs: set) -> dict:
+    """One main(argv) call in work: exit code and digests of what work then holds."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("always")
+            try:
+                code = main(task["argv"])
+            except Exception as exc:  # recorded as the task's outcome
+                code = f"{type(exc).__name__}: {exc}"
+    finally:
+        os.chdir(cwd)
+    files = {path.name: _sha256(path.read_bytes()) for path in sorted(work.iterdir())
+             if path.name not in inputs}
+    return {"exit": code, "stdout": _sha256(out.getvalue().encode()),
+            "stderr": _sha256(err.getvalue().encode()), "files": files}
+
+
 def _run_task(main, task: dict) -> dict:
-    """One task in a fresh directory: exit code and digests of what it left."""
+    """One task in a fresh directory, then its rerun over the files it left."""
     with tempfile.TemporaryDirectory(prefix="lagfrac-probe-") as tmp:
         work = Path(tmp)
         if "config" in task:
             (work / f"{task['id']}.json").write_text(json.dumps(task["config"]))
         inputs = set(os.listdir(work))
-        out, err = io.StringIO(), io.StringIO()
-        cwd = os.getcwd()
-        os.chdir(work)
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                    warnings.catch_warnings():
-                warnings.simplefilter("always")
-                try:
-                    code = main(task["argv"])
-                except Exception as exc:  # recorded as the task's outcome
-                    code = f"{type(exc).__name__}: {exc}"
-        finally:
-            os.chdir(cwd)
-        files = {path.name: _sha256(path.read_bytes()) for path in sorted(work.iterdir())
-                 if path.name not in inputs}
-    return {"exit": code, "stdout": _sha256(out.getvalue().encode()),
-            "stderr": _sha256(err.getvalue().encode()), "files": files}
+        record = _call(main, task, work, inputs)
+        record["rerun"] = _call(main, task, work, inputs)
+    return record
 
 
 def probe(root: Path) -> dict:
@@ -83,9 +94,16 @@ def probe(root: Path) -> dict:
             for task in workloads.make_tasks(workload, seed)}
 
 
+def _rerun_differs(record: dict) -> bool:
+    return record["rerun"] != {key: value for key, value in record.items() if key != "rerun"}
+
+
 def compare(a: dict, b: dict) -> list[str]:
-    """The keys whose records differ, or that only one probe holds, sorted."""
-    return sorted(key for key in a.keys() | b.keys() if a.get(key) != b.get(key))
+    """The keys whose records differ, that only one probe holds, or whose
+    rerun differs from its first run in either probe, sorted."""
+    return sorted(key for key in a.keys() | b.keys()
+                  if a.get(key) != b.get(key)
+                  or any(_rerun_differs(probe[key]) for probe in (a, b) if key in probe))
 
 
 def main(argv=None) -> int:
