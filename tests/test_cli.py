@@ -652,3 +652,61 @@ def test_integer_with_too_many_digits_is_config_error(workdir, capsys):
     assert main(["solve", "--config", "huge.json"]) == 1
     assert capsys.readouterr().err == (
         "error: config file huge.json holds an integer with too many digits\n")
+
+
+DERIVATIVE_RUN = {"mode": "derivative", "theta": 1, "beta": 3, "N": 8, "order": "0.5",
+                  "u": "x", "out": "x.csv"}
+SOLVE_RUN = {"mode": "solve", "theta": 1, "beta": 3, "N": 8, "order": "0.5",
+             "a": "1", "b": "1", "c": "1", "f": "1", "u0": 0, "out": "x.csv"}
+SOLVE = ["solve", "--config", "run.json"]
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    pytest.param(["example1", "--N", ",", "--out", "x.csv"], None,
+                 "N: expected a nonempty list, got ','", id="empty list"),
+    pytest.param(SOLVE, dict(SOLVE_RUN, f=True), "f: expected an expression string, got True",
+                 id="non-string expression"),
+    pytest.param(["example1", "--theta", "abc", "--out", "x.csv"], None,
+                 "theta: expected a number, got 'abc'", id="not a number"),
+    pytest.param(SOLVE, dict(DERIVATIVE_RUN, N=2.5), "N: expected an integer, got 2.5",
+                 id="not an integer"),
+    pytest.param(["example2", "--grid", "1", "--out", "x.csv"], None,
+                 "grid must be at least 2, got 1", id="grid below 2"),
+    pytest.param(["solve", "--config", "missing.json"], None,
+                 "cannot read config file missing.json: "
+                 "[Errno 2] No such file or directory: 'missing.json'", id="unreadable file"),
+    pytest.param(SOLVE, "{", "config file run.json is not valid JSON: "
+                 "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+                 id="invalid JSON"),
+    pytest.param(SOLVE, "[]", "config file run.json must hold a JSON object", id="not an object"),
+    pytest.param(SOLVE, dict(DERIVATIVE_RUN, mode="integral", order="0.5 - x"),
+                 "order expression '0.5 - x': order function must stay positive, "
+                 "sampled minimum -0.5", id="order leaves its domain"),
+    pytest.param(["example1", "--theta", "1,2", "--beta", "3", "--out", "x.csv"], None,
+                 "theta list (2 values) and beta list (1 values) must pair up",
+                 id="unpaired theta and beta"),
+    pytest.param(SOLVE, dict(DERIVATIVE_RUN, mode="gradient"),
+                 "mode must be solve, derivative, or integral, got 'gradient'", id="unknown mode"),
+    pytest.param(SOLVE, {key: value for key, value in DERIVATIVE_RUN.items() if key != "N"},
+                 "config key 'N' is required", id="missing required key"),
+    pytest.param(SOLVE, {key: value for key, value in DERIVATIVE_RUN.items() if key != "u"},
+                 "config key 'u' is required in derivative mode", id="missing mode key"),
+    pytest.param(SOLVE, dict(SOLVE_RUN, f="builtin:caputo_cos"),
+                 "unknown builtin forcing 'builtin:caputo_cos'; available: builtin:caputo_sin",
+                 id="unknown builtin"),
+    pytest.param(SOLVE, dict(SOLVE_RUN, order="0.5,0.7"),
+                 "order must be a single expression in config runs", id="two orders in solve"),
+    pytest.param(SOLVE, dict(DERIVATIVE_RUN, theta="1,2", beta="3,6"),
+                 "theta: expected a number, got '1,2'", id="two pairs in solve"),
+])
+def test_config_error_stops_before_any_work(workdir, capsys, monkeypatch, argv, config, message):
+    def no_work(*_args):
+        raise AssertionError("work started")
+    monkeypatch.setattr("lagfrac.cli.gauss_rule", no_work)
+    monkeypatch.setattr("lagfrac.cli.solve", no_work)
+    if config is not None:
+        Path("run.json").write_text(config if isinstance(config, str) else json.dumps(config),
+                                    encoding="utf-8")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(".") == ([] if config is None else ["run.json"])
