@@ -10,9 +10,10 @@ Subcommands
 Every subcommand builds a run, a plain dict, for the one runner ``_run``:
 an operator applied to an interpolant, or an IVP solve, per cell of a sweep.
 The examples are presets in ``_EXAMPLES``, whose flags and defaults are also
-the keys an example's ``--config`` file may hold; a ``solve`` config is
-checked key by key and compiled into the same kind of run. Problem callables
-(a, b, c, f, exact) take ``(order, x)``; ``u`` and the order take ``x``.
+the keys an example's ``--config`` file may hold. One compiler, ``_compile``,
+reads and checks an example's values and a ``solve`` config alike, and
+compiles every order before any cell runs. Problem callables (a, b, c, f,
+exact) take ``(order, x)``; ``u`` and the order take ``x``.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 Nothing is logged by default; with -v (after the subcommand) each solve's
@@ -166,13 +167,6 @@ def _as_int(value, key: str) -> int:
     return int(result)
 
 
-def _as_grid(value) -> int:
-    grid = _as_int(value, "grid")
-    if grid < 2:
-        raise ConfigError(f"grid must be at least 2, got {grid}")
-    return grid
-
-
 def _load_config(path, allowed: set[str]) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -192,17 +186,28 @@ def _load_config(path, allowed: set[str]) -> dict:
     return {key: value for key, value in data.items() if value is not None}
 
 
-def _expression(text, key: str):
-    """Compile an expression (see _as_text) into a callable on arrays of points."""
+def _expression(value, key: str):
+    """A callable on arrays of points: a preset's own, or an expression (see _as_text)."""
+    if callable(value):
+        return value
     try:
-        node = exprs.parse(_as_text(text, key))
+        node = exprs.parse(_as_text(value, key))
     except exprs.ExprError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
     return lambda x: exprs.evaluate(node, x)
 
 
-def _problem(text, key: str):
-    """Compile an expression into a problem callable (order, x)."""
+def _problem(value, key: str):
+    """A problem callable (order, x): a preset's own, f's builtin, or an expression."""
+    # a missing or empty exact: the run reports no error
+    if callable(value) or value is None or (key == "exact" and value == ""):
+        return value or None
+    text = _as_text(value, key)
+    if key == "f" and text.startswith("builtin:"):
+        if text not in _BUILTIN_FORCINGS:
+            raise ConfigError(f"unknown builtin forcing {text!r}; "
+                              f"available: {', '.join(_BUILTIN_FORCINGS)}")
+        return _BUILTIN_FORCINGS[text]
     func = _expression(text, key)
     return lambda _order, x: func(x)
 
@@ -276,84 +281,67 @@ _EXAMPLES = {
 }
 
 
-def _example_run(command: str, args) -> dict:
-    """The run of an example: preset defaults, then config values, then flags."""
-    flags = _EXAMPLES[command]["flags"]
-    config = _load_config(args.config, set(flags)) if args.config else {}
-    raw = {**_EXAMPLES[command]["run"], **flags, **config}
-    raw.update((key, getattr(args, key)) for key in flags if getattr(args, key) is not None)
+_SOLVE_KEYS = {"mode", "theta", "beta", "N", "order", "a", "b", "c", "f", "u",
+               "exact", "m", "u0", "v0", "length", "grid", "out"}
+_IVP_KEYS = ("a", "b", "c", "f", "u0")
+
+
+def _compile(name: str, raw: dict, table: bool) -> dict:
+    """The run of raw values: every key read and checked, every order compiled.
+
+    raw is an example's preset run, flag defaults, config values and the
+    flags given, merged in that order (table), or a solve config with --out
+    applied (not table), whose file names carry neither its order nor its
+    (theta, beta) pair, so it must hold one of each.
+    """
+    mode = raw.get("mode", "solve")
+    if mode not in ("solve", "derivative", "integral"):
+        raise ConfigError(f"mode must be solve, derivative, or integral, got {mode!r}")
+    for key in ("theta", "beta", "N", "order"):
+        if key not in raw:
+            raise ConfigError(f"config key {key!r} is required")
+    for key in ("u",) if mode == "solve" else _IVP_KEYS + ("m", "v0"):
+        if key in raw:
+            raise ConfigError(f"config key {key!r} is not used in {mode} mode")
+    for key in _IVP_KEYS if mode == "solve" else ("u",):
+        if key not in raw:
+            raise ConfigError(f"config key {key!r} is required in {mode} mode")
     degrees = _as_list(raw["N"], "N", _as_int)
-    grid = _as_grid(raw["grid"])
+    grid = _as_int(raw.get("grid", 1001), "grid")
+    if grid < 2:
+        raise ConfigError(f"grid must be at least 2, got {grid}")
+    length = _checked_length(_as_float(raw.get("length", 1.0), "length"), "length")
     thetas = _as_list(raw["theta"], "theta", _as_float)
     betas = _as_list(raw["beta"], "beta", _as_float)
     if len(thetas) != len(betas):
         raise ConfigError(f"theta list ({len(thetas)} values) and beta list "
                           f"({len(betas)} values) must pair up")
+    pairs = list(zip(thetas, betas))
     texts = _as_list(raw["order"], "order", _as_text)
-    # pointwise file names carry no order, so a pointwise run takes one
-    if raw.get("pointwise") and len(texts) != 1:
-        raise ConfigError(f"{command} takes a single order expression")
-    length = _checked_length(_as_float(raw["length"], "length"), "length")
+    # pointwise file names carry no order either
+    if (raw.get("pointwise") or not table) and len(texts) != 1:
+        raise ConfigError(f"{name} takes a single order expression")
+    if not table and len(pairs) != 1:
+        raise ConfigError(f"{name} takes a single (theta, beta) pair")
     names = {}
-    for pair in zip(thetas, betas) if raw.get("pointwise") else ():
+    for pair in pairs if raw.get("pointwise") else ():
         other = names.setdefault("theta{:g}_beta{:g}".format(*pair), pair)
         if other != pair:
             raise ConfigError(f"(theta, beta) pairs {other} and {pair} share pointwise files")
-    # a generator: each order is compiled and checked when the sweep reaches it
-    orders = ((text, _order_from_text(text, length, n=raw.get("window"))) for text in texts)
-    return dict(raw, name=command, table=True, N=degrees, grid=grid, length=length,
-                pairs=list(zip(thetas, betas)), orders=orders, out=_as_path(raw["out"], "out"))
-
-
-_SOLVE_KEYS = {"mode", "theta", "beta", "N", "order", "a", "b", "c", "f", "u",
-               "exact", "m", "u0", "v0", "length", "grid", "out"}
-
-
-def _config_run(data: dict, out_override) -> dict:
-    """The run of a solve config; every key is checked before any work starts."""
-    mode = data.get("mode", "solve")
-    if mode not in ("solve", "derivative", "integral"):
-        raise ConfigError(f"mode must be solve, derivative, or integral, got {mode!r}")
-    for key in ("theta", "beta", "N", "order"):
-        if key not in data:
-            raise ConfigError(f"config key {key!r} is required")
-    length = _checked_length(_as_float(data.get("length", 1.0), "length"), "length")
-    grid = _as_grid(data.get("grid", 1001))
-    texts = _as_list(data["order"], "order", _as_text)
-    if len(texts) != 1:
-        raise ConfigError("order must be a single expression in config runs")
-    run = {"name": mode, "mode": mode, "table": False, "length": length, "grid": grid,
-           "pairs": [(_as_float(data["theta"], "theta"), _as_float(data["beta"], "beta"))],
-           "N": _as_list(data["N"], "N", _as_int),
-           "out": _as_path(data.get("out", f"{mode}.csv") if out_override is None
-                           else out_override, "out")}
-    exact = _as_text(data.get("exact", ""), "exact")
-    solve_keys = ("a", "b", "c", "f", "u0")
-    for key in ("u",) if mode == "solve" else solve_keys + ("m", "v0"):
-        if key in data:
-            raise ConfigError(f"config key {key!r} is not used in {mode} mode")
-    for key in solve_keys if mode == "solve" else ("u",):
-        if key not in data:
-            raise ConfigError(f"config key {key!r} is required in {mode} mode")
+    out = _as_path(raw.get("out", f"{mode}.csv"), "out")
+    orders = [(text, _order_from_text(text, length, mode != "integral", raw.get("window")))
+              for text in texts]
+    run = dict(raw, name=name if table else mode, mode=mode, table=table, N=degrees,
+               grid=grid, length=length, pairs=pairs, orders=orders, out=out,
+               exact=_problem(raw.get("exact"), "exact"))
     if mode == "solve":
-        order = _order_from_text(texts[0], length)
-        forcing = _as_text(data["f"], "f")
-        if forcing in _BUILTIN_FORCINGS:
-            run["f"] = _BUILTIN_FORCINGS[forcing]
-        elif forcing.startswith("builtin:"):
-            raise ConfigError(f"unknown builtin forcing {forcing!r}; "
-                              f"available: {', '.join(_BUILTIN_FORCINGS)}")
-        else:
-            run["f"] = _problem(forcing, "f")
-        run.update({key: _problem(data[key], key) for key in ("a", "b", "c")},
-                   m=_as_int(data["m"], "m") if "m" in data else order.n,
-                   u0=_as_float(data["u0"], "u0"),
-                   v0=_as_float(data["v0"], "v0") if "v0" in data else None)
+        # only a solve config may leave m out, and it holds one order
+        run.update({key: _problem(raw[key], key) for key in ("a", "b", "c", "f")},
+                   m=_as_int(raw["m"], "m") if "m" in raw else orders[0][1].n,
+                   u0=_as_float(raw["u0"], "u0"),
+                   v0=_as_float(raw["v0"], "v0") if "v0" in raw else None)
     else:
-        order = _order_from_text(texts[0], length, derivative=mode == "derivative")
-        run["u"] = _expression(data["u"], "u")
-    run["exact"] = _problem(exact, "exact") if exact else None
-    run["orders"] = [(texts[0], order)]
+        run["u"] = _expression(raw["u"], "u")
     return run
 
 
@@ -368,12 +356,11 @@ def _run(run: dict) -> None:
     """
     length, grid, out = run["length"], run["grid"], Path(run["out"])
     xs = np.linspace(0.0, length, grid)
-    orders = run["orders"]
+    orders, pairs, degrees = run["orders"], run["pairs"], run["N"]
     if run.get("orders_outer"):
-        cells = ((pair, N, o) for o in orders for pair in run["pairs"] for N in run["N"])
+        cells = ((pair, N, o) for o in orders for pair in pairs for N in degrees)
     else:
-        orders = list(orders)
-        cells = ((pair, N, o) for pair in run["pairs"] for N in run["N"] for o in orders)
+        cells = ((pair, N, o) for pair in pairs for N in degrees for o in orders)
     rows, built = [], None
     for (theta, beta), N, (text, order) in cells:
         params = LaguerreParams(theta, beta)
@@ -488,10 +475,15 @@ def main(argv=None) -> int:
         if args.command is None:
             raise ConfigError(f"a subcommand is required: {', '.join(_EXAMPLES)}, or solve")
         with _info_to_stderr() if args.verbose else contextlib.nullcontext():
-            if args.command == "solve":
-                _run(_config_run(_load_config(args.config, _SOLVE_KEYS), args.out))
-            else:
-                _run(_example_run(args.command, args))
+            preset = _EXAMPLES.get(args.command)
+            if preset is None:  # solve: the config, then --out
+                raw, flags = _load_config(args.config, _SOLVE_KEYS), ("out",)
+            else:  # the preset run, flag defaults, config values, then the flags given
+                flags = preset["flags"]
+                raw = {**preset["run"], **flags,
+                       **(_load_config(args.config, set(flags)) if args.config else {})}
+            raw.update((key, getattr(args, key)) for key in flags if getattr(args, key) is not None)
+            _run(_compile(args.command, raw, table=preset is not None))
     except SystemExit as exc:  # from argparse, only after printing --help
         return exc.code
     except (DomainError, RuntimeError) as exc:

@@ -695,9 +695,13 @@ SOLVE = ["solve", "--config", "run.json"]
                  "unknown builtin forcing 'builtin:caputo_cos'; available: builtin:caputo_sin",
                  id="unknown builtin"),
     pytest.param(SOLVE, dict(SOLVE_RUN, order="0.5,0.7"),
-                 "order must be a single expression in config runs", id="two orders in solve"),
+                 "solve takes a single order expression", id="two orders in solve"),
     pytest.param(SOLVE, dict(DERIVATIVE_RUN, theta="1,2", beta="3,6"),
-                 "theta: expected a number, got '1,2'", id="two pairs in solve"),
+                 "solve takes a single (theta, beta) pair", id="two pairs in solve"),
+    # every order is compiled before the first cell, not when the sweep reaches it
+    pytest.param(["example3", "--order", "1.5,2.5", "--N", "3,4,5", "--grid", "11"], None,
+                 "order expression '2.5': derivative formulas support orders inside "
+                 "(0, 1) or (1, 2), got n=3", id="example3 second order"),
 ])
 def test_config_error_stops_before_any_work(workdir, capsys, monkeypatch, argv, config, message):
     def no_work(*_args):
@@ -710,3 +714,13 @@ def test_config_error_stops_before_any_work(workdir, capsys, monkeypatch, argv, 
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert os.listdir(".") == ([] if config is None else ["run.json"])
+
+
+def test_solve_config_takes_one_element_pair_lists(workdir):
+    # theta and beta are read as lists, as N is: one pair of one-element lists is one pair
+    assert main(["solve", "--config", write_config(Path("a.json"), DERIVATIVE_RUN)]) == 0
+    first = Path("x.csv").read_bytes()
+    Path("x.csv").unlink()
+    listed = dict(DERIVATIVE_RUN, theta=[1], beta="3")
+    assert main(["solve", "--config", write_config(Path("b.json"), listed)]) == 0
+    assert Path("x.csv").read_bytes() == first
