@@ -172,13 +172,15 @@ def eval_basis(params: LaguerreParams, max_degree, x):
     """Ladder [L_0(x), ..., L_max_degree(x)] by the forward three-term recurrence.
 
     x may be a scalar or a 1-D array; with an array argument the result has
-    shape (max_degree + 1, x.size), degrees along the first axis.
+    shape (max_degree + 1, x.size), degrees along the first axis. Values
+    past double range (x = 1e300, say) are non-finite, without a warning.
     """
     deg = _checked_degree(max_degree, "max_degree")
     xs, scalar = _as_points(x)
     out = np.empty((deg + 1, xs.size), dtype=float)
-    for i, row in enumerate(_ladder(params.theta, params.beta * xs, deg)):
-        out[i] = row
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, row in enumerate(_ladder(params.theta, params.beta * xs, deg)):
+            out[i] = row
     return out[:, 0] if scalar else out
 
 
@@ -292,11 +294,15 @@ def interpolate(rule: QuadratureRule, samples) -> InterpolantCoeffs:
 
 
 def eval_interpolant(coeffs: InterpolantCoeffs, x):
-    """Sum_i l_i L_i(x) by forward recurrence; scalar or 1-D array x."""
+    """Sum_i l_i L_i(x) by forward recurrence; scalar or 1-D array x.
+
+    A sum past double range is non-finite, without a warning, as in eval_basis.
+    """
     xs, scalar = _as_points(x)
     lc = coeffs.coeffs
     rows = _ladder(coeffs.params.theta, coeffs.params.beta * xs, lc.size - 1)
-    acc = lc[0] * next(rows)
-    for c, row in zip(lc[1:], rows):
-        acc += c * row
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = lc[0] * next(rows)
+        for c, row in zip(lc[1:], rows):
+            acc += c * row
     return float(acc[0]) if scalar else acc

@@ -108,9 +108,9 @@ def assemble(spec: IvpSpec) -> tuple[np.ndarray, np.ndarray]:
     """The square collocation system (matrix, rhs), matrix @ coeffs = rhs.
 
     One row per collocation node carries the equation
-    a(x_j) u^(m) + b(x_j) D^(rho) u + c(x_j) u = f(x_j); the remaining one
-    or two rows carry the initial conditions via the basis boundary
-    values L_i(0) and (for orders in (1, 2)) the slopes L_i'(0).
+    a(x_j) u^(m) + b(x_j) D^(rho) u + c(x_j) u = f(x_j); the remaining n
+    rows carry the initial conditions u^(j)(0), j < n, whose basis values
+    (-beta)^j L_(i-j)^(theta+j)(0) come by the parameter shift.
 
     The three ladders at the nodes come from one recurrence pass, a column
     block each: the basis to degree N + 1 (whose top rows certify the nodes),
@@ -120,7 +120,7 @@ def assemble(spec: IvpSpec) -> tuple[np.ndarray, np.ndarray]:
     coefficient, say) raises SolverError naming N and the row's x.
     """
     n, m, N = spec.order.n, spec.m, spec.N
-    count = N if n == 1 else N - 1
+    count = N + 1 - n
     nodes = collocation_nodes(spec.params, N, count)
     theta, beta = spec.params.theta, spec.params.beta
     zeros = np.zeros(count)
@@ -144,15 +144,13 @@ def assemble(spec: IvpSpec) -> tuple[np.ndarray, np.ndarray]:
     matrix = np.zeros((N + 1, N + 1))
     rhs = np.empty(N + 1)
     rhs[:count] = f_vals
-    rhs[count] = spec.u0
     # a row past double range is reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         matrix[:count] = (a_vals * integer + b_vals * frac + c_vals * basis).T
-        matrix[count] = value_at_zero(spec.params, np.arange(N + 1))
-        if n == 2:
-            slope_family = LaguerreParams(theta + 1.0, beta)
-            matrix[count + 1, 1:] = -beta * value_at_zero(slope_family, np.arange(N))
-            rhs[count + 1] = spec.v0
+        for j, value in enumerate((spec.u0, spec.v0)[:n]):
+            family = LaguerreParams(theta + j, beta)
+            matrix[count + j, j:] = (-beta) ** j * value_at_zero(family, np.arange(N + 1 - j))
+            rhs[count + j] = value
     bad = np.flatnonzero(~np.all(np.isfinite(matrix), axis=1))
     if bad.size:
         x = nodes[bad[0]] if bad[0] < count else 0.0
@@ -180,7 +178,7 @@ def solve(spec: IvpSpec) -> InterpolantCoeffs:
             f"(rcond={rcond:.3e}, N={spec.N})")
     coeffs = np.linalg.solve(matrix, rhs)
     if not np.all(np.isfinite(coeffs)):
-        raise SolverError("linear solve produced non-finite coefficients")
+        raise SolverError(f"linear solve produced non-finite coefficients for N={spec.N}")
     # no handler or level can exist before logging is imported, so until then nothing listens
     logging = sys.modules.get("logging")
     if logging is not None:

@@ -167,6 +167,17 @@ def test_overflowing_collocation_system_is_numerical_error(workdir, capsys):
     assert not Path("huge.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_non_finite_coefficients_are_numerical_error(workdir, capsys):
+    cfg = write_config(Path("big.json"), {
+        "mode": "solve", "theta": 0, "beta": 1, "N": 8, "order": "0.5",
+        "a": "1", "b": "1", "c": "1", "f": "1e308", "u0": 0, "out": "big.csv"})
+    assert main(["solve", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "error: linear solve produced non-finite coefficients for N=8\n")
+    assert not Path("big.csv").exists()
+
+
 def test_unknown_config_key(workdir, capsys):
     cfg = write_config(Path("odd.json"), {
         "mode": "solve", "theta": 1, "beta": 3, "N": 8, "order": "0.5",

@@ -453,3 +453,12 @@ def test_scalar_degree_rejects_non_finite(degree):
         eval_basis(params, degree, 1.0)
     with pytest.raises(ValueError, match="must be a nonnegative integer"):
         value_at_zero(params, degree)
+
+
+@pytest.mark.filterwarnings("error")
+def test_evaluation_past_double_range_is_non_finite_without_warning():
+    # the callers turn these values into their own errors: the node certificate,
+    # max_abs_error and the CLI's sampling all name the x
+    params = LaguerreParams(0.0, 1.0)
+    assert not np.all(np.isfinite(eval_basis(params, 40, 1e300)))
+    assert not np.isfinite(eval_interpolant(InterpolantCoeffs(params, np.ones(41)), 1e300))

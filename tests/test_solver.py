@@ -219,6 +219,17 @@ def test_singular_system_raises_solver_error():
 
 
 @pytest.mark.filterwarnings("error")
+def test_non_finite_coefficients_name_N():
+    # the system passes the rcond gate, but a forcing near the largest double
+    # makes the solution overflow
+    spec = IvpSpec(params=LaguerreParams(0.0, 1.0), N=8, order=OrderFunction.constant(0.5),
+                   m=1, a=ONE, b=ONE, c=ONE, f=lambda x: 1e308, u0=0.0)
+    with pytest.raises(SolverError) as info:
+        solve(spec)
+    assert str(info.value) == "linear solve produced non-finite coefficients for N=8"
+
+
+@pytest.mark.filterwarnings("error")
 def test_solve_past_weight_underflow_reaches_rcond_gate():
     # gauss_rule raises from N ~ 190; the solver needs only nodes, so the
     # refusal at N = 200 comes from the conditioning gate
