@@ -201,18 +201,20 @@ def _frac_ladder(params: LaguerreParams, rho: np.ndarray, max_degree: int,
             # x^(rho+1) / Gamma(rho+2) = head * x / (rho+1)
             out[1] = (theta + 1.0) * head - beta * (head * x / rho1)
         correction = head * rho  # x^rho / Gamma(rho)
-        # per degree i (rows) and family: i + theta, and L_i(0) - L_(i+1)(0),
-        # which collapses to -theta L_i(0) / (i + 1) with no cancellation;
-        # L_(i+1)(0) = L_i(0) (i + theta + 1) / (i + 1) multiplies in degree order
+        # per degree i (rows) and family: i + theta, 2i + theta + 1 and
+        # L_i(0) - L_(i+1)(0), which collapses to -theta L_i(0) / (i + 1) with
+        # no cancellation; L_(i+1)(0) = L_i(0) (i + theta + 1) / (i + 1)
+        # multiplies in degree order
         degree = np.arange(float(max_degree))
         if np.ndim(theta):
             degree = degree[:, None]
-        family = degree + theta
+        family, lead = degree + theta, 2.0 * degree + theta + 1.0
         drop = -theta * np.cumprod((family + 1.0) / (degree + 1.0), axis=0) / (degree + 2.0)
-        base, scratch = (theta + 1.0 + rho) - beta * x, np.empty(x.size)
-        steps = zip(out, out[1:], out[2:], family[1:], drop)
-        for i, (prev, cur, row, family_i, drop_i) in enumerate(steps, start=1):
-            np.multiply(np.add(base, 2.0 * i, out=scratch), cur, out=scratch)
+        # (2i + theta + 1 + rho) - beta x as eval_basis rounds it where rho = 0
+        base, scratch = rho - beta * x, np.empty(x.size)
+        steps = zip(out, out[1:], out[2:], family[1:], lead[1:], drop)
+        for i, (prev, cur, row, family_i, lead_i, drop_i) in enumerate(steps, start=1):
+            np.multiply(np.add(base, lead_i, out=scratch), cur, out=scratch)
             np.subtract(scratch, np.multiply(prev, family_i, out=row), out=scratch)
             np.subtract(scratch, np.multiply(correction, drop_i, out=row), out=scratch)
             np.divide(scratch, np.add(rho1, i, out=row), out=row)

@@ -222,6 +222,34 @@ def mpmath_frac_ladder(params, rho, max_degree, x, dps=30):
     return out
 
 
+@pytest.mark.parametrize("theta", [-0.5, 0.0, 0.3, 2.0, 10.0])
+def test_order_zero_frac_ladder_is_eval_basis_bit_for_bit(theta):
+    # both recurrences step with (2i + theta + 1) - beta x, so at rho = 0 the
+    # fractional ladder of a shifted family is that family's basis ladder
+    rng = np.random.default_rng(13)
+    for beta in (1.0, 4.0, 10.0):
+        for N in (2, 8, 20, 40, 80):
+            for shift in (0, 1, 2):
+                x = np.concatenate([[0.0], rng.uniform(0.0, 5.0, 20)])
+                want = eval_basis(LaguerreParams(theta + shift, beta), N, x)
+                params, zeros = LaguerreParams(theta, beta), np.zeros(x.size)
+                assert np.array_equal(_frac_ladder(params, zeros, N, x, shift=shift), want)
+                per_point = np.full(x.size, float(shift))
+                assert np.array_equal(_frac_ladder(params, zeros, N, x, shift=per_point), want)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_derivative_basis_is_scaled_shifted_eval_basis_bit_for_bit(m):
+    x = np.concatenate([[0.0], np.random.default_rng(14).uniform(0.0, 5.0, 20)])
+    for theta in (-0.5, 0.0, 2.0, 10.0):
+        for beta in (1.0, 4.0, 10.0):
+            for N in (2, 8, 40, 80):
+                want = np.zeros((N + 1, x.size))
+                want[m:] = (-beta) ** m * eval_basis(LaguerreParams(theta + m, beta), N - m, x)
+                assert np.array_equal(derivative_basis(LaguerreParams(theta, beta), N, m, x),
+                                      want), (theta, beta, N)
+
+
 def test_frac_ladder_error_against_mpmath_at_degree_80():
     # example1's (2, 6) under a variable order, on points up to the largest node
     params = LaguerreParams(2.0, 6.0)

@@ -174,6 +174,22 @@ def test_assemble_integer_rows_are_derivative_basis(m, n):
                 assert np.array_equal(got[:count], want.T), (theta, beta, N)
 
 
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2)])
+def test_assemble_basis_rows_are_eval_basis(m, n):
+    # with a = b = 0 and c = 1 the equation rows are the basis block alone, the
+    # certified ladder at the nodes bit for bit
+    zero = lambda x: 0.0
+    order = window_order(n, True)
+    for theta in (-0.5, 0.0, 2.0, 10.0):
+        for beta in (1.0, 4.0, 10.0):
+            params = LaguerreParams(theta, beta)
+            for N in (2, 8, 20, 40):
+                count = N + 1 - n
+                got, _ = assemble(equation_spec(params, N, order, m, zero, zero, ONE))
+                want = eval_basis(params, N + 1, collocation_nodes(params, N, count))
+                assert np.array_equal(got[:count], want[:N + 1].T), (theta, beta, N)
+
+
 def test_residual_of_solution():
     spec = basset_spec(N=10)
     matrix, rhs = assemble(spec)
