@@ -11,9 +11,9 @@ Every subcommand builds a run, a plain dict, for the one runner ``_run``:
 an operator applied to an interpolant, or an IVP solve, per cell of a sweep.
 The examples are presets in ``_EXAMPLES``, whose flags and defaults are also
 the keys an example's ``--config`` file may hold. One compiler, ``_compile``,
-reads and checks an example's values and a ``solve`` config alike, and
-compiles every order before any cell runs. Problem callables (a, b, c, f,
-exact) take ``(order, x)``; ``u`` and the order take ``x``.
+checks an example's values and a ``solve`` config alike and builds every cell
+before the first runs; ``_run`` only computes and writes. Problem callables
+(a, b, c, f, exact) take ``(order, x)``; ``u`` and the order take ``x``.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 Nothing is logged by default; with -v (after the subcommand) each solve's
@@ -50,6 +50,7 @@ from .fractional import (
 )
 from .laguerre import (
     LaguerreParams,
+    _checked_degree,
     _checked_length,
     eval_interpolant,
     gauss_rule,
@@ -287,12 +288,13 @@ _IVP_KEYS = ("a", "b", "c", "f", "u0")
 
 
 def _compile(name: str, raw: dict, table: bool) -> dict:
-    """The run of raw values: every key read and checked, every order compiled.
+    """The run of raw values: every key read and checked, every cell built.
 
     raw is an example's preset run, flag defaults, config values and the
     flags given, merged in that order (table), or a solve config with --out
     applied (not table), whose file names carry neither its order nor its
-    (theta, beta) pair, so it must hold one of each.
+    (theta, beta) pair, so it must hold one of each. The run's "cells" are
+    (params, N, order text, order, IvpSpec or None) in output order.
     """
     mode = raw.get("mode", "solve")
     if mode not in ("solve", "derivative", "integral"):
@@ -332,22 +334,29 @@ def _compile(name: str, raw: dict, table: bool) -> dict:
     orders = [(text, _order_from_text(text, length, mode != "integral", raw.get("window")))
               for text in texts]
     run = dict(raw, name=name if table else mode, mode=mode, table=table, N=degrees,
-               grid=grid, length=length, pairs=pairs, orders=orders, out=out,
-               exact=_problem(raw.get("exact"), "exact"))
+               grid=grid, length=length, out=out, exact=_problem(raw.get("exact"), "exact"))
+    families = [LaguerreParams(theta, beta) for theta, beta in pairs]
+    if raw.get("orders_outer"):
+        cells = [(p, N, *o) for o in orders for p in families for N in degrees]
+    else:
+        cells = [(p, N, *o) for p in families for N in degrees for o in orders]
     if mode == "solve":
         # only a solve config may leave m out, and it holds one order
-        run.update({key: _problem(raw[key], key) for key in ("a", "b", "c", "f")},
-                   m=_as_int(raw["m"], "m") if "m" in raw else orders[0][1].n,
-                   u0=_as_float(raw["u0"], "u0"),
-                   v0=_as_float(raw["v0"], "v0") if "v0" in raw else None)
-    else:
-        run["u"] = _expression(raw["u"], "u")
+        problem = {key: _problem(raw[key], key) for key in ("a", "b", "c", "f")}
+        m = _as_int(raw["m"], "m") if "m" in raw else orders[0][1].n
+        u0, v0 = (_as_float(raw[key], key) if key in raw else None for key in ("u0", "v0"))
+        run["cells"] = [(p, N, text, order, IvpSpec(
+            params=p, N=N, order=order, m=m, u0=u0, v0=v0,
+            **{key: partial(func, order) for key, func in problem.items()}))
+            for p, N, text, order in cells]
+    else:  # every degree passes the check gauss_rule applies
+        run.update(u=_expression(raw["u"], "u"), cells=[
+            (p, _checked_degree(N, "N"), text, order, None) for p, N, text, order in cells])
     return run
 
 
 def _run(run: dict) -> None:
-    """Compute every cell of a run, (theta, beta) -> N -> order (order first
-    for ``orders_outer``), and write a table row or a file per degree for it.
+    """Compute the compiled cells in order; write a table row or a file per degree.
 
     Operator mode builds one Gauss rule and interpolant of u per (theta,
     beta, N) for every order. A value beyond double range on the grid is a
@@ -356,19 +365,9 @@ def _run(run: dict) -> None:
     """
     length, grid, out = run["length"], run["grid"], Path(run["out"])
     xs = np.linspace(0.0, length, grid)
-    orders, pairs, degrees = run["orders"], run["pairs"], run["N"]
-    if run.get("orders_outer"):
-        cells = ((pair, N, o) for o in orders for pair in pairs for N in degrees)
-    else:
-        cells = ((pair, N, o) for pair in pairs for N in degrees for o in orders)
     rows, built = [], None
-    for (theta, beta), N, (text, order) in cells:
-        params = LaguerreParams(theta, beta)
-        if run["mode"] == "solve":
-            spec = IvpSpec(params=params, N=N, order=order, m=run["m"],
-                           a=partial(run["a"], order), b=partial(run["b"], order),
-                           c=partial(run["c"], order), f=partial(run["f"], order),
-                           u0=run["u0"], v0=run["v0"])
+    for params, N, text, order, spec in run["cells"]:
+        if spec is not None:
             evaluate = partial(eval_interpolant, solve(spec))
         else:
             if built != (params, N):
@@ -385,9 +384,9 @@ def _run(run: dict) -> None:
                 errors = np.abs(values - reference)
             error = float(np.max(errors))
         if run["table"]:
-            row = [_fmt(theta), _fmt(beta), str(N), text, _fmt(error)]
+            row = [_fmt(params.theta), _fmt(params.beta), str(N), text, _fmt(error)]
             if run.get("pointwise"):
-                name = (f"{out.stem}_pointwise_theta{theta:g}_beta{beta:g}"
+                name = (f"{out.stem}_pointwise_theta{params.theta:g}_beta{params.beta:g}"
                         f"_N{N}{out.suffix or '.csv'}")
                 _write_sections(out.parent / name, [(["x", "abs_error"], (xs, errors))])
                 row.append(name)
@@ -398,7 +397,7 @@ def _run(run: dict) -> None:
         if error is not None:
             sections.append((["N", "theta", "beta", "order", "max_abs_error", "grid_size",
                               "domain_length"],
-                             [[str(N), _fmt(theta), _fmt(beta), text,
+                             [[str(N), _fmt(params.theta), _fmt(params.beta), text,
                                _fmt(error), str(grid), _fmt(length)]]))
             summary = f", max_abs_error={_fmt(error)}"
         path = out if len(run["N"]) == 1 else out.with_name(

@@ -258,9 +258,12 @@ def frac_integral_basis(params: LaguerreParams, order: OrderFunction, max_degree
 def vo_integral(coeffs: InterpolantCoeffs, order: OrderFunction, x):
     """Variable-order fractional integral of the expansion at x.
 
-    x is a scalar (the result is a float) or a 1-D array of points.
+    x is a scalar (the result is a float) or a 1-D array of points. A sum
+    past double range is non-finite, without a warning, as in eval_interpolant.
     """
-    values = coeffs.coeffs @ frac_integral_basis(coeffs.params, order, coeffs.coeffs.size - 1, x)
+    rows = frac_integral_basis(coeffs.params, order, coeffs.coeffs.size - 1, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = coeffs.coeffs @ rows
     return float(values) if np.ndim(values) == 0 else values
 
 
@@ -314,11 +317,14 @@ def vo_derivative(coeffs: InterpolantCoeffs, order: OrderFunction, x):
     """Variable-order Caputo derivative of the expansion at x.
 
     x is a scalar (the result is a float) or a 1-D array of points. The
-    coefficients contract _caputo_ladder before (-beta)^n scales the sum.
+    coefficients contract _caputo_ladder before (-beta)^n scales the sum; a
+    sum past double range is non-finite, without a warning.
     """
     pts, scalar = _as_points(x)
     scale, ladder = _caputo_ladder(coeffs.params, order, coeffs.coeffs.size - 1, pts)
-    values = np.zeros(pts.size) if ladder is None else scale * (coeffs.coeffs[order.n:] @ ladder)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (np.zeros(pts.size) if ladder is None
+                  else scale * (coeffs.coeffs[order.n:] @ ladder))
     return float(values[0]) if scalar else values
 
 

@@ -282,14 +282,18 @@ def interpolate(rule: QuadratureRule, samples) -> InterpolantCoeffs:
     """Spectral coefficients of the interpolant through (rule.nodes, samples).
 
     Discrete transform: l_i = (1/gamma_i) sum_j samples[j] L_i(x_j) w_j,
-    one product with the ladder and norms the rule holds.
+    one product with the ladder and norms the rule holds. Finite samples
+    whose coefficients leave double range raise DomainError naming N.
     """
     vals = np.asarray(samples, dtype=float)
     if vals.ndim != 1 or vals.size != rule.nodes.size:
         raise ValueError(f"expected {rule.nodes.size} samples, got shape {vals.shape}")
     if not np.all(np.isfinite(vals)):
         raise ValueError("samples must be finite")
-    coeffs = rule.basis @ (vals * rule.weights) / rule.norms
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = rule.basis @ (vals * rule.weights) / rule.norms
+    if not np.all(np.isfinite(coeffs)):
+        raise DomainError(f"interpolation coefficients for N={vals.size - 1} leave double range")
     return InterpolantCoeffs(params=rule.params, coeffs=coeffs)
 
 

@@ -123,15 +123,6 @@ def test_solve_reproduces_example2_cell(workdir):
     assert report[4] == cell
 
 
-def test_missing_v0_is_config_error(workdir, capsys):
-    cfg = write_config(Path("bad.json"), {
-        "mode": "solve", "theta": 3, "beta": 6, "N": 10, "order": "3/2",
-        "a": "1", "b": "1", "c": "1", "f": "builtin:caputo_sin",
-        "m": 2, "u0": 0, "length": 1, "out": "x.csv"})
-    assert main(["solve", "--config", cfg]) == 1
-    assert "v0" in capsys.readouterr().err
-
-
 def test_singular_problem_is_numerical_error(workdir, capsys):
     cfg = write_config(Path("sing.json"), {
         "mode": "solve", "theta": 1, "beta": 3, "N": 8, "order": "0.5",
@@ -192,12 +183,6 @@ def test_invalid_order_expression(workdir, capsys):
                "--order", "0.5 +"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
-
-
-def test_example2_rejects_first_window_order(workdir):
-    rc = main(["example2", "--theta", "3", "--beta", "6", "--N", "5",
-               "--order", "0.5"])
-    assert rc == 1
 
 
 def test_order_touching_lower_integer_at_origin(workdir, capsys):
@@ -596,15 +581,6 @@ def test_solve_past_ladder_range_is_numerical_error(workdir, capsys):
     assert not Path("big.csv").exists()
 
 
-def test_zero_m_reaches_the_problem_check(workdir, capsys):
-    cfg = write_config(Path("m0.json"), {
-        "mode": "solve", "theta": 1, "beta": 3, "N": 8, "order": "0.5",
-        "a": "1", "b": "1", "c": "1", "f": "1", "u0": 0, "m": 0, "out": "m0.csv"})
-    assert main(["solve", "--config", cfg]) == 1
-    assert capsys.readouterr().err == "error: m must be 1 or 2, got 0\n"
-    assert not Path("m0.csv").exists()
-
-
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("mode,keys,message", [
     ("solve", {"length": 1e80}, "solution returned non-finite value -inf at x=1e+79"),
@@ -612,9 +588,11 @@ def test_zero_m_reaches_the_problem_check(workdir, capsys):
      "solution returned non-finite value -inf at x=1e+79"),
     ("derivative", {"length": 1e300, "u": "x", "exact": "x"},
      "fractional ladder leaves double range at x=1e+299"),
-], ids=["solve", "solve with exact", "derivative with exact"])
+    ("derivative", {"beta": 0.1, "u": "1e308"},
+     "interpolation coefficients for N=4 leave double range"),
+], ids=["solve", "solve with exact", "derivative with exact", "interpolation"])
 def test_values_beyond_double_range_are_numerical_errors(workdir, capsys, mode, keys, message):
-    # the solution and the operator values overflow far out on the grid
+    # the solution or the operator values overflow far out on the grid, or the coefficients of u
     solve_keys = {"a": 1, "b": 1, "c": 1, "f": 1, "u0": 0} if mode == "solve" else {}
     cfg = write_config(Path("far.json"), {
         "mode": mode, "theta": 0, "beta": 1, "N": 4, "order": "0.5", "grid": 11,
@@ -713,6 +691,19 @@ SOLVE = ["solve", "--config", "run.json"]
     pytest.param(["example3", "--order", "1.5,2.5", "--N", "3,4,5", "--grid", "11"], None,
                  "order expression '2.5': derivative formulas support orders inside "
                  "(0, 1) or (1, 2), got n=3", id="example3 second order"),
+    pytest.param(["example2", "--theta", "3", "--beta", "6", "--N", "5", "--order", "0.5"],
+                 None, "order expression '0.5' must take values inside (1, 2)",
+                 id="example2 first window order"),
+    # every cell's basis and IvpSpec are built, and every degree checked, before the first cell
+    pytest.param(["example2", "--theta", "0,-2", "--beta", "1,1", "--N", "5", "--grid", "11"],
+                 None, "theta must exceed -1, got -2.0", id="example2 second theta"),
+    pytest.param(SOLVE, dict(SOLVE_RUN, N=[4, 1]), "N must be an integer >= 2, got 1",
+                 id="solve second degree"),
+    pytest.param(SOLVE, dict(DERIVATIVE_RUN, N=[10, -1]),
+                 "N must be a nonnegative integer, got -1", id="derivative second degree"),
+    pytest.param(SOLVE, dict(SOLVE_RUN, m=0), "m must be 1 or 2, got 0", id="zero m"),
+    pytest.param(SOLVE, dict(SOLVE_RUN, order="3/2", m=2),
+                 "v0 is required when the order lies in (1, 2)", id="missing v0"),
 ])
 def test_config_error_stops_before_any_work(workdir, capsys, monkeypatch, argv, config, message):
     def no_work(*_args):

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from lagfrac import (
     DomainError,
+    InterpolantCoeffs,
     LaguerreParams,
     OrderFunction,
     caputo_exp_exact,
@@ -415,6 +416,16 @@ def test_operators_leaving_double_range_raise_domain_error(x):
     for call in calls:
         with pytest.raises(DomainError, match="x=1e"):
             call()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("operator", [vo_integral, vo_derivative])
+@pytest.mark.parametrize("rho", [0.5, 1.5])
+def test_operator_sums_past_double_range_are_non_finite_without_warning(operator, rho):
+    # the rows stay in range but the contraction overflows; the CLI's sampling names the x
+    coeffs = InterpolantCoeffs(LaguerreParams(0.0, 1.0), np.full(6, 1e308))
+    values = operator(coeffs, OrderFunction.constant(rho), np.linspace(0.0, 4.0, 5))
+    assert not np.all(np.isfinite(values))
 
 
 @pytest.mark.filterwarnings("error")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagfrac import (
+    DomainError,
     InterpolantCoeffs,
     LaguerreParams,
     QuadratureRule,
@@ -410,6 +411,16 @@ def test_interpolate_length_mismatch():
     rule = gauss_rule(LaguerreParams(0.0, 1.0), 4)
     with pytest.raises(ValueError):
         interpolate(rule, np.ones(3))
+
+
+@pytest.mark.filterwarnings("error")
+def test_interpolate_past_double_range_names_n():
+    # finite samples whose transform overflows: a DomainError, no numpy warning
+    rule = gauss_rule(LaguerreParams(0.0, 0.1), 5)
+    with pytest.raises(DomainError) as info:
+        interpolate(rule, np.full(6, 1e308))
+    assert str(info.value) == "interpolation coefficients for N=5 leave double range"
+    assert isinstance(info.value, ValueError)
 
 
 def test_quadrature_rule_validation():

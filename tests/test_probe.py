@@ -45,3 +45,21 @@ def test_compare_lists_the_tasks_that_differ(tmp_path):
     assert proc.stdout == ("differs: w:5:changed\ndiffers: w:5:only_in_a\n"
                            "differs: w:5:rerun_in_a\ndiffers: w:5:rerun_in_b\n"
                            "4 of 5 tasks differ\n")
+
+
+def test_compare_refuses_an_unreadable_probe_file(tmp_path):
+    # exit 1 means "tasks differ", so a file that is not a probe is a usage error (exit 2)
+    (tmp_path / "good.json").write_text("{}")
+    (tmp_path / "bad.json").write_text("{")
+    (tmp_path / "list.json").write_text("[]")
+    (tmp_path / "numbers.json").write_text('{"w:5:t": 1}')
+    for name, cause in [("missing.json", "cannot read probe file"),
+                        ("bad.json", "cannot read probe file"),
+                        ("list.json", "must hold a JSON object of task records"),
+                        ("numbers.json", "must hold a JSON object of task records")]:
+        proc = run_probe("--compare", tmp_path / "good.json", tmp_path / name)
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        last = proc.stderr.splitlines()[-1]
+        assert last.startswith("probe.py: error: ") and cause in last
+        assert str(tmp_path / name) in last
+        assert "Traceback" not in proc.stderr

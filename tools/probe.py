@@ -18,7 +18,8 @@ the same digests after that rerun under ``rerun``.
 
 The second form lists the tasks whose records differ between two probes,
 or whose rerun left other bytes than their first run in either probe, and
-exits 1 if any do, 0 if none do.
+exits 1 if any do, 0 if none do. A probe file that cannot be read as a JSON
+object of task records is a usage error: exit 2, with one line naming it.
 """
 
 from __future__ import annotations
@@ -106,6 +107,18 @@ def compare(a: dict, b: dict) -> list[str]:
                   or any(_rerun_differs(probe[key]) for probe in (a, b) if key in probe))
 
 
+def _load(parser: argparse.ArgumentParser, path: Path) -> dict:
+    """The records of a probe file; an unreadable or malformed one is a usage error."""
+    try:
+        records = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        parser.error(f"cannot read probe file {path}: {exc}")
+    if not (isinstance(records, dict)
+            and all(isinstance(record, dict) and "rerun" in record for record in records.values())):
+        parser.error(f"probe file {path} must hold a JSON object of task records")
+    return records
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, help="checkout whose src/ runs the tasks")
@@ -114,7 +127,7 @@ def main(argv=None) -> int:
                         help="two probe files to compare")
     args = parser.parse_args(argv)
     if args.compare:
-        a, b = (json.loads(path.read_text()) for path in args.compare)
+        a, b = (_load(parser, path) for path in args.compare)
         differ = compare(a, b)
         for key in differ:
             print(f"differs: {key}")
