@@ -36,7 +36,7 @@ def main():
     for N in (4, 6, 8, 10):
         spec = IvpSpec(params=LaguerreParams(2.0, 4.0), N=N, order=order,
                        m=1, a=one, b=one, c=one, f=forcing,
-                       u0=1.0)
+                       initial=[1.0])
         coeffs = solve(spec)
         error = max_abs_error(coeffs, lambda x: x ** 2 + 1.0, 1.0, 1001)
         print(f"{N:<3d} {error:.3e}")

@@ -3,7 +3,9 @@
 Solves  u'' + D^(3/2) u + u = f,  u(0) = 0, u'(0) = 1  on [0, 1]
 where f = D^(3/2) sin from its closed form, so the exact solution is
 sin(x). Shows spectral decay of the error as N grows and writes the
-N=20 pointwise error to demo_output/oscillator_error.csv.
+N=20 pointwise error to demo_output/oscillator_error.csv. Then the same
+solution under a variable order in (1, 2), and under a fractional damping
+term D^(1/2) u, whose order lies below m = 2.
 
 Run from the repository root:
 
@@ -40,7 +42,7 @@ def main():
         spec = IvpSpec(params=params, N=N, order=order, m=2,
                        a=one, b=one, c=one,
                        f=lambda x: caputo_of_sin(order, x),
-                       u0=0.0, v0=1.0)
+                       initial=[0.0, 1.0])
         coeffs = solve(spec)
         error = max_abs_error(coeffs, np.sin, 1.0, 1001)
         print(f"{N:<3d} {error:.3e}")
@@ -61,9 +63,18 @@ def main():
     spec = IvpSpec(params=params, N=20, order=variable, m=2,
                    a=one, b=one, c=one,
                    f=lambda x: caputo_of_sin(variable, x),
-                   u0=0.0, v0=1.0)
+                   initial=[0.0, 1.0])
     error = max_abs_error(solve(spec), np.sin, 1.0, 1001)
     print(f"variable order (9+sin(x-10))/5, N=20: {error:.3e}")
+
+    # the fractionally damped oscillator u'' + D^(1/2) u + u = f, where
+    # u'' + u = 0 for sin: k = max(m, n) = 2 initial values, as before
+    half = OrderFunction.constant(0.5)
+    spec = IvpSpec(params=LaguerreParams(2.0, 4.0), N=20, order=half, m=2,
+                   a=one, b=one, c=one, f=lambda x: caputo_of_sin(half, x),
+                   initial=[0.0, 1.0])
+    error = max_abs_error(solve(spec), np.sin, 1.0, 1001)
+    print(f"damping order 1/2 (m=2, n=1), N=20: {error:.3e}")
 
 
 if __name__ == "__main__":

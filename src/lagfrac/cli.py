@@ -216,8 +216,8 @@ def _problem(value, key: str):
 def _order_from_text(text: str, length: float, derivative=True, n=None) -> OrderFunction:
     """Compile an order expression and certify its bounds on (0, length].
 
-    derivative requires the window (0, 1) or (1, 2) that the derivative
-    formulas need; n, when given, requires the window (n - 1, n).
+    derivative requires the order to stay inside one unit window (n - 1, n),
+    as the derivative formulas need; n, when given, names that window.
     """
     func = _expression(text, "order")
     try:
@@ -344,9 +344,10 @@ def _compile(name: str, raw: dict, table: bool) -> dict:
         # only a solve config may leave m out, and it holds one order
         problem = {key: _problem(raw[key], key) for key in ("a", "b", "c", "f")}
         m = _as_int(raw["m"], "m") if "m" in raw else orders[0][1].n
-        u0, v0 = (_as_float(raw[key], key) if key in raw else None for key in ("u0", "v0"))
+        # u0 and v0 are u(0) and u'(0): the keys given are the initial values
+        initial = [_as_float(raw[key], key) for key in ("u0", "v0") if key in raw]
         run["cells"] = [(p, N, text, order, IvpSpec(
-            params=p, N=N, order=order, m=m, u0=u0, v0=v0,
+            params=p, N=N, order=order, m=m, initial=initial,
             **{key: partial(func, order) for key, func in problem.items()}))
             for p, N, text, order in cells]
     else:  # every degree passes the check gauss_rule applies

@@ -125,9 +125,6 @@ class OrderFunction(Record):
 
 def _require_derivative_window(order: OrderFunction) -> None:
     n = order.n
-    if n not in (1, 2):
-        raise DomainError(
-            f"derivative formulas support orders inside (0, 1) or (1, 2), got n={n}")
     if not (order.rho_min > n - 1 + _WINDOW_MARGIN and order.rho_max < n - _WINDOW_MARGIN):
         raise DomainError(
             f"order bounds [{order.rho_min}, {order.rho_max}] must lie strictly "
@@ -240,14 +237,15 @@ def frac_integral_basis(params: LaguerreParams, order: OrderFunction, max_degree
 
     x is a scalar (the result is the row of max_degree + 1 values) or a 1-D
     array of points (a matrix with one column per point). Any positive order
-    value is admissible here; the (n-1, n) window only constrains
+    value is admissible here, and 0 at x = 0, where the value is the basis
+    itself (the limit x -> 0+); the (n-1, n) window only constrains
     derivatives. The degree-0 value is x^rho / Gamma(rho + 1); the degree-1
     value is (theta + 1) x^rho / Gamma(rho + 1) - beta x^(rho + 1) / Gamma(rho + 2).
     """
     deg = _checked_degree(max_degree, "max_degree")
     pts, scalar = _as_points(x)
     rho = _sample(order.eval, pts, "order function")
-    bad = np.flatnonzero(rho <= 0.0)
+    bad = np.flatnonzero((rho < 0.0) | ((rho == 0.0) & (pts != 0.0)))
     if bad.size:
         j = bad[0]
         raise DomainError(f"integral order must be positive, got {rho[j]} at x={pts[j]}")
@@ -331,8 +329,10 @@ def vo_derivative(coeffs: InterpolantCoeffs, order: OrderFunction, x):
 def caputo_power_rule(gamma_exp, order_value, n, x):
     """Caputo derivative of x^gamma_exp at orders inside (n-1, n).
 
-    Powers up to n - 1 are annihilated; larger (real) powers map to
+    Integer powers up to n - 1 are annihilated; powers above n - 1 map to
     gamma_ratio(gamma_exp + 1, gamma_exp + 1 - order) * x^(gamma_exp - order).
+    A non-integer power below n - 1 has no Caputo derivative (its n-th
+    derivative is not integrable at 0) and raises DomainError.
     order_value and x may be scalars or matching 1-D arrays; the result is
     a float when both are scalars. A value beyond double range is inf,
     without a warning.
@@ -351,6 +351,10 @@ def caputo_power_rule(gamma_exp, order_value, n, x):
     if nonpositive.size:
         raise DomainError(f"x must be positive, got {point.flat[nonpositive[0]]}")
     if exponent <= ceiling - 1:
+        if exponent != int(exponent):
+            raise DomainError(f"x^{exponent:g} has no Caputo derivative at orders inside "
+                              f"({ceiling - 1}, {ceiling}): its derivative of order "
+                              f"{ceiling} is not integrable at 0")
         out = np.zeros(np.broadcast(rho, point).shape)
     else:
         with np.errstate(over="ignore"):

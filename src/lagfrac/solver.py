@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,40 +53,32 @@ class IvpSpec(Record):
     """An initial value problem with an added fractional derivative term.
 
     The equation is a(x) u^(m)(x) + b(x) D^(rho(x)) u(x) + c(x) u(x) = f(x)
-    for x >= 0 with u(0) = u0, plus u'(0) = v0 when the fractional order
-    lies in (1, 2). The coefficient and forcing callables take a 1-D float
-    array of points and return an array of the same shape (a scalar return
-    is broadcast); they must be pure and finite at the collocation nodes.
+    for x >= 0, with m >= 1 and rho inside one unit window (n - 1, n). The
+    k = max(m, n) values u(0), u'(0), ..., u^(k-1)(0) are the initial
+    sequence, and N >= max(2, k) leaves at least one collocation row. The
+    coefficient and forcing callables take a 1-D float array of points and
+    return an array of the same shape (a scalar return is broadcast); they
+    must be pure and finite at the collocation nodes.
     """
 
-    __slots__ = ("params", "N", "order", "m", "a", "b", "c", "f", "u0", "v0")
+    __slots__ = ("params", "N", "order", "m", "a", "b", "c", "f", "initial")
 
     def __init__(self, params: LaguerreParams, N: int, order: OrderFunction, m: int,
                  a: Callable[[np.ndarray], np.ndarray], b: Callable[[np.ndarray], np.ndarray],
                  c: Callable[[np.ndarray], np.ndarray], f: Callable[[np.ndarray], np.ndarray],
-                 u0: float, v0: Optional[float] = None):
-        N = _checked_int(N, "N", 2)
-        if m not in (1, 2):
-            raise ValueError(f"m must be 1 or 2, got {m!r}")
-        m = int(m)
+                 initial: Sequence[float]):
+        m = _checked_int(m, "m", 1)
         _require_derivative_window(order)
-        if order.n == 2:
-            if v0 is None:
-                raise ValueError("v0 is required when the order lies in (1, 2)")
-            if not np.isfinite(float(v0)):
-                raise ValueError("v0 must be finite")
-            v0 = float(v0)
-        else:
-            if v0 is not None:
-                raise ValueError("v0 must be omitted when the order lies in (0, 1)")
-            if m != 1:
-                raise ValueError("m must be 1 when the order lies in (0, 1)")
+        k = max(m, order.n)
+        N = _checked_int(N, "N", max(2, k))
         for name, func in (("a", a), ("b", b), ("c", c), ("f", f)):
             if not callable(func):
                 raise ValueError(f"{name} must be callable")
-        if not np.isfinite(float(u0)):
-            raise ValueError("u0 must be finite")
-        self._fill(params, N, order, m, a, b, c, f, float(u0), v0)
+        values = np.asarray(initial, dtype=float)
+        if values.shape != (k,) or not np.all(np.isfinite(values)):
+            raise ValueError(f"{k} finite initial values u^(j)(0), j < {k}, are needed "
+                             f"for m={m} and n={order.n}, got {initial!r}")
+        self._fill(params, N, order, m, a, b, c, f, tuple(values.tolist()))
 
 
 def collocation_nodes(params: LaguerreParams, N, count) -> np.ndarray:
@@ -108,9 +100,9 @@ def assemble(spec: IvpSpec) -> tuple[np.ndarray, np.ndarray]:
     """The square collocation system (matrix, rhs), matrix @ coeffs = rhs.
 
     One row per collocation node carries the equation
-    a(x_j) u^(m) + b(x_j) D^(rho) u + c(x_j) u = f(x_j); the remaining n
-    rows carry the initial conditions u^(j)(0), j < n, whose basis values
-    (-beta)^j L_(i-j)^(theta+j)(0) come by the parameter shift.
+    a(x_j) u^(m) + b(x_j) D^(rho) u + c(x_j) u = f(x_j); the remaining k
+    rows carry the initial conditions u^(j)(0) = initial[j], j < k, whose
+    basis values (-beta)^j L_(i-j)^(theta+j)(0) come by the parameter shift.
 
     The three ladders at the nodes come from one recurrence pass, a column
     block each: the basis to degree N + 1 (whose top rows certify the nodes),
@@ -120,7 +112,7 @@ def assemble(spec: IvpSpec) -> tuple[np.ndarray, np.ndarray]:
     coefficient, say) raises SolverError naming N and the row's x.
     """
     n, m, N = spec.order.n, spec.m, spec.N
-    count = N + 1 - n
+    count = N + 1 - len(spec.initial)
     nodes = collocation_nodes(spec.params, N, count)
     theta, beta = spec.params.theta, spec.params.beta
     zeros = np.zeros(count)
@@ -147,7 +139,7 @@ def assemble(spec: IvpSpec) -> tuple[np.ndarray, np.ndarray]:
     # a row past double range is reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         matrix[:count] = (a_vals * integer + b_vals * frac + c_vals * basis).T
-        for j, value in enumerate((spec.u0, spec.v0)[:n]):
+        for j, value in enumerate(spec.initial):
             family = LaguerreParams(theta + j, beta)
             matrix[count + j, j:] = (-beta) ** j * value_at_zero(family, np.arange(N + 1 - j))
             rhs[count + j] = value

@@ -42,7 +42,7 @@ def _solve_oscillator(theta, beta, N, order):
     spec = IvpSpec(params=LaguerreParams(theta, beta), N=N, order=order, m=2,
                    a=ONE, b=ONE, c=ONE,
                    f=lambda x: caputo_of_sin(order, x),
-                   u0=0.0, v0=1.0)
+                   initial=[0.0, 1.0])
     coeffs = solve(spec)
     return max_abs_error(coeffs, np.sin, 1.0, 1001)
 
@@ -126,7 +126,7 @@ def test_criterion_4_polynomial_exact_benchmark():
         for N in (3, 4, 5):
             spec = IvpSpec(params=params, N=N, order=order, m=2,
                            a=ONE, b=ONE, c=ONE, f=forcing,
-                           u0=1.0, v0=1.0)
+                           initial=[1.0, 1.0])
             coeffs = solve(spec)
             error = max_abs_error(coeffs, lambda x: x ** 3 + x + 1.0,
                                   length, 1001)
@@ -215,7 +215,7 @@ def test_criterion_7_solver_invariants():
                    a=ONE, b=ONE, c=ONE,
                    f=lambda x: (2.0 * x + (2.0 / math.gamma(2.5)) * x ** 1.5
                                 + x ** 2 + 1.0),
-                   u0=1.0)
+                   initial=[1.0])
     matrix, rhs = assemble(spec)
     coeffs = solve(spec)
     residual = float(np.max(np.abs(matrix @ coeffs.coeffs - rhs)))
@@ -227,7 +227,7 @@ def test_criterion_7_solver_invariants():
     spec2 = IvpSpec(params=LaguerreParams(3.0, 6.0), N=12, order=order2, m=2,
                     a=ONE, b=ONE, c=ONE,
                     f=lambda x: caputo_of_sin(order2, x),
-                    u0=0.0, v0=1.0)
+                    initial=[0.0, 1.0])
     coeffs2 = solve(spec2)
     ic2_value = abs(eval_interpolant(coeffs2, 0.0))
     slopes = derivative_basis(coeffs2.params, coeffs2.coeffs.size - 1, 1, 0.0)

@@ -47,6 +47,14 @@ def test_example1_restricted_run(workdir):
     assert by_key[("10", "0.5")] > by_key[("20", "0.5")]
 
 
+def test_example1_takes_orders_past_two(workdir):
+    # an order in (2, 3) is one more unit window for the derivative formulas
+    assert main(["example1", "--order", "2.5", "--N", "20,40", "--out", "t.csv"]) == 0
+    by_key = {(r[0], r[2]): float(r[4]) for r in read_rows("t.csv")[1:]}
+    assert len(by_key) == 4
+    assert by_key[("2", "20")] <= 1e-8 and by_key[("1", "40")] <= 1e-6
+
+
 def test_example1_rerun_is_byte_identical(workdir):
     args = ["example1", "--theta", "1", "--beta", "3", "--N", "10",
             "--order", "0.8", "--out", "a.csv"]
@@ -238,6 +246,28 @@ def test_integral_mode_with_exact(workdir):
     rows = read_rows("integ.csv")
     report = rows[next(i for i, r in enumerate(rows) if r[0] == "N") + 1]
     assert float(report[4]) <= 1e-9
+
+
+def test_integral_order_may_reach_zero_at_the_origin(workdir, capsys):
+    # rho(0) = 0: the value at x = 0 is the interpolant there, u(0) = 1
+    cfg = write_config(Path("i.json"), {
+        "mode": "integral", "theta": 0, "beta": 4, "N": 20, "order": "0.5*x",
+        "u": "exp(x)", "grid": 11, "out": "i.csv"})
+    assert main(["solve", "--config", cfg]) == 0
+    assert capsys.readouterr() == ("integral: wrote i.csv\n", "")
+    rows = read_rows("i.csv")
+    assert rows[1][0] == "0" and abs(float(rows[1][1]) - 1.0) <= 1e-9
+
+
+def test_solve_config_fractionally_damped_oscillator(workdir):
+    # u'' + D^0.5 u + u = f (m = 2, n = 1) with u = sin: u0 and v0 are u(0) and u'(0)
+    cfg = write_config(Path("damped.json"), {
+        "theta": 2, "beta": 4, "N": 20, "order": "0.5", "m": 2, "a": "1", "b": "1",
+        "c": "1", "f": "builtin:caputo_sin", "u0": 0, "v0": 1, "exact": "sin(x)"})
+    assert main(["solve", "--config", cfg]) == 0
+    rows = read_rows("solve.csv")
+    report = rows[next(i for i, r in enumerate(rows) if r[0] == "N") + 1]
+    assert float(report[4]) <= 1e-12
 
 
 def test_solve_with_degree_list_writes_per_degree_files(workdir):
@@ -549,7 +579,7 @@ def test_solve_logs_once_logging_is_configured_in_a_fresh_interpreter():
         "from lagfrac import IvpSpec, LaguerreParams, OrderFunction, solve",
         "one = lambda x: 1.0",
         "spec = IvpSpec(LaguerreParams(1, 3), 8, OrderFunction.constant(0.5), 1, "
-        "one, one, one, one, 0.0)",
+        "one, one, one, one, [0.0])",
         "solve(spec)",
         "print('configured', file=sys.stderr)",
         "logging.basicConfig(level=logging.INFO)",
@@ -689,8 +719,8 @@ SOLVE = ["solve", "--config", "run.json"]
                  "solve takes a single (theta, beta) pair", id="two pairs in solve"),
     # every order is compiled before the first cell, not when the sweep reaches it
     pytest.param(["example3", "--order", "1.5,2.5", "--N", "3,4,5", "--grid", "11"], None,
-                 "order expression '2.5': derivative formulas support orders inside "
-                 "(0, 1) or (1, 2), got n=3", id="example3 second order"),
+                 "order expression '2.5' must take values inside (1, 2)",
+                 id="example3 second order"),
     pytest.param(["example2", "--theta", "3", "--beta", "6", "--N", "5", "--order", "0.5"],
                  None, "order expression '0.5' must take values inside (1, 2)",
                  id="example2 first window order"),
@@ -701,9 +731,17 @@ SOLVE = ["solve", "--config", "run.json"]
                  id="solve second degree"),
     pytest.param(SOLVE, dict(DERIVATIVE_RUN, N=[10, -1]),
                  "N must be a nonnegative integer, got -1", id="derivative second degree"),
-    pytest.param(SOLVE, dict(SOLVE_RUN, m=0), "m must be 1 or 2, got 0", id="zero m"),
+    pytest.param(SOLVE, dict(SOLVE_RUN, m=0), "m must be an integer >= 1, got 0", id="zero m"),
+    # u0 and v0 give u(0) and u'(0); k = max(m, n) of them are needed
     pytest.param(SOLVE, dict(SOLVE_RUN, order="3/2", m=2),
-                 "v0 is required when the order lies in (1, 2)", id="missing v0"),
+                 "2 finite initial values u^(j)(0), j < 2, are needed for m=2 and n=2, "
+                 "got [0.0]", id="missing v0"),
+    pytest.param(SOLVE, dict(SOLVE_RUN, v0=1),
+                 "1 finite initial values u^(j)(0), j < 1, are needed for m=1 and n=1, "
+                 "got [0.0, 1.0]", id="v0 for a first-order problem"),
+    pytest.param(SOLVE, dict(SOLVE_RUN, order="2.5", v0=1),
+                 "3 finite initial values u^(j)(0), j < 3, are needed for m=3 and n=3, "
+                 "got [0.0, 1.0]", id="order past 2 needs u''(0)"),
 ])
 def test_config_error_stops_before_any_work(workdir, capsys, monkeypatch, argv, config, message):
     def no_work(*_args):

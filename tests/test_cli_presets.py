@@ -188,5 +188,6 @@ def test_null_v0_is_missing_v0(workdir, capsys):
         "mode": "solve", "theta": 1, "beta": 3, "N": 8, "order": "3/2", "a": "1",
         "b": "1", "c": "1", "f": "1", "u0": 0, "v0": None, "out": "v.csv"})
     assert main(["solve", "--config", cfg]) == 1
-    assert "v0" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: 2 finite initial values u^(j)(0), j < 2, are "
+                                       "needed for m=2 and n=2, got [0.0]\n")
     assert not Path("v.csv").exists()

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +26,17 @@ def test_demo_runs(demo, tmp_path):
     # a ResourceWarning raised in a destructor is printed, not propagated to the exit code
     assert "ResourceWarning" not in result.stderr, result.stderr
     assert (tmp_path / "demo_output").is_dir()
+
+
+def test_readme_python_blocks_run(capsys):
+    # the fenced python blocks run in order in one namespace, as a reader pastes them
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text("utf-8"),
+                        re.DOTALL | re.MULTILINE)
+    assert blocks
+    namespace = {"__name__": "readme"}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    printed = capsys.readouterr().out.split()
+    # each block prints the errors its comments quote, all near rounding level
+    assert len(printed) >= 3
+    assert all(0.0 <= float(value) <= 1e-10 for value in printed), printed

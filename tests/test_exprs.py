@@ -227,6 +227,15 @@ def test_array_evaluation_of_constants_keeps_shape():
     assert np.all(values == 2.0 * math.pi)
 
 
+@pytest.mark.parametrize("walk", [lambda tree: evaluate(tree, 1.0), to_text],
+                         ids=["evaluate", "to_text"])
+@pytest.mark.parametrize("tree", ["x", 2.0, BinOp("+", Num(1.0), "x")],
+                         ids=["string", "float", "nested string"])
+def test_walking_a_non_node_is_a_type_error(walk, tree):
+    with pytest.raises(TypeError, match="^not an expression node: "):
+        walk(tree)
+
+
 @pytest.mark.parametrize("value", [5, None, b"x", 2.5])
 def test_parse_names_a_non_string_argument(value):
     with pytest.raises(ExprSyntaxError, match=f"must be a string, got {type(value).__name__}"):

@@ -74,6 +74,14 @@ def test_degree_one_value_carries_leading_factor():
 def test_frac_integral_basis_at_origin():
     values = frac_integral_basis(LaguerreParams(2.0, 6.0), OrderFunction.constant(0.7), 6, 0.0)
     assert np.all(values == 0.0)
+    # an order reaching 0 at x = 0 leaves the basis there, the limit as x -> 0+
+    params, touching = LaguerreParams(0.0, 4.0), OrderFunction(lambda x: 0.5 * x, 1e-3, 0.5)
+    rows = frac_integral_basis(params, touching, 6, np.array([0.0, 1e-300]))
+    assert np.array_equal(rows[:, 0], eval_basis(params, 6, 0.0))
+    assert np.allclose(rows[:, 1], rows[:, 0], rtol=1e-12, atol=0.0)
+    rule = gauss_rule(params, 20)
+    coeffs = interpolate(rule, np.exp(rule.nodes))
+    assert vo_integral(coeffs, touching, 0.0) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_frac_integral_basis_validation():
@@ -355,6 +363,18 @@ def test_vo_derivative_polynomial_vs_power_rule():
                                rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("theta,beta,N", [(2.0, 6.0, 20), (1.0, 3.0, 80)])
+def test_vo_derivative_of_exp_past_order_two(theta, beta, N):
+    # rho = 2.5 + 0.3 sin x lies in (2, 3): the ladder shifts by n = 3
+    order = OrderFunction.from_callable(lambda x: 2.5 + 0.3 * np.sin(x), 1.0)
+    assert order.n == 3
+    rule = gauss_rule(LaguerreParams(theta, beta), N)
+    coeffs = interpolate(rule, np.exp(rule.nodes))
+    xs = np.linspace(0.0, 1.0, 1001)
+    error = np.max(np.abs(vo_derivative(coeffs, order, xs) - caputo_exp_exact(order, xs)))
+    assert error <= 1e-8
+
+
 def test_vo_derivative_variable_order_cubic():
     params = LaguerreParams(3.0, 6.0)
     rule = gauss_rule(params, 8)
@@ -453,6 +473,14 @@ def test_caputo_power_rule_annihilates_low_powers():
 
 
 def test_caputo_power_rule_validation():
+    # a non-integer power below n - 1 has no Caputo derivative in (n - 1, n)
+    for args, message in [((0.5, 1.5, 2, 0.7), "x^0.5 has no Caputo derivative at orders "
+                                                "inside (1, 2)"),
+                          ((1.5, 2.5, 3, 0.7), "x^1.5 has no Caputo derivative at orders "
+                                                "inside (2, 3)")]:
+        with pytest.raises(DomainError) as info:
+            caputo_power_rule(*args)
+        assert str(info.value).startswith(message)
     with pytest.raises(DomainError):
         caputo_power_rule(2.0, 1.5, 1, 1.0)
     with pytest.raises(DomainError):
@@ -614,7 +642,13 @@ def test_order_function_validation():
         OrderFunction(eval=lambda x: 0.5, rho_min=-0.1, rho_max=0.5)
     with pytest.raises(ValueError):
         OrderFunction.from_callable(lambda x: -x, 1.0)
+    with pytest.raises(ValueError, match="^eval must be callable$"):
+        OrderFunction(eval=0.5, rho_min=0.5, rho_max=0.5)
+    for low, high in [(0.5, math.inf), (math.nan, 0.5), (-math.inf, 0.5)]:
+        with pytest.raises(ValueError, match="^order bounds must be finite$"):
+            OrderFunction(eval=lambda x: 0.5, rho_min=low, rho_max=high)
     assert OrderFunction(eval=lambda x: 1.5, rho_min=1.2, rho_max=1.7).n == 2
+    assert OrderFunction(eval=lambda x: 3.5, rho_min=3.2, rho_max=3.7).n == 4
 
 
 @pytest.mark.parametrize("call,name", [
@@ -627,8 +661,19 @@ def test_infinite_integer_argument_is_value_error(call, name):
 
 def test_derivative_window_gating():
     params = LaguerreParams(1.0, 3.0)
-    with pytest.raises(DomainError):
-        caputo_row(params, OrderFunction.constant(2.5), 5, 1.0)
+    # every unit window is admissible: at n = 3 the cubic x^3 - 5x^2 + x + 2
+    # keeps only its cubic term, Gamma(4) / Gamma(1.5) x^(1/2) at order 5/2
+    rule = gauss_rule(params, 6)
+    coeffs = interpolate(rule, rule.nodes ** 3 - 5.0 * rule.nodes ** 2 + rule.nodes + 2.0)
+    xs = np.linspace(0.1, 2.0, 20)
+    ref = caputo_power_rule(3.0, 2.5, 3, xs)
+    got = vo_derivative(coeffs, OrderFunction.constant(2.5), xs)
+    assert np.all(np.abs(got - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref)))
+    assert np.all(caputo_row(params, OrderFunction.constant(2.5), 5, 1.0)[:3] == 0.0)
+    # an order that crosses an integer is refused by its bounds
+    crossing = OrderFunction(eval=lambda x: 1.5 + x, rho_min=1.5, rho_max=2.5)
+    with pytest.raises(DomainError, match=r"must lie strictly inside \(1, 2\)"):
+        caputo_row(params, crossing, 5, 1.0)
     edge = OrderFunction(eval=lambda x: 1.0, rho_min=1.0, rho_max=1.0)
     with pytest.raises(DomainError):
         caputo_row(params, edge, 5, 1.0)
@@ -657,7 +702,7 @@ def assert_matches_mpmath(got, rho, xs, n):
     assert err.max() <= 4e-15, (xs[err.argmax()], rho[err.argmax()], err.max())
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_caputo_of_sin_matches_mpmath(n):
     # 250 random points on each side of the series / continued-fraction
     # switch at x = 3, then the switch itself, the far ends, and the nodes

@@ -411,6 +411,19 @@ def test_interpolate_length_mismatch():
     rule = gauss_rule(LaguerreParams(0.0, 1.0), 4)
     with pytest.raises(ValueError):
         interpolate(rule, np.ones(3))
+    with pytest.raises(ValueError, match="^samples must be finite$"):
+        interpolate(rule, [1.0, 2.0, math.nan, 3.0, 4.0])
+
+
+@pytest.mark.parametrize("coeffs,message", [
+    ([], "coeffs must be a nonempty 1-D array"),
+    ([[1.0]], "coeffs must be a nonempty 1-D array"),
+    ([1.0, math.nan], "coeffs must be finite"),
+    ([math.inf], "coeffs must be finite"),
+])
+def test_interpolant_coeffs_validation(coeffs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        InterpolantCoeffs(LaguerreParams(0.0, 1.0), coeffs)
 
 
 @pytest.mark.filterwarnings("error")

@@ -35,8 +35,8 @@ CASES = {
     "QuadratureRule": (QuadratureRule, (PARAMS, NODES), ["params", "nodes"]),
     "InterpolantCoeffs": (InterpolantCoeffs, (PARAMS, [1.0, 2.0]), ["params", "coeffs"]),
     "OrderFunction": (OrderFunction, (np.tanh, 0.25, 0.75), ["eval", "rho_min", "rho_max"]),
-    "IvpSpec": (IvpSpec, (PARAMS, 6, ORDER, 1, np.cos, np.sin, np.exp, np.tanh, 0.5),
-                ["params", "N", "order", "m", "a", "b", "c", "f", "u0", "v0"]),
+    "IvpSpec": (IvpSpec, (PARAMS, 6, ORDER, 1, np.cos, np.sin, np.exp, np.tanh, (0.5,)),
+                ["params", "N", "order", "m", "a", "b", "c", "f", "initial"]),
     "Num": (Num, (2.5,), ["value"]),
     "Var": (Var, (), []),
     "Pi": (Pi, (), []),
@@ -77,12 +77,6 @@ def test_signature_names_the_fields(name):
     assert list(inspect.signature(cls).parameters) == params
 
 
-def test_ivp_spec_v0_defaults_to_none():
-    parameter = inspect.signature(IvpSpec).parameters["v0"]
-    assert parameter.default is None
-    assert build("IvpSpec").v0 is None
-
-
 @pytest.mark.parametrize("name", CASES)
 def test_equal_values_compare_and_hash_equal(name):
     a, b = build(name), build(name, by_keyword=True)
@@ -111,7 +105,7 @@ def test_repr_text():
     assert repr(ORDER) == "OrderFunction(eval=<ufunc 'tanh'>, rho_min=0.25, rho_max=0.75)"
     assert repr(build("IvpSpec")) == (
         f"IvpSpec(params={PARAMS!r}, N=6, order={ORDER!r}, m=1, a=<ufunc 'cos'>, "
-        "b=<ufunc 'sin'>, c=<ufunc 'exp'>, f=<ufunc 'tanh'>, u0=0.5, v0=None)")
+        "b=<ufunc 'sin'>, c=<ufunc 'exp'>, f=<ufunc 'tanh'>, initial=(0.5,))")
     coeffs = build("InterpolantCoeffs")
     assert repr(coeffs) == f"InterpolantCoeffs(params={PARAMS!r}, coeffs={coeffs.coeffs!r})"
     rule = build("QuadratureRule")

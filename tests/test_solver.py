@@ -35,7 +35,7 @@ def basset_spec(N=10):
     forcing = lambda x: (2.0 * x + (2.0 / math.gamma(2.5)) * x ** 1.5
                          + x ** 2 + 1.0)
     return IvpSpec(params=LaguerreParams(2.0, 4.0), N=N, order=order, m=1,
-                   a=ONE, b=ONE, c=ONE, f=forcing, u0=1.0)
+                   a=ONE, b=ONE, c=ONE, f=forcing, initial=[1.0])
 
 
 def oscillator_spec(N, theta=3.0, beta=6.0):
@@ -43,29 +43,42 @@ def oscillator_spec(N, theta=3.0, beta=6.0):
     order = OrderFunction.constant(1.5)
     forcing = lambda x: caputo_of_sin(order, x)
     return IvpSpec(params=LaguerreParams(theta, beta), N=N, order=order, m=2,
-                   a=ONE, b=ONE, c=ONE, f=forcing, u0=0.0, v0=1.0)
+                   a=ONE, b=ONE, c=ONE, f=forcing, initial=[0.0, 1.0])
 
 
 def test_ivp_spec_validation():
-    order1 = OrderFunction.constant(0.5)
-    order2 = OrderFunction.constant(1.5)
-    base = dict(params=LaguerreParams(1.0, 3.0), order=order1, m=1,
-                a=ONE, b=ONE, c=ONE, f=ONE, u0=0.0)
-    with pytest.raises(ValueError):
-        IvpSpec(N=1, **base)
-    with pytest.raises(ValueError):
-        IvpSpec(N=5, **{**base, "m": 3})
-    # v0 is tied to the order window
-    with pytest.raises(ValueError, match="v0"):
-        IvpSpec(N=5, **{**base, "order": order2, "m": 2})
-    with pytest.raises(ValueError, match="v0"):
-        IvpSpec(N=5, v0=1.0, **base)
-    with pytest.raises(ValueError, match="m"):
-        IvpSpec(N=5, **{**base, "m": 2})
-    with pytest.raises(ValueError):
-        IvpSpec(N=5, **{**base, "a": 3.0})
-    with pytest.raises(ValueError):
-        IvpSpec(N=5, **{**base, "u0": math.nan})
+    base = dict(params=LaguerreParams(1.0, 3.0), N=5, order=OrderFunction.constant(0.5),
+                m=1, a=ONE, b=ONE, c=ONE, f=ONE, initial=[0.0])
+    # one rule per input: m >= 1, N >= max(2, k), k = max(m, n) finite initial values
+    for change, message in [
+            ({"N": 1}, r"^N must be an integer >= 2, got 1$"),
+            ({"m": 0}, r"^m must be an integer >= 1, got 0$"),
+            ({"m": 1.5}, r"^m must be an integer >= 1, got 1.5$"),
+            ({"m": 3, "N": 2, "initial": [0.0] * 3}, r"^N must be an integer >= 3, got 2$"),
+            ({"order": OrderFunction.constant(2.5), "N": 2, "initial": [0.0] * 3},
+             r"^N must be an integer >= 3, got 2$"),
+            ({"order": OrderFunction.constant(1.5)},
+             r"^2 finite initial values .* for m=1 and n=2"),
+            ({"m": 2}, r"^2 finite initial values .* for m=2 and n=1, got \[0.0\]$"),
+            ({"initial": [0.0, 1.0]}, r"^1 finite initial values"),
+            ({"initial": []}, r"^1 finite initial values"),
+            ({"initial": 0.0}, r"^1 finite initial values .*, got 0.0$"),
+            ({"initial": [[0.0]]}, r"^1 finite initial values"),
+            ({"initial": [math.nan]}, r"^1 finite initial values .*, got \[nan\]$"),
+            ({"m": 3, "initial": [0.0, 1.0, math.inf]}, r"^3 finite initial values"),
+            ({"a": 3.0}, r"^a must be callable$")]:
+        with pytest.raises(ValueError, match=message):
+            IvpSpec(**{**base, **change})
+
+
+@pytest.mark.parametrize("m,rho,initial", [(1, 0.5, [2]), (2, 0.5, (0, 1.0)),
+                                           (1, 2.5, np.array([0.0, 1.0, 0.0]))])
+def test_ivp_spec_stores_initial_values_as_a_tuple_of_floats(m, rho, initial):
+    spec = IvpSpec(params=LaguerreParams(1.0, 3.0), N=5, order=OrderFunction.constant(rho),
+                   m=m, a=ONE, b=ONE, c=ONE, f=ONE, initial=initial)
+    assert type(spec.initial) is tuple
+    assert all(type(value) is float for value in spec.initial)
+    assert spec.initial == tuple(float(value) for value in initial)
 
 
 def test_collocation_nodes_are_smallest_gauss_nodes():
@@ -87,7 +100,7 @@ def test_assemble_first_order_layout():
     # initial-condition column carries the basis boundary values
     expected = [value_at_zero(spec.params, i) for i in range(7)]
     assert np.allclose(matrix[6], expected, rtol=1e-13)
-    assert rhs[6] == spec.u0
+    assert rhs[6] == spec.initial[0]
 
 
 def test_assemble_second_order_layout():
@@ -99,8 +112,7 @@ def test_assemble_second_order_layout():
     assert np.allclose(matrix[5], expected_value, rtol=1e-13)
     expected_slope = derivative_basis(spec.params, 6, 1, 0.0)
     assert np.allclose(matrix[6], expected_slope, rtol=1e-13)
-    assert rhs[5] == spec.u0
-    assert rhs[6] == spec.v0
+    assert tuple(rhs[5:]) == spec.initial
 
 
 def window_order(n, variable):
@@ -111,13 +123,16 @@ def window_order(n, variable):
 
 
 def equation_spec(params, N, order, m, a, b, c):
-    n = order.n
     return IvpSpec(params=params, N=N, order=order, m=m, a=a, b=b, c=c, f=np.cos,
-                   u0=1.0, v0=0.5 if n == 2 else None)
+                   initial=[1.0, 0.5, -0.25][:max(m, order.n)])
+
+
+# (m, n): the paper's windows with m = n and m = 1, then m != n and n = 3
+ORDERS = [(1, 1), (1, 2), (2, 2), (2, 1), (1, 3), (3, 3)]
 
 
 @pytest.mark.parametrize("variable", [False, True])
-@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2)])
+@pytest.mark.parametrize("m,n", ORDERS)
 def test_assemble_matches_separate_ladders(m, n, variable):
     # the one stacked pass against the basis, the shifted basis and caputo_row
     # each run on its own; they round differently, so agreement is to a row's max
@@ -126,8 +141,8 @@ def test_assemble_matches_separate_ladders(m, n, variable):
     for theta in (-0.5, 0.0, 2.0, 10.0):
         for beta in (1.0, 4.0, 10.0):
             params = LaguerreParams(theta, beta)
-            for N in (2, 3, 8, 20, 40):
-                count = N if n == 1 else N - 1
+            for N in [N for N in (2, 3, 8, 20, 40) if N >= max(m, n)]:
+                count = N + 1 - max(m, n)
                 x = collocation_nodes(params, N, count)
                 integer = np.zeros((N + 1, count))
                 shifted = LaguerreParams(theta + m, beta)
@@ -135,30 +150,31 @@ def test_assemble_matches_separate_ladders(m, n, variable):
                 want = np.zeros((N + 1, N + 1))
                 want[:count] = (a(x) * integer + b(x) * caputo_row(params, order, N, x)
                                 + c(x) * eval_basis(params, N, x)).T
-                want[count] = value_at_zero(params, np.arange(N + 1))
-                if n == 2:
-                    slope = LaguerreParams(theta + 1.0, beta)
-                    want[count + 1, 1:] = -beta * value_at_zero(slope, np.arange(N))
+                # u^(j)(0) rows by the parameter shift, as derivative_basis at 0
+                for j in range(max(m, n)):
+                    want[count + j] = derivative_basis(params, N, j, 0.0)
                 got, _ = assemble(equation_spec(params, N, order, m, a, b, c))
                 scale = np.max(np.abs(want), axis=1, keepdims=True)
                 assert np.all(np.abs(got - want) <= 1e-13 * scale), (theta, beta, N)
 
 
 @pytest.mark.parametrize("variable", [False, True])
-@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2)])
+@pytest.mark.parametrize("m,n", ORDERS)
 def test_assemble_fractional_rows_are_caputo_row(m, n, variable):
     # with a = c = 0 and b = 1 the equation rows are the Caputo block alone
     order = window_order(n, variable)
     zero = lambda x: 0.0
     for theta, beta, N in [(-0.5, 1.0, 2), (0.0, 4.0, 8), (2.0, 6.0, 20), (10.0, 10.0, 40)]:
         params = LaguerreParams(theta, beta)
-        count = N if n == 1 else N - 1
+        count = N + 1 - max(m, n)
+        if count < 1:  # N = 2 takes no third initial value
+            continue
         got, _ = assemble(equation_spec(params, N, order, m, zero, ONE, zero))
         want = caputo_row(params, order, N, collocation_nodes(params, N, count))
         assert np.array_equal(got[:count], want.T)
 
 
-@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2)])
+@pytest.mark.parametrize("m,n", ORDERS)
 def test_assemble_integer_rows_are_derivative_basis(m, n):
     # with a = 1 and b = c = 0 the equation rows are the integer-derivative block
     # alone, the derivative_basis matrix at the nodes bit for bit
@@ -167,14 +183,14 @@ def test_assemble_integer_rows_are_derivative_basis(m, n):
     for theta in (-0.5, 0.0, 2.0, 10.0):
         for beta in (1.0, 4.0, 10.0):
             params = LaguerreParams(theta, beta)
-            for N in (2, 8, 20, 40):
-                count = N if n == 1 else N - 1
+            for N in [N for N in (2, 8, 20, 40) if N >= max(m, n)]:
+                count = N + 1 - max(m, n)
                 got, _ = assemble(equation_spec(params, N, order, m, ONE, zero, zero))
                 want = derivative_basis(params, N, m, collocation_nodes(params, N, count))
                 assert np.array_equal(got[:count], want.T), (theta, beta, N)
 
 
-@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2)])
+@pytest.mark.parametrize("m,n", ORDERS)
 def test_assemble_basis_rows_are_eval_basis(m, n):
     # with a = b = 0 and c = 1 the equation rows are the basis block alone, the
     # certified ladder at the nodes bit for bit
@@ -183,11 +199,24 @@ def test_assemble_basis_rows_are_eval_basis(m, n):
     for theta in (-0.5, 0.0, 2.0, 10.0):
         for beta in (1.0, 4.0, 10.0):
             params = LaguerreParams(theta, beta)
-            for N in (2, 8, 20, 40):
-                count = N + 1 - n
+            for N in [N for N in (2, 8, 20, 40) if N >= max(m, n)]:
+                count = N + 1 - max(m, n)
                 got, _ = assemble(equation_spec(params, N, order, m, zero, zero, ONE))
                 want = eval_basis(params, N + 1, collocation_nodes(params, N, count))
                 assert np.array_equal(got[:count], want[:N + 1].T), (theta, beta, N)
+
+
+@pytest.mark.parametrize("m,rho", [(2, 0.5), (3, 2.5), (1, 2.5)])
+def test_sin_solves_with_orders_outside_the_paper_windows(m, rho):
+    # u^(m) + D^rho u + u = f for u = sin with k = max(m, n) initial values;
+    # m = 2, rho = 1/2 is the fractionally damped oscillator
+    order = OrderFunction.constant(rho)
+    derivatives = [np.sin, np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x)]
+    k = max(m, order.n)
+    spec = IvpSpec(params=LaguerreParams(2.0, 4.0), N=20, order=order, m=m, a=ONE, b=ONE,
+                   c=ONE, f=lambda x: derivatives[m](x) + caputo_of_sin(order, x) + np.sin(x),
+                   initial=[derivative(0.0) for derivative in derivatives[:k]])
+    assert max_abs_error(solve(spec), np.sin, 1.0, 1001) <= 1e-12
 
 
 def test_residual_of_solution():
@@ -227,7 +256,7 @@ def test_singular_system_raises_solver_error():
     zero = lambda x: 0.0
     order = OrderFunction.constant(0.5)
     spec = IvpSpec(params=LaguerreParams(1.0, 3.0), N=8, order=order, m=1,
-                   a=zero, b=zero, c=zero, f=zero, u0=0.0)
+                   a=zero, b=zero, c=zero, f=zero, initial=[0.0])
     # an exact zero pivot is a SolverError, with no numpy warning on the way
     with pytest.raises(SolverError, match="rcond") as info:
         solve(spec)
@@ -239,7 +268,7 @@ def test_non_finite_coefficients_name_N():
     # the system passes the rcond gate, but a forcing near the largest double
     # makes the solution overflow
     spec = IvpSpec(params=LaguerreParams(0.0, 1.0), N=8, order=OrderFunction.constant(0.5),
-                   m=1, a=ONE, b=ONE, c=ONE, f=lambda x: 1e308, u0=0.0)
+                   m=1, a=ONE, b=ONE, c=ONE, f=lambda x: 1e308, initial=[0.0])
     with pytest.raises(SolverError) as info:
         solve(spec)
     assert str(info.value) == "linear solve produced non-finite coefficients for N=8"
@@ -278,14 +307,14 @@ def test_refusal_boundary(rho, solved, refused):
     order = OrderFunction.constant(rho)
     fractional = math.gamma(4.0) / math.gamma(4.0 - rho)
     if rho < 1.0:
-        integer, extra = (lambda x: 3.0 * x ** 2), {"m": 1}
+        integer, m = (lambda x: 3.0 * x ** 2), 1
     else:
-        integer, extra = (lambda x: 6.0 * x), {"m": 2, "v0": 0.0}
+        integer, m = (lambda x: 6.0 * x), 2
     forcing = lambda x: integer(x) + fractional * x ** (3.0 - rho) + x ** 3
 
     def spec(N):
-        return IvpSpec(params=LaguerreParams(2.0, 4.0), N=N, order=order, a=ONE, b=ONE,
-                       c=ONE, f=forcing, u0=0.0, **extra)
+        return IvpSpec(params=LaguerreParams(2.0, 4.0), N=N, order=order, m=m, a=ONE, b=ONE,
+                       c=ONE, f=forcing, initial=[0.0] * m)
 
     assert max_abs_error(solve(spec(solved)), lambda x: x ** 3, 1.0, 201) < 1e-11
     with pytest.raises(SolverError, match=f"N={refused}"):
@@ -301,7 +330,7 @@ def test_solve_logs_condition_estimate(caplog):
 def test_nonfinite_forcing_rejected():
     spec = basset_spec(N=6)
     bad = IvpSpec(params=spec.params, N=6, order=spec.order, m=1,
-                  a=ONE, b=ONE, c=ONE, f=lambda x: math.inf, u0=1.0)
+                  a=ONE, b=ONE, c=ONE, f=lambda x: math.inf, initial=[1.0])
     with pytest.raises(ValueError, match="f"):
         assemble(bad)
 
@@ -316,11 +345,11 @@ def test_callables_are_sampled_once_on_the_node_array():
         return forcing(x)
 
     counted = IvpSpec(params=spec.params, N=spec.N, order=spec.order, m=1,
-                      a=ONE, b=ONE, c=ONE, f=recording, u0=1.0)
+                      a=ONE, b=ONE, c=ONE, f=recording, initial=[1.0])
     assert np.array_equal(assemble(counted)[0], assemble(spec)[0])
     assert shapes == [(spec.N,)]
     wrong = IvpSpec(params=spec.params, N=spec.N, order=spec.order, m=1,
-                    a=ONE, b=ONE, c=ONE, f=lambda x: np.ones(2), u0=1.0)
+                    a=ONE, b=ONE, c=ONE, f=lambda x: np.ones(2), initial=[1.0])
     with pytest.raises(ValueError, match="shape"):
         assemble(wrong)
 
@@ -371,7 +400,7 @@ def test_overflowing_system_is_a_solver_error():
     # a = 1e300 times the derivative rows leaves double range at some node
     spec = basset_spec(N=20)
     huge = IvpSpec(params=spec.params, N=20, order=spec.order, m=1, a=lambda x: 1e300,
-                   b=ONE, c=ONE, f=spec.f, u0=1.0)
+                   b=ONE, c=ONE, f=spec.f, initial=[1.0])
     with pytest.raises(SolverError, match=r"^collocation system for N=20 leaves double "
                                           r"range in its row at x=\d"):
         solve(huge)
