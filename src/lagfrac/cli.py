@@ -200,9 +200,9 @@ def _expression(value, key: str):
 
 def _problem(value, key: str):
     """A problem callable (order, x): a preset's own, f's builtin, or an expression."""
-    # a missing or empty exact: the run reports no error
-    if callable(value) or value is None or (key == "exact" and value == ""):
-        return value or None
+    # a missing exact stays None: the run reports no error
+    if callable(value) or value is None:
+        return value
     text = _as_text(value, key)
     if key == "f" and text.startswith("builtin:"):
         if text not in _BUILTIN_FORCINGS:
@@ -213,11 +213,11 @@ def _problem(value, key: str):
     return lambda _order, x: func(x)
 
 
-def _order_from_text(text: str, length: float, derivative=True, n=None) -> OrderFunction:
+def _order_from_text(text: str, length: float, derivative=True) -> OrderFunction:
     """Compile an order expression and certify its bounds on (0, length].
 
     derivative requires the order to stay inside one unit window (n - 1, n),
-    as the derivative formulas need; n, when given, names that window.
+    any n, as the derivative formulas need.
     """
     func = _expression(text, "order")
     try:
@@ -226,8 +226,6 @@ def _order_from_text(text: str, length: float, derivative=True, n=None) -> Order
             _require_derivative_window(order)
     except (DomainError, ValueError) as exc:
         raise ConfigError(f"order expression {text!r}: {exc}") from exc
-    if n is not None and order.n != n:
-        raise ConfigError(f"order expression {text!r} must take values inside ({n - 1}, {n})")
     return order
 
 
@@ -235,20 +233,21 @@ def _order_from_text(text: str, length: float, derivative=True, n=None) -> Order
 _BUILTIN_FORCINGS = {"builtin:caputo_sin": lambda order, x: caputo_of_sin(order, x)}
 
 
-# argparse help of the example flags; a preset may give its own "order_help"
+# argparse help of the example flags
 _FLAG_HELP = {"theta": "comma list of theta values",
               "beta": "comma list of beta values (paired with theta)",
               "N": "comma list of expansion degrees", "length": "domain length L",
               "grid": "uniform error-grid size", "out": "output CSV path",
               "order": "fractional order expression(s) in x"}
 
-# u'' + D^rho u + u = f with rho in (1, 2) and u'(0) = 1, solved by examples 2 and 3
-_OSCILLATOR = {"mode": "solve", "window": 2, "m": 2, "v0": 1.0,
+# u'' + D^rho u + u = f with u'(0) = 1, solved by examples 2 and 3; their two
+# initial values cover orders in (0, 1) and (1, 2), where k = max(m, n) = 2
+_OSCILLATOR = {"mode": "solve", "m": 2, "v0": 1.0,
                **dict.fromkeys(("a", "b", "c"), lambda _order, x: 1.0)}
 
 # One entry per example subcommand: its help, its flags with their defaults
 # (each flag is also the config key it overrides) and the fixed rest of its
-# run. "window" n requires every order to lie inside (n - 1, n).
+# run, which _compile reads as it reads a solve config.
 _EXAMPLES = {
     "example1": {
         "help": "derivative-of-exp error table",
@@ -268,14 +267,14 @@ _EXAMPLES = {
     },
     "example3": {
         "help": "polynomial-exact IVP error table",
-        "order_help": "comma list of order expressions",
         "flags": {"order": "1.5,1 + 0.5*abs(sin(x))", "N": "3,4,5", "grid": 1001,
                   "out": "example3.csv"},
         # rows list every degree of one order before the next order
         "run": {**_OSCILLATOR, "orders_outer": True, "theta": 10.0, "beta": 10.0,
                 "length": math.pi / 2.0, "u0": 1.0,
-                # f = u'' + D^rho u + u for u = x^3 + x + 1 (D^rho annihilates x + 1)
-                "f": lambda order, x: (caputo_power_rule(3.0, order.eval(x), 2, x)
+                # f = u'' + D^rho u + u for u = x^3 + x + 1 (D^rho x vanishes for n = 2)
+                "f": lambda order, x: (caputo_power_rule(3.0, rho := order.eval(x), order.n, x)
+                                       + caputo_power_rule(1.0, rho, order.n, x)
                                        + x ** 3 + 7.0 * x + 1.0),
                 "exact": lambda _order, x: x ** 3 + x + 1.0},
     },
@@ -331,8 +330,7 @@ def _compile(name: str, raw: dict, table: bool) -> dict:
         if other != pair:
             raise ConfigError(f"(theta, beta) pairs {other} and {pair} share pointwise files")
     out = _as_path(raw.get("out", f"{mode}.csv"), "out")
-    orders = [(text, _order_from_text(text, length, mode != "integral", raw.get("window")))
-              for text in texts]
+    orders = [(text, _order_from_text(text, length, mode != "integral")) for text in texts]
     run = dict(raw, name=name if table else mode, mode=mode, table=table, N=degrees,
                grid=grid, length=length, out=out, exact=_problem(raw.get("exact"), "exact"))
     families = [LaguerreParams(theta, beta) for theta, beta in pairs]
@@ -429,9 +427,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     for command, preset in _EXAMPLES.items():
         example = sub.add_parser(command, help=preset["help"])
-        helps = dict(_FLAG_HELP, order=preset.get("order_help", _FLAG_HELP["order"]))
         for key in preset["flags"]:
-            example.add_argument(f"--{key}", help=helps[key])
+            example.add_argument(f"--{key}", help=_FLAG_HELP[key])
         example.add_argument("--config", help="JSON config file supplying defaults")
     ps = sub.add_parser("solve", help="run a JSON config file")
     ps.add_argument("--config", required=True, help="JSON config file")

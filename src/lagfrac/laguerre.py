@@ -125,10 +125,11 @@ def _checked_length(value, name: str) -> float:
     return length
 
 
-def _checked_degree(value, name: str = "degree"):
-    """value as a nonnegative int, or a 1-D array of them as an int array."""
-    if np.ndim(value) == 0:
-        if not math.isfinite(value) or int(value) != value or value < 0:
+def _checked_degree(value, name: str = "degree", arrays: bool = False):
+    """value as a nonnegative int; with arrays, also a 1-D array of them as an int array."""
+    ndim = np.ndim(value)
+    if ndim == 0 or not arrays:
+        if ndim or not math.isfinite(value) or int(value) != value or value < 0:
             raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
         return int(value)
     arr = np.asarray(value, dtype=float)
@@ -192,7 +193,7 @@ def value_at_zero(params: LaguerreParams, i):
     L_(k+1)(0) = L_k(0) (k + theta + 1) / (k + 1), with no gamma evaluations.
     A value beyond double range is inf, without a warning.
     """
-    idx = _checked_degree(i, "i")
+    idx = _checked_degree(i, "i", arrays=True)
     # Python floats, unlike numpy scalars, overflow to inf without a warning
     ladder = [1.0]
     for k in range(np.max(idx, initial=0)):
@@ -206,7 +207,7 @@ def norm(params: LaguerreParams, i):
     i is one degree (the result is a float) or a 1-D array of degrees. A norm
     in double range gets its value; one beyond it is inf, without a warning.
     """
-    idx = _checked_degree(i, "i")
+    idx = _checked_degree(i, "i", arrays=True)
     a, b, power = idx + params.theta + 1.0, idx + 1.0, -(params.theta + 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         scale = float(np.float64(params.beta) ** power)

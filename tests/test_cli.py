@@ -92,6 +92,18 @@ def test_example3_defaults_reach_machine_precision(workdir):
         assert float(row[4]) <= 1e-12
 
 
+@pytest.mark.parametrize("order", ["0.5", "0.5+0.3*sin(x)"])
+def test_oscillator_examples_take_first_window_orders(workdir, order):
+    # u(0) and u'(0) are the max(m, n) = 2 initial values an order in (0, 1) needs
+    assert main(["example2", "--theta", "3", "--beta", "6", "--N", "20",
+                 "--order", order, "--out", "t2.csv"]) == 0
+    assert main(["example3", "--N", "3,4,5", "--order", order, "--out", "t3.csv"]) == 0
+    rows = read_rows("t2.csv")[1:] + read_rows("t3.csv")[1:]
+    assert len(rows) == 4
+    for row in rows:
+        assert row[3] == order and float(row[4]) <= 1e-12
+
+
 def test_solve_config_manufactured(workdir):
     cfg = write_config(Path("basset.json"), {
         "mode": "solve", "theta": 2, "beta": 4, "N": 10, "order": "0.5",
@@ -354,10 +366,15 @@ def test_read_only_output_is_config_error_and_keeps_its_bytes(workdir, capsys):
 
 def test_directory_output_is_config_error(workdir, capsys):
     Path("t.csv").mkdir()
-    assert main(["example1", "--theta", "1", "--beta", "3", "--N", "10",
-                 "--order", "0.5", "--out", "t.csv"]) == 1
+    Path("f").write_bytes(b"old bytes\n")
+    args = ["example1", "--theta", "1", "--beta", "3", "--N", "10", "--order", "0.5"]
+    assert main(args + ["--out", "t.csv"]) == 1
     assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
     assert Path("t.csv").is_dir()
+    # a path through a regular file cannot be written, whoever runs the test
+    assert main(args + ["--out", "f/t.csv"]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 20] Not a directory")
+    assert Path("f").read_bytes() == b"old bytes\n"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
@@ -718,12 +735,10 @@ SOLVE = ["solve", "--config", "run.json"]
     pytest.param(SOLVE, dict(DERIVATIVE_RUN, theta="1,2", beta="3,6"),
                  "solve takes a single (theta, beta) pair", id="two pairs in solve"),
     # every order is compiled before the first cell, not when the sweep reaches it
+    # (example3 gives u(0) and u'(0), and an order in (2, 3) needs u''(0) too)
     pytest.param(["example3", "--order", "1.5,2.5", "--N", "3,4,5", "--grid", "11"], None,
-                 "order expression '2.5' must take values inside (1, 2)",
-                 id="example3 second order"),
-    pytest.param(["example2", "--theta", "3", "--beta", "6", "--N", "5", "--order", "0.5"],
-                 None, "order expression '0.5' must take values inside (1, 2)",
-                 id="example2 first window order"),
+                 "3 finite initial values u^(j)(0), j < 3, are needed for m=2 and n=3, "
+                 "got [1.0, 1.0]", id="example3 second order"),
     # every cell's basis and IvpSpec are built, and every degree checked, before the first cell
     pytest.param(["example2", "--theta", "0,-2", "--beta", "1,1", "--N", "5", "--grid", "11"],
                  None, "theta must exceed -1, got -2.0", id="example2 second theta"),
@@ -742,6 +757,9 @@ SOLVE = ["solve", "--config", "run.json"]
     pytest.param(SOLVE, dict(SOLVE_RUN, order="2.5", v0=1),
                  "3 finite initial values u^(j)(0), j < 3, are needed for m=3 and n=3, "
                  "got [0.0, 1.0]", id="order past 2 needs u''(0)"),
+    # an empty exact is an empty expression, as in every other key
+    pytest.param(SOLVE, dict(SOLVE_RUN, exact=""), "exact: expression is empty at column 1",
+                 id="empty exact"),
 ])
 def test_config_error_stops_before_any_work(workdir, capsys, monkeypatch, argv, config, message):
     def no_work(*_args):

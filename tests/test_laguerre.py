@@ -10,10 +10,13 @@ from lagfrac import (
     DomainError,
     InterpolantCoeffs,
     LaguerreParams,
+    OrderFunction,
     QuadratureRule,
+    caputo_row,
     derivative_basis,
     eval_basis,
     eval_interpolant,
+    frac_integral_basis,
     gauss_rule,
     interpolate,
     norm,
@@ -477,6 +480,27 @@ def test_scalar_degree_rejects_non_finite(degree):
         eval_basis(params, degree, 1.0)
     with pytest.raises(ValueError, match="must be a nonnegative integer"):
         value_at_zero(params, degree)
+
+
+DEGREES = np.array([2, 3])
+ORDER = OrderFunction.constant(0.5)
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda p: eval_basis(p, DEGREES, 1.0), "max_degree"),
+    (lambda p: frac_integral_basis(p, ORDER, DEGREES, 1.0), "max_degree"),
+    (lambda p: caputo_row(p, ORDER, DEGREES, 1.0), "max_degree"),
+    (lambda p: derivative_basis(p, DEGREES, 1, 1.0), "max_degree"),
+    (lambda p: derivative_basis(p, 4, DEGREES, 1.0), "m"),
+    (lambda p: gauss_rule(p, DEGREES), "N"),
+    (lambda p: collocation_nodes(p, DEGREES, 2), "N"),
+    (lambda p: collocation_nodes(p, 4, DEGREES), "count"),
+], ids=["eval_basis", "frac_integral_basis", "caputo_row", "derivative_basis max_degree",
+        "derivative_basis m", "gauss_rule", "collocation_nodes N", "collocation_nodes count"])
+def test_degree_array_is_refused_where_one_degree_is_taken(call, name):
+    # only value_at_zero and norm take arrays of degrees
+    with pytest.raises(ValueError, match=rf"^{name} must be a nonnegative integer, got array"):
+        call(LaguerreParams(1.0, 3.0))
 
 
 @pytest.mark.filterwarnings("error")
