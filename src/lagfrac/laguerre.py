@@ -111,8 +111,9 @@ class InterpolantCoeffs(Record):
 
 
 def _checked_int(value, name: str, low: int) -> int:
-    """value as an int >= low; a fraction or a non-finite value raises ValueError."""
-    if not math.isfinite(value) or int(value) != value or value < low:
+    """value as an int >= low; a bool, a fraction or a non-finite value raises ValueError."""
+    if (isinstance(value, (bool, np.bool_)) or not math.isfinite(value)
+            or int(value) != value or value < low):
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
 
@@ -126,14 +127,20 @@ def _checked_length(value, name: str) -> float:
 
 
 def _checked_degree(value, name: str = "degree", arrays: bool = False):
-    """value as a nonnegative int; with arrays, also a 1-D array of them as an int array."""
+    """value as a nonnegative int; with arrays, also a 1-D array of them as an int array.
+
+    Booleans are refused, one or an array of them.
+    """
     ndim = np.ndim(value)
     if ndim == 0 or not arrays:
-        if ndim or not math.isfinite(value) or int(value) != value or value < 0:
+        if (ndim or isinstance(value, (bool, np.bool_)) or not math.isfinite(value)
+                or int(value) != value or value < 0):
             raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
         return int(value)
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim != 1 or not np.all(np.isfinite(arr) & (arr >= 0.0) & (arr == np.floor(arr))):
+    given = np.asarray(value)
+    arr = given.astype(float)
+    if given.dtype == bool or arr.ndim != 1 or not np.all(
+            np.isfinite(arr) & (arr >= 0.0) & (arr == np.floor(arr))):
         raise ValueError(f"{name} must be a 1-D array of nonnegative integers, got {value!r}")
     return arr.astype(int)
 

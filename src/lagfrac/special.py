@@ -2,11 +2,10 @@
 
 Everything here is pure, accepts scalars or ndarrays and needs only numpy
 and the standard library: gamma and log-gamma values come from ``math.gamma``
-and ``math.lgamma`` per element, the incomplete gamma function from a short
-numpy kernel. Ratios of gamma values are always formed in log space so that
-large arguments never overflow double precision; callers elsewhere in the
-package are expected to do the same and route their ratios through
-:func:`gamma_ratio`.
+and ``math.lgamma`` per element. Ratios of gamma values are always formed in
+log space so that large arguments never overflow double precision; callers
+elsewhere in the package are expected to do the same and route their ratios
+through :func:`gamma_ratio`.
 """
 
 from __future__ import annotations
@@ -15,18 +14,7 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "DomainError",
-    "log_gamma",
-    "gamma_ratio",
-    "reg_lower_incomplete_gamma",
-]
-
-# a Python float, since scalar loops compare against it at every step
-_EPS = float(np.finfo(float).eps)
-# a point of P(s, x) still moving after this many steps is a numerical failure,
-# not a value; s <= 1 needs at most 86 steps, larger s about 8 sqrt(s)
-_MAX_STEPS = 1000
+__all__ = ["DomainError", "log_gamma", "gamma_ratio"]
 
 
 class DomainError(ValueError):
@@ -104,98 +92,3 @@ def gamma_ratio(a, b):
     if np.ndim(a) == 0 and np.ndim(b) == 0:
         return float(out)
     return out
-
-
-def _positive_series(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k x^k / (s + 1)_k for x > 0, every point until every term is negligible.
-
-    The terms are positive, and one below eps / 4 of its sum (half an ulp)
-    is past the peak of the terms; neither it nor any later one changes the
-    sum. So running all points until the slowest converges gives each point
-    the bits it gets alone, with no per-point masks.
-    """
-    term = np.ones(x.size)
-    total = np.ones(x.size)
-    for k in range(1, _MAX_STEPS + 1):
-        term *= x
-        term /= s + k
-        total += term
-        # the extra steps cost less than testing at every step
-        if k % 4 == 0 and not (term > 0.25 * _EPS * total).any():
-            return total
-    moving = term > 0.25 * _EPS * total
-    raise RuntimeError(f"reg_lower_incomplete_gamma: no convergence in {_MAX_STEPS} "
-                       f"steps at x={x[np.argmax(moving)]}")
-
-
-def _legendre_fraction(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Legendre's continued fraction K = e^x x^(-s) Gamma(s, x) for x > 0, by modified Lentz.
-
-    K = 1 / (b_0 + a_1 / (b_1 + a_2 / (b_2 + ...))) with a_k = -k (k - s) and
-    b_k = x + 2k + 1 - s. A point leaves the arrays at the step where it
-    converges, with its value of that step, so the result at a point does
-    not depend on the others. A point still moving after the step cap
-    raises RuntimeError naming its x.
-    """
-    out = np.empty(x.size)
-    live = np.arange(x.size)
-    b = x + (1.0 - s)
-    # c starts at infinity in effect, so that the first step sets c = b
-    c = np.full(x.size, 1e300)
-    d = h = 1.0 / b
-    for k in range(1, _MAX_STEPS + 1):
-        a = k * (s - k)
-        b = b + 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h = h * delta
-        done = np.abs(delta - 1.0) <= _EPS
-        if np.count_nonzero(done):  # cheaper than done.any() on short arrays
-            out[live[done]] = h[done]
-            keep = ~done
-            live = live[keep]
-            if not live.size:
-                return out
-            s, b, c, d, h = s[keep], b[keep], c[keep], d[keep], h[keep]
-    raise RuntimeError(f"reg_lower_incomplete_gamma: no convergence in {_MAX_STEPS} "
-                       f"steps at x={x[live[0]]}")
-
-
-def reg_lower_incomplete_gamma(s, x):
-    """Regularized lower incomplete gamma P(s, x) for s > 0, x >= 0.
-
-    Values lie in [0, 1] and are monotone nondecreasing in x, with
-    P(s, 0) = 0 and P(s, x) -> 1 as x grows. Evaluated in float64
-    (Temme, *Special Functions*, 1996, ch. 11):
-
-    * 0 < x < s + 1: the power series
-      x^s e^(-x) / Gamma(s + 1) * sum_k x^k / (s + 1)_k;
-    * x >= s + 1: 1 - x^s e^(-x) / Gamma(s) * K with K Legendre's continued
-      fraction for e^x x^(-s) Gamma(s, x), evaluated by modified Lentz.
-
-    Each point converges on its own, so an array gives the same bits as its
-    points one at a time. For s in (0, 1] the error against 40-digit mpmath
-    is at most about 1.1e-15 for x up to 700 (the tests allow 2.6e-15), and
-    both expansions converge within 90 steps, slowest next to the switch.
-    Larger s needs about 8 sqrt(s) steps and loses relative accuracy roughly
-    in proportion to s (4e-14 at s = 100). A point that does not converge
-    within the step cap (1000) raises RuntimeError naming x.
-    """
-    s_arr = _validated("reg_lower_incomplete_gamma", s, 0.0, strict=True)
-    x_arr = _validated("reg_lower_incomplete_gamma", x, 0.0, strict=False)
-    s_all, x_all = (part.ravel() for part in np.broadcast_arrays(s_arr, x_arr))
-    out = np.zeros(x_all.size)
-    near = (x_all > 0.0) & (x_all < s_all + 1.0)
-    if near.any():
-        v, p = s_all[near], x_all[near]
-        scale = np.exp(v * np.log(p) - p - _elementwise(math.lgamma, v + 1.0))
-        out[near] = scale * _positive_series(v, p)
-    far = x_all >= s_all + 1.0
-    if far.any():
-        v, p = s_all[far], x_all[far]
-        fraction = _legendre_fraction(v, p)
-        out[far] = 1.0 - np.exp(v * np.log(p) - p - _elementwise(math.lgamma, v)) * fraction
-    if np.ndim(s) == 0 and np.ndim(x) == 0:
-        return float(out[0])
-    return out.reshape(np.broadcast(s_arr, x_arr).shape)

@@ -219,6 +219,18 @@ def test_order_touching_lower_integer_at_origin(workdir, capsys):
     assert "order value 2.0 at x=0.0" in capsys.readouterr().err
 
 
+def test_order_leaving_its_window_past_length_is_numerical_error(workdir, capsys):
+    # the order is certified on (0, length], but the collocation nodes reach
+    # about 4N/beta: here x = 13.6, past the x = 2.67 where 1.2 + 0.3x reaches 2
+    cfg = write_config(Path("past.json"), {
+        "order": "1.2+0.3*x", "length": 1, "theta": 2, "beta": 4, "N": 20, "m": 2,
+        "a": "1", "b": "1", "c": "1", "f": "1", "u0": 0, "v0": 0, "out": "past.csv"})
+    assert main(["solve", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: order value 2.0117403556208333 at x=2.7058011854027777 lies outside (1, 2)")
+    assert not Path("past.csv").exists()
+
+
 def test_norm_past_double_range_is_numerical_error(workdir, capsys):
     assert main(["example1", "--theta", "400", "--beta", "0.1", "--N", "5",
                  "--order", "0.5"]) == 2
@@ -517,10 +529,12 @@ def test_import_loads_no_module_a_run_does_not_need(module):
     assert proc.stdout.strip() == "False"
 
 
-def test_caputo_of_sin_step_cap_is_numerical_error(workdir, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["example1", "example2"])
+def test_closed_form_step_cap_is_numerical_error(workdir, capsys, monkeypatch, command):
+    # one step cap serves both closed forms: caputo_exp_exact and caputo_of_sin
     import lagfrac.fractional as fractional
     monkeypatch.setattr(fractional, "_MAX_STEPS", 3)
-    rc = main(["example2", "--theta", "3", "--beta", "6", "--N", "5", "--order", "3/2"])
+    rc = main([command, "--theta", "3", "--beta", "6", "--N", "5", "--order", "3/2"])
     assert rc == 2
     assert "no convergence" in capsys.readouterr().err
 

@@ -202,9 +202,9 @@ def test_norm_matches_quadrature(theta, beta):
 
 @pytest.mark.parametrize("func", [value_at_zero, norm])
 @pytest.mark.parametrize("degrees", [-1, 2.5, [0, -1, 2], [0, 1.5], [0, math.nan],
-                                     [0, math.inf], [[0, 1]]])
+                                     [0, math.inf], [[0, 1]], True, [True, False]])
 def test_degree_validation(func, degrees):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^i must be"):
         func(LaguerreParams(1.0, 3.0), degrees)
 
 
@@ -473,13 +473,16 @@ def test_interpolant_coeffs_frozen():
         coeffs.coeffs[0] = 5.0
 
 
-@pytest.mark.parametrize("degree", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("degree", [math.inf, -math.inf, math.nan, True, np.True_])
 def test_scalar_degree_rejects_non_finite(degree):
+    # a bool is no degree either: gauss_rule(params, True) would build the N = 1 rule
     params = LaguerreParams(1.0, 3.0)
-    with pytest.raises(ValueError, match="must be a nonnegative integer"):
+    with pytest.raises(ValueError, match="^max_degree must be a nonnegative integer"):
         eval_basis(params, degree, 1.0)
-    with pytest.raises(ValueError, match="must be a nonnegative integer"):
+    with pytest.raises(ValueError, match="^i must be a nonnegative integer"):
         value_at_zero(params, degree)
+    with pytest.raises(ValueError, match="^N must be a nonnegative integer"):
+        gauss_rule(params, degree)
 
 
 DEGREES = np.array([2, 3])

@@ -291,12 +291,14 @@ def test_solve_past_ladder_range_is_runtime_error(N):
     assert not isinstance(info.value, SolverError)
 
 
-@pytest.mark.parametrize("key", ["N", "m"])
-def test_ivp_spec_rejects_infinite_integers(key):
+@pytest.mark.parametrize("key,value", [("N", math.inf), ("m", math.inf), ("N", True),
+                                       ("m", True)], ids=["N", "m", "N-bool", "m-bool"])
+def test_ivp_spec_rejects_infinite_integers(key, value):
+    # a bool is no integer either: m=True would be stored as m = 1
     spec = basset_spec()
     fields = {name: getattr(spec, name) for name in inspect.signature(IvpSpec).parameters}
     with pytest.raises(ValueError, match=f"^{key} must be"):
-        IvpSpec(**{**fields, key: math.inf})
+        IvpSpec(**{**fields, key: value})
 
 
 @pytest.mark.parametrize("rho,solved,refused", [(0.5, 22, 23), (1.5, 24, 25)])

@@ -10,7 +10,6 @@ from lagfrac import (
     caputo_exp_exact,
     gamma_ratio,
     log_gamma,
-    reg_lower_incomplete_gamma,
 )
 
 
@@ -86,37 +85,15 @@ def test_gamma_ratio_rejects_nonpositive():
         gamma_ratio(2.0, 0.0)
 
 
-def test_reg_lower_incomplete_gamma_values():
-    # P(1/2, 1) equals erf(1)
-    assert reg_lower_incomplete_gamma(0.5, 1.0) == pytest.approx(
-        0.84270079294971487, rel=1e-13)
-    assert reg_lower_incomplete_gamma(1.0, 2.0) == pytest.approx(
-        1.0 - math.exp(-2.0), rel=1e-13)
-    assert reg_lower_incomplete_gamma(2.5, 0.0) == 0.0
-
-
-def test_reg_lower_incomplete_gamma_monotone_in_x():
-    xs = np.linspace(0.0, 12.0, 200)
-    vals = reg_lower_incomplete_gamma(0.7, xs)
-    assert np.all(np.diff(vals) >= 0.0)
-    assert vals[-1] <= 1.0
-
-
-@pytest.mark.parametrize("s,x", [(0.0, 1.0), (-1.0, 1.0), (1.0, -0.1)])
-def test_reg_lower_incomplete_gamma_domain(s, x):
-    with pytest.raises(DomainError):
-        reg_lower_incomplete_gamma(s, x)
-
-
 def test_incomplete_gamma_matches_mpmath():
-    """P(s, x) and e^x P(s, x) = caputo_exp_exact against 40-digit mpmath.
+    """caputo_exp_exact = e^x P(n - rho, x) against 40-digit mpmath.
 
-    s is random in (0, 1], taken as n - rho for orders rho in both windows so
-    that caputo_exp_exact sees the same s; x is random in [0, 700] and in
-    [0, 3], just below and at the series / continued-fraction switch
-    x = s + 1, and 1e-300. The worst error |got - ref| / max(1, |ref|)
-    measured over 20 seeds of this sampling (9000 points) was 1.1e-15 for P
-    and 1.3e-15 for e^x P; the bound is twice that.
+    P is the regularized lower incomplete gamma function. n - rho is random
+    in (0, 1], for orders rho in both windows; x is random in [0, 700] and
+    in [0, 3], just below and at the series / continued-fraction switch
+    x = n - rho + 1, and 1e-300. The worst error |got - ref| / max(1, |ref|)
+    measured over 20 seeds of this sampling (9000 points) was 1.5e-15; the
+    bound is 2.6e-15.
     """
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(2026)
@@ -126,27 +103,28 @@ def test_incomplete_gamma_matches_mpmath():
     switch = s[:50] + 1.0
     x = np.concatenate([rng.uniform(0.0, 700.0, 150), rng.uniform(0.0, 3.0, 150),
                         np.nextafter(switch, 0.0), switch, np.full(50, 1e-300)])
-    got_p = reg_lower_incomplete_gamma(s, x)
-    got_e = np.array([caputo_exp_exact(OrderFunction.constant(r), v) for r, v in zip(rho, x)])
+    got = np.array([caputo_exp_exact(OrderFunction.constant(r), v) for r, v in zip(rho, x)])
     with mpmath.workdps(40):
-        ref_p = [mpmath.gammainc(mpmath.mpf(a), 0, mpmath.mpf(v), regularized=True)
-                 for a, v in zip(s, x)]
-        ref_e = np.array([float(mpmath.exp(mpmath.mpf(v)) * p) for v, p in zip(x, ref_p)])
-    ref_p = np.array([float(p) for p in ref_p])
-    for got, ref in ((got_p, ref_p), (got_e, ref_e)):
-        err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
-        assert err.max() <= 2.6e-15, (s[err.argmax()], x[err.argmax()], err.max())
-    # one array call gives the bits of the scalar calls
-    assert np.array_equal(got_p, [reg_lower_incomplete_gamma(a, v) for a, v in zip(s, x)])
+        ref = np.array([float(mpmath.exp(mpmath.mpf(v))
+                              * mpmath.gammainc(mpmath.mpf(a), 0, mpmath.mpf(v), regularized=True))
+                        for a, v in zip(s, x)])
+    err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
+    assert err.max() <= 2.6e-15, (s[err.argmax()], x[err.argmax()], err.max())
+    # one array call gives the bits of the scalar calls, the order varying per point
+    for window in (1, 2):
+        xs, first = np.unique(x[n == window], return_index=True)
+        table = dict(zip(xs.tolist(), rho[n == window][first].tolist()))
+        order = OrderFunction(eval=lambda t, _at=table: np.array([_at[v] for v in t.tolist()]),
+                              rho_min=min(table.values()), rho_max=max(table.values()))
+        assert np.array_equal(caputo_exp_exact(order, xs),
+                              [caputo_exp_exact(order, v) for v in xs])
 
 
 @pytest.mark.parametrize("done,stuck", [(1e-300, 1.0), (700.0, 2.0)])
 def test_incomplete_gamma_step_cap_is_an_error(monkeypatch, done, stuck):
-    # series (x < s + 1) and continued fraction: the first point converges
-    # within the cap, the second does not
-    import lagfrac.special as special
-    monkeypatch.setattr(special, "_MAX_STEPS", 5)
-    with pytest.raises(RuntimeError, match=f"x={stuck}"):
-        reg_lower_incomplete_gamma(0.5, np.array([done, stuck]))
+    # series (x < n - rho + 1 = 1.5) and continued fraction: the first point
+    # converges within the cap, the second does not
+    import lagfrac.fractional as fractional
+    monkeypatch.setattr(fractional, "_MAX_STEPS", 5)
     with pytest.raises(RuntimeError, match=f"x={stuck}"):
         caputo_exp_exact(OrderFunction.constant(1.5), np.array([done, stuck]))
