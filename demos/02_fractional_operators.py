@@ -46,7 +46,7 @@ def main():
     # derivative of a cubic matches the term-by-term power rule
     cubic = interpolate(rule, rule.nodes ** 3)
     approx = vo_derivative(cubic, half, 0.7)
-    exact = caputo_power_rule(3.0, 0.5, 1, 0.7)
+    exact = caputo_power_rule(3.0, half, 0.7)
     print(f"D^(1/2) x^3 at x=0.7: {approx:.15g} vs {exact:.15g}")
 
     # genuinely variable order: rho(x) = (9 + sin x)/10 stays in (0, 1)

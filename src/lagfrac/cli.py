@@ -273,8 +273,8 @@ _EXAMPLES = {
         "run": {**_OSCILLATOR, "orders_outer": True, "theta": 10.0, "beta": 10.0,
                 "length": math.pi / 2.0, "u0": 1.0,
                 # f = u'' + D^rho u + u for u = x^3 + x + 1 (D^rho x vanishes for n = 2)
-                "f": lambda order, x: (caputo_power_rule(3.0, rho := order.eval(x), order.n, x)
-                                       + caputo_power_rule(1.0, rho, order.n, x)
+                "f": lambda order, x: (caputo_power_rule(3.0, order, x)
+                                       + caputo_power_rule(1.0, order, x)
                                        + x ** 3 + 7.0 * x + 1.0),
                 "exact": lambda _order, x: x ** 3 + x + 1.0},
     },

@@ -22,7 +22,6 @@ from .laguerre import (
     LaguerreParams,
     _as_points,
     _checked_degree,
-    _checked_int,
     _checked_length,
 )
 from .special import DomainError, gamma_ratio, log_gamma
@@ -32,7 +31,6 @@ __all__ = [
     "frac_integral_basis",
     "vo_integral",
     "caputo_row",
-    "derivative_basis",
     "vo_derivative",
     "caputo_power_rule",
     "caputo_exp_exact",
@@ -262,101 +260,95 @@ def vo_integral(coeffs: InterpolantCoeffs, order: OrderFunction, x):
     return float(values) if np.ndim(values) == 0 else values
 
 
-def _caputo_ladder(params: LaguerreParams, order: OrderFunction, deg: int, pts: np.ndarray):
-    """(-beta)^n and the unscaled caputo_row rows n..deg at pts; None if deg < n."""
-    n, rho = order.n, _order_values(order, pts)
-    scale = (-params.beta) ** n
-    if deg < n:
-        return scale, None
-    return scale, _checked_range(_frac_ladder(params, n - rho, deg - n, pts, shift=n), pts)
+def _ladder_orders(order, points: np.ndarray):
+    """The family shift s and the ladder orders at points of a derivative order.
+
+    An int q >= 0 is the ordinary q-th derivative, the order-0 ladder of the
+    family theta + q: (q, 0). An OrderFunction is the Caputo derivative, the
+    order n - rho(x) ladder of the family theta + n: (n, n - rho), with rho
+    checked pointwise against its window. Either way, the derivative rows
+    from degree s on are the ladder scaled by (-beta)^s.
+    """
+    if isinstance(order, OrderFunction):
+        return order.n, order.n - _order_values(order, points)
+    return _checked_degree(order, "order"), np.zeros(points.size)
 
 
-def caputo_row(params: LaguerreParams, order: OrderFunction, max_degree, x) -> np.ndarray:
-    """Caputo derivative values of the basis ladder at x, order frozen at rho(x).
+def _ladder_name(order) -> str:
+    return "fractional" if isinstance(order, OrderFunction) else "derivative"
 
-    x is a scalar (the result is the row of max_degree + 1 values) or a 1-D
-    array of points (a matrix with one column per point). Entries below
-    degree n vanish identically: those polynomials are annihilated by the
-    inner integer derivative; the rows from n on are _caputo_ladder scaled.
+
+def caputo_row(params: LaguerreParams, order, max_degree, x) -> np.ndarray:
+    """Derivatives of the basis ladder at x, of an int order or of an order frozen at rho(x).
+
+    order is an int q >= 0, the ordinary q-th derivative
+    d^q/dx^q L_i^(theta,beta) = (-beta)^q L_(i-q)^(theta+q,beta), or an
+    OrderFunction, the Caputo derivative. x is a scalar (the result is the
+    row of max_degree + 1 values) or a 1-D array of points (a matrix with
+    one column per point). Entries below degree s (q, or the order's n)
+    vanish identically; the rows from s on are the _frac_ladder of
+    _ladder_orders scaled by (-beta)^s.
     """
     deg = _checked_degree(max_degree, "max_degree")
     pts, scalar = _as_points(x)
-    scale, ladder = _caputo_ladder(params, order, deg, pts)
-    rows = np.zeros((deg + 1, pts.size))
-    if ladder is not None:
-        np.multiply(ladder, scale, out=rows[order.n:])
-    return rows[:, 0] if scalar else rows
-
-
-def derivative_basis(params: LaguerreParams, max_degree, m, x) -> np.ndarray:
-    """m-th derivatives of the basis ladder at x, by the parameter shift.
-
-    d^m/dx^m L_i^(theta,beta) = (-beta)^m L_(i-m)^(theta+m,beta), and zero
-    when i < m. x is a scalar (the result is the row of max_degree + 1
-    values) or a 1-D array of points (a matrix with one column per point).
-    The rows from m on are the order-0 _frac_ladder of the shifted family
-    scaled, the block assemble stacks for its integer-derivative rows.
-    """
-    deg = _checked_degree(max_degree, "max_degree")
-    shift = _checked_degree(m, "m")
-    pts, scalar = _as_points(x)
+    shift, nu = _ladder_orders(order, pts)
     rows = np.zeros((deg + 1, pts.size))
     if deg >= shift:
-        ladder = _frac_ladder(params, np.zeros(pts.size), deg - shift, pts, shift=shift)
-        np.multiply(_checked_range(ladder, pts, "derivative"), (-params.beta) ** shift,
-                    out=rows[shift:])
+        ladder = _frac_ladder(params, nu, deg - shift, pts, shift=shift)
+        np.multiply(_checked_range(ladder, pts, _ladder_name(order)),
+                    (-params.beta) ** shift, out=rows[shift:])
     return rows[:, 0] if scalar else rows
 
 
-def vo_derivative(coeffs: InterpolantCoeffs, order: OrderFunction, x):
-    """Variable-order Caputo derivative of the expansion at x.
+def vo_derivative(coeffs: InterpolantCoeffs, order, x):
+    """Derivative of the expansion at x, of an int order or an OrderFunction.
 
-    x is a scalar (the result is a float) or a 1-D array of points. The
-    coefficients contract _caputo_ladder before (-beta)^n scales the sum; a
-    sum past double range is non-finite, without a warning.
+    The order is read as caputo_row reads it. x is a scalar (the result is a
+    float) or a 1-D array of points. The coefficients from degree s on
+    contract the unscaled ladder of caputo_row before (-beta)^s scales the
+    sum; a sum past double range is non-finite, without a warning.
     """
     pts, scalar = _as_points(x)
-    scale, ladder = _caputo_ladder(coeffs.params, order, coeffs.coeffs.size - 1, pts)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = (np.zeros(pts.size) if ladder is None
-                  else scale * (coeffs.coeffs[order.n:] @ ladder))
+    params, deg = coeffs.params, coeffs.coeffs.size - 1
+    shift, nu = _ladder_orders(order, pts)
+    values = np.zeros(pts.size)
+    if deg >= shift:
+        ladder = _checked_range(_frac_ladder(params, nu, deg - shift, pts, shift=shift), pts,
+                                _ladder_name(order))
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = (-params.beta) ** shift * (coeffs.coeffs[shift:] @ ladder)
     return float(values[0]) if scalar else values
 
 
-def caputo_power_rule(gamma_exp, order_value, n, x):
-    """Caputo derivative of x^gamma_exp at orders inside (n-1, n).
+def caputo_power_rule(gamma_exp, order: OrderFunction, x):
+    """Caputo derivative of x^gamma_exp at x > 0, a scalar or a 1-D array.
 
-    Integer powers up to n - 1 are annihilated; powers above n - 1 map to
-    gamma_ratio(gamma_exp + 1, gamma_exp + 1 - order) * x^(gamma_exp - order).
+    With n the order's ceiling, integer powers up to n - 1 are annihilated;
+    powers above n - 1 map to
+    gamma_ratio(gamma_exp + 1, gamma_exp + 1 - rho(x)) * x^(gamma_exp - rho(x)).
     A non-integer power below n - 1 has no Caputo derivative (its n-th
-    derivative is not integrable at 0) and raises DomainError.
-    order_value and x may be scalars or matching 1-D arrays; the result is
-    a float when both are scalars. A value beyond double range is inf,
-    without a warning.
+    derivative is not integrable at 0) and raises DomainError. The order is
+    checked as every derivative checks it. A value beyond double range is
+    inf, without a warning.
     """
-    ceiling = _checked_int(n, "n", 1)
-    rho = np.asarray(order_value, dtype=float)
-    outside = np.flatnonzero(~((ceiling - 1 < rho) & (rho < ceiling)))
-    if outside.size:
-        raise DomainError(f"order {rho.flat[outside[0]]} must lie strictly inside "
-                          f"({ceiling - 1}, {ceiling})")
     exponent = float(gamma_exp)
     if not np.isfinite(exponent) or exponent < 0.0:
         raise ValueError(f"gamma_exp must be nonnegative, got {gamma_exp!r}")
-    point = np.asarray(x, dtype=float)
-    nonpositive = np.flatnonzero(~(np.isfinite(point) & (point > 0.0)))
+    pts, scalar = _as_points(x)
+    nonpositive = np.flatnonzero(pts == 0.0)
     if nonpositive.size:
-        raise DomainError(f"x must be positive, got {point.flat[nonpositive[0]]}")
-    if exponent <= ceiling - 1:
+        raise DomainError(f"x must be positive, got {pts[nonpositive[0]]}")
+    n, rho = order.n, _order_values(order, pts)
+    if exponent <= n - 1:
         if exponent != int(exponent):
             raise DomainError(f"x^{exponent:g} has no Caputo derivative at orders inside "
-                              f"({ceiling - 1}, {ceiling}): its derivative of order "
-                              f"{ceiling} is not integrable at 0")
-        out = np.zeros(np.broadcast(rho, point).shape)
+                              f"({n - 1}, {n}): its derivative of order "
+                              f"{n} is not integrable at 0")
+        out = np.zeros(pts.size)
     else:
         with np.errstate(over="ignore"):
-            out = gamma_ratio(exponent + 1.0, exponent + 1.0 - rho) * point ** (exponent - rho)
-    return float(out) if np.ndim(out) == 0 else out
+            out = gamma_ratio(exponent + 1.0, exponent + 1.0 - rho) * pts ** (exponent - rho)
+    return float(out[0]) if scalar else out
 
 
 def _positive_series(nu: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -129,7 +129,7 @@ def _checked_length(value, name: str) -> float:
 def _checked_degree(value, name: str = "degree", arrays: bool = False):
     """value as a nonnegative int; with arrays, also a 1-D array of them as an int array.
 
-    Booleans are refused, one or an array of them.
+    Booleans are refused: one, an array of them, or one among numbers.
     """
     ndim = np.ndim(value)
     if ndim == 0 or not arrays:
@@ -139,8 +139,11 @@ def _checked_degree(value, name: str = "degree", arrays: bool = False):
         return int(value)
     given = np.asarray(value)
     arr = given.astype(float)
-    if given.dtype == bool or arr.ndim != 1 or not np.all(
-            np.isfinite(arr) & (arr >= 0.0) & (arr == np.floor(arr))):
+    # numpy turns a bool among numbers into a number, so a list's items are checked too
+    if (given.dtype == bool or arr.ndim != 1
+            or (not isinstance(value, np.ndarray)
+                and any(isinstance(item, (bool, np.bool_)) for item in value))
+            or not np.all(np.isfinite(arr) & (arr >= 0.0) & (arr == np.floor(arr)))):
         raise ValueError(f"{name} must be a 1-D array of nonnegative integers, got {value!r}")
     return arr.astype(int)
 

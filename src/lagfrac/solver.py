@@ -19,7 +19,7 @@ from .fractional import (
     OrderFunction,
     _checked_range,
     _frac_ladder,
-    _order_values,
+    _ladder_orders,
     _require_derivative_window,
     _sample,
 )
@@ -105,26 +105,22 @@ def assemble(spec: IvpSpec) -> tuple[np.ndarray, np.ndarray]:
     basis values (-beta)^j L_(i-j)^(theta+j)(0) come by the parameter shift.
 
     The three ladders at the nodes come from one recurrence pass, a column
-    block each: the basis to degree N + 1 (whose top rows certify the nodes),
-    the family theta + m whose rows scaled by (-beta)^m are the m-th
-    derivatives (derivative_basis), and the family theta + n at order
-    n - rho, the Caputo rows. A row that leaves double range (a huge
-    coefficient, say) raises SolverError naming N and the row's x.
+    block each, for the derivative orders 0, m and rho as caputo_row reads
+    them: the basis to degree N + 1 (whose top rows certify the nodes), the
+    m-th derivatives and the Caputo rows. A row that leaves double range (a
+    huge coefficient, say) raises SolverError naming N and the row's x.
     """
     n, m, N = spec.order.n, spec.m, spec.N
     count = N + 1 - len(spec.initial)
     nodes = collocation_nodes(spec.params, N, count)
     theta, beta = spec.params.theta, spec.params.beta
-    zeros = np.zeros(count)
-    ladder = _frac_ladder(spec.params,
-                          np.concatenate([zeros, zeros, n - _order_values(spec.order, nodes)]),
-                          N + 1, np.concatenate([nodes, nodes, nodes]),
-                          shift=np.repeat([0.0, m, n], count))
+    shifts, orders = zip(*(_ladder_orders(order, nodes) for order in (0, m, spec.order)))
+    ladder = _frac_ladder(spec.params, np.concatenate(orders), N + 1, np.tile(nodes, 3),
+                          shift=np.repeat(shifts, count))
     # rows by degree, a column per node; rows past the ones kept may be out of range
     basis = _certified_basis(spec.params, nodes, ladder[:, :count])
-    integer = np.zeros((N + 1, count))
+    integer, frac = np.zeros((N + 1, count)), np.zeros((N + 1, count))
     np.multiply(ladder[:N - m + 1, count:2 * count], (-beta) ** m, out=integer[m:])
-    frac = np.zeros((N + 1, count))
     np.multiply(_checked_range(ladder[:N - n + 1, 2 * count:], nodes), (-beta) ** n,
                 out=frac[n:])
 

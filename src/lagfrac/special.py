@@ -2,10 +2,8 @@
 
 Everything here is pure, accepts scalars or ndarrays and needs only numpy
 and the standard library: gamma and log-gamma values come from ``math.gamma``
-and ``math.lgamma`` per element. Ratios of gamma values are always formed in
-log space so that large arguments never overflow double precision; callers
-elsewhere in the package are expected to do the same and route their ratios
-through :func:`gamma_ratio`.
+and ``math.lgamma`` per element. :func:`gamma_ratio` forms a ratio of gamma
+values in log space, so that large arguments never overflow double precision.
 """
 
 from __future__ import annotations
@@ -19,17 +17,6 @@ __all__ = ["DomainError", "log_gamma", "gamma_ratio"]
 
 class DomainError(ValueError):
     """A mathematical function was evaluated outside its domain."""
-
-
-def _validated(name: str, x, minimum: float, strict: bool) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} requires finite input, got {x!r}")
-    ok = np.all(arr > minimum) if strict else np.all(arr >= minimum)
-    if not ok:
-        op = ">" if strict else ">="
-        raise DomainError(f"{name} requires values {op} {minimum}, got {x!r}")
-    return arr
 
 
 def _saturating(func, value: float) -> float:
@@ -75,7 +62,11 @@ def log_gamma(x):
     (ln Gamma(1e-320) = 736.83); the value overflows to inf above about
     2.55e305.
     """
-    arr = _validated("log_gamma", x, 0.0, strict=True)
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"log_gamma requires finite input, got {x!r}")
+    if not np.all(arr > 0.0):
+        raise DomainError(f"log_gamma requires values > 0.0, got {x!r}")
     out = _elementwise(math.lgamma, arr)
     return float(out) if np.ndim(x) == 0 else out
 

@@ -19,7 +19,6 @@ from lagfrac import (
     caputo_of_sin,
     caputo_power_rule,
     caputo_row,
-    derivative_basis,
     eval_basis,
     eval_interpolant,
     frac_integral_basis,
@@ -121,7 +120,7 @@ def test_criterion_4_polynomial_exact_benchmark():
                   lambda x: 1.0 + 0.5 * np.abs(np.sin(x)), length))]
     cells = []
     for label, order in orders:
-        forcing = lambda x, _o=order: (caputo_power_rule(3.0, _o.eval(x), 2, x)
+        forcing = lambda x, _o=order: (caputo_power_rule(3.0, _o, x)
                                        + x ** 3 + 7.0 * x + 1.0)
         for N in (3, 4, 5):
             spec = IvpSpec(params=params, N=N, order=order, m=2,
@@ -172,8 +171,8 @@ def test_criterion_5_quadrature_oracles():
     coeffs = interpolate(rule, rule.nodes ** 3 + 2.0 * rule.nodes - 5.0)
     half = OrderFunction.constant(0.5)
     for x in np.linspace(0.1, 2.0, 20):
-        ref = (caputo_power_rule(3.0, 0.5, 1, x)
-               + 2.0 * caputo_power_rule(1.0, 0.5, 1, x))
+        ref = (caputo_power_rule(3.0, half, x)
+               + 2.0 * caputo_power_rule(1.0, half, x))
         worst_poly = max(worst_poly, abs(vo_derivative(coeffs, half, x) - ref))
     elapsed = time.perf_counter() - start
     ok = (worst_integral <= 1e-8 and worst_row <= 1e-8 and worst_poly <= 1e-10
@@ -230,7 +229,7 @@ def test_criterion_7_solver_invariants():
                     initial=[0.0, 1.0])
     coeffs2 = solve(spec2)
     ic2_value = abs(eval_interpolant(coeffs2, 0.0))
-    slopes = derivative_basis(coeffs2.params, coeffs2.coeffs.size - 1, 1, 0.0)
+    slopes = caputo_row(coeffs2.params, 1, coeffs2.coeffs.size - 1, 0.0)
     slope = sum(c * slopes[i] for i, c in enumerate(coeffs2.coeffs))
     ic2_slope = abs(slope - 1.0)
     elapsed = time.perf_counter() - start

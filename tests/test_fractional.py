@@ -17,7 +17,6 @@ from lagfrac import (
     caputo_power_rule,
     caputo_row,
     collocation_nodes,
-    derivative_basis,
     eval_basis,
     frac_integral_basis,
     gauss_rule,
@@ -255,7 +254,7 @@ def test_derivative_basis_is_scaled_shifted_eval_basis_bit_for_bit(m):
             for N in (2, 8, 40, 80):
                 want = np.zeros((N + 1, x.size))
                 want[m:] = (-beta) ** m * eval_basis(LaguerreParams(theta + m, beta), N - m, x)
-                assert np.array_equal(derivative_basis(LaguerreParams(theta, beta), N, m, x),
+                assert np.array_equal(caputo_row(LaguerreParams(theta, beta), m, N, x),
                                       want), (theta, beta, N)
 
 
@@ -353,8 +352,8 @@ def test_vo_derivative_polynomial_vs_power_rule():
     order = OrderFunction.constant(0.5)
     xs = np.linspace(0.1, 2.0, 20)
     for x in xs:
-        ref = (caputo_power_rule(3.0, 0.5, 1, x)
-               + 2.0 * caputo_power_rule(1.0, 0.5, 1, x))
+        ref = (caputo_power_rule(3.0, order, x)
+               + 2.0 * caputo_power_rule(1.0, order, x))
         got = vo_derivative(coeffs, order, x)
         assert type(got) is float
         assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref))
@@ -384,7 +383,7 @@ def test_vo_derivative_variable_order_cubic():
     assert order.n == 2
     xs = np.linspace(0.05, 1.0, 15)
     for x in xs:
-        ref = caputo_power_rule(3.0, order.eval(x), 2, x)
+        ref = caputo_power_rule(3.0, order, x)
         got = vo_derivative(coeffs, order, x)
         assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref))
     np.testing.assert_allclose(vo_derivative(coeffs, order, xs),
@@ -452,7 +451,7 @@ def test_operator_sums_past_double_range_are_non_finite_without_warning(operator
 def test_range_errors_name_the_ladder_they_check():
     params = LaguerreParams(0.0, 1.0)
     with pytest.raises(DomainError) as integer:
-        derivative_basis(params, 40, 1, 1e300)
+        caputo_row(params, 1, 40, 1e300)
     assert str(integer.value) == "derivative ladder leaves double range at x=1e+300"
     with pytest.raises(DomainError) as fractional:
         caputo_row(params, OrderFunction.constant(0.5), 40, 1e300)
@@ -460,42 +459,47 @@ def test_range_errors_name_the_ladder_they_check():
 
 
 def test_caputo_power_rule_values():
-    assert caputo_power_rule(3.0, 1.5, 2, 1.0) == pytest.approx(
+    assert caputo_power_rule(3.0, OrderFunction.constant(1.5), 1.0) == pytest.approx(
         6.0 / math.gamma(2.5), rel=1e-12)
-    assert caputo_power_rule(1.0, 0.5, 1, 4.0) == pytest.approx(
+    assert caputo_power_rule(1.0, OrderFunction.constant(0.5), 4.0) == pytest.approx(
         2.0 / math.gamma(1.5), rel=1e-12)
 
 
 def test_caputo_power_rule_annihilates_low_powers():
-    assert caputo_power_rule(0.0, 0.5, 1, 1.0) == 0.0
-    assert caputo_power_rule(0.0, 1.5, 2, 1.0) == 0.0
-    assert caputo_power_rule(1.0, 1.5, 2, 2.0) == 0.0
+    half, three_halves = OrderFunction.constant(0.5), OrderFunction.constant(1.5)
+    assert caputo_power_rule(0.0, half, 1.0) == 0.0
+    assert caputo_power_rule(0.0, three_halves, 1.0) == 0.0
+    assert caputo_power_rule(1.0, three_halves, 2.0) == 0.0
 
 
 def test_caputo_power_rule_validation():
     # a non-integer power below n - 1 has no Caputo derivative in (n - 1, n)
-    for args, message in [((0.5, 1.5, 2, 0.7), "x^0.5 has no Caputo derivative at orders "
-                                                "inside (1, 2)"),
-                          ((1.5, 2.5, 3, 0.7), "x^1.5 has no Caputo derivative at orders "
-                                                "inside (2, 3)")]:
+    for args, message in [((0.5, OrderFunction.constant(1.5), 0.7),
+                           "x^0.5 has no Caputo derivative at orders inside (1, 2)"),
+                          ((1.5, OrderFunction.constant(2.5), 0.7),
+                           "x^1.5 has no Caputo derivative at orders inside (2, 3)")]:
         with pytest.raises(DomainError) as info:
             caputo_power_rule(*args)
         assert str(info.value).startswith(message)
+    half = OrderFunction.constant(0.5)
     with pytest.raises(DomainError):
-        caputo_power_rule(2.0, 1.5, 1, 1.0)
-    with pytest.raises(DomainError):
-        caputo_power_rule(2.0, 0.5, 1, 0.0)
+        caputo_power_rule(2.0, half, 0.0)
     with pytest.raises(ValueError):
-        caputo_power_rule(-1.0, 0.5, 1, 1.0)
+        caputo_power_rule(-1.0, half, 1.0)
+    # the order's values are checked against its window as every derivative checks them
+    lying = OrderFunction(eval=lambda x: np.where(x < 1.0, 0.5, 1.5), rho_min=0.5, rho_max=0.9)
+    with pytest.raises(DomainError, match=r"order value 1.5 at x=2.0 lies outside \(0, 1\)"):
+        caputo_power_rule(2.0, lying, np.array([0.5, 2.0]))
 
 
 def test_caputo_power_rule_saturates_to_inf_silently():
+    half = OrderFunction.constant(0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert caputo_power_rule(3.0, 0.5, 1, 1e300) == math.inf
-        values = caputo_power_rule(3.0, np.array([0.5, 0.5]), 1, np.array([1e300, 2.0]))
+        assert caputo_power_rule(3.0, half, 1e300) == math.inf
+        values = caputo_power_rule(3.0, half, np.array([1e300, 2.0]))
     assert values[0] == math.inf
-    assert values[1] == caputo_power_rule(3.0, 0.5, 1, 2.0)
+    assert values[1] == caputo_power_rule(3.0, half, 2.0)
 
 
 def test_caputo_exp_exact_saturates_to_inf_silently():
@@ -561,17 +565,15 @@ def test_closed_forms_take_arrays():
     order = OrderFunction.from_callable(lambda x: 1.5 + 0.3 * np.sin(3.0 * x), 8.0)
     xs = np.concatenate([np.linspace(0.0, 8.0, 17),
                          [np.nextafter(3.0, 0.0), np.nextafter(3.0, 4.0)]])
-    for func in (caputo_exp_exact, caputo_of_sin):
-        values = func(order, xs)
-        assert values.shape == xs.shape
-        assert np.array_equal(values, [func(order, x) for x in xs])
-    rho = order.eval(xs[1:])
-    powers = caputo_power_rule(3.0, rho, 2, xs[1:])
-    assert np.array_equal(powers, [caputo_power_rule(3.0, r, 2, x)
-                                   for r, x in zip(rho, xs[1:])])
-    assert np.array_equal(caputo_power_rule(1.0, rho, 2, xs[1:]), np.zeros(xs.size - 1))
+    # the power rule is defined for x > 0 only
+    cubic = lambda order, x: caputo_power_rule(3.0, order, x)
+    for func, points in ((caputo_exp_exact, xs), (caputo_of_sin, xs), (cubic, xs[1:])):
+        values = func(order, points)
+        assert values.shape == points.shape
+        assert np.array_equal(values, [func(order, x) for x in points])
+    assert np.array_equal(caputo_power_rule(1.0, order, xs[1:]), np.zeros(xs.size - 1))
     with pytest.raises(DomainError):
-        caputo_power_rule(3.0, rho, 2, xs)
+        caputo_power_rule(3.0, order, xs)
 
 
 def test_order_function_constant():
@@ -651,14 +653,6 @@ def test_order_function_validation():
     assert OrderFunction(eval=lambda x: 3.5, rho_min=3.2, rho_max=3.7).n == 4
 
 
-@pytest.mark.parametrize("call,name", [
-    (lambda: caputo_power_rule(2.0, 0.5, math.inf, 1.0), "n"),
-], ids=["caputo_power_rule-n"])
-def test_infinite_integer_argument_is_value_error(call, name):
-    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
-        call()
-
-
 def test_derivative_window_gating():
     params = LaguerreParams(1.0, 3.0)
     # every unit window is admissible: at n = 3 the cubic x^3 - 5x^2 + x + 2
@@ -666,10 +660,15 @@ def test_derivative_window_gating():
     rule = gauss_rule(params, 6)
     coeffs = interpolate(rule, rule.nodes ** 3 - 5.0 * rule.nodes ** 2 + rule.nodes + 2.0)
     xs = np.linspace(0.1, 2.0, 20)
-    ref = caputo_power_rule(3.0, 2.5, 3, xs)
+    ref = caputo_power_rule(3.0, OrderFunction.constant(2.5), xs)
     got = vo_derivative(coeffs, OrderFunction.constant(2.5), xs)
     assert np.all(np.abs(got - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref)))
     assert np.all(caputo_row(params, OrderFunction.constant(2.5), 5, 1.0)[:3] == 0.0)
+    # an int order q is the ordinary q-th derivative of the cubic
+    for q, ref in [(1, 3.0 * xs ** 2 - 10.0 * xs + 1.0), (2, 6.0 * xs - 10.0),
+                   (3, np.full(xs.size, 6.0))]:
+        got = vo_derivative(coeffs, q, xs)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), q
     # an order that crosses an integer is refused by its bounds
     crossing = OrderFunction(eval=lambda x: 1.5 + x, rho_min=1.5, rho_max=2.5)
     with pytest.raises(DomainError, match=r"must lie strictly inside \(1, 2\)"):

@@ -13,7 +13,6 @@ from lagfrac import (
     OrderFunction,
     QuadratureRule,
     caputo_row,
-    derivative_basis,
     eval_basis,
     eval_interpolant,
     frac_integral_basis,
@@ -37,8 +36,9 @@ def explicit_low_degrees(theta, beta, x):
 
 
 def longdouble_derivative_basis(params, max_degree, m, x):
-    """derivative_basis at the points x, as (-beta)^m times the ladder of the
-    family theta + m by the plain forward recurrence in np.longdouble."""
+    """caputo_row at the integer order m and the points x, as (-beta)^m times
+    the ladder of the family theta + m by the plain forward recurrence in
+    np.longdouble."""
     theta = np.longdouble(params.theta) + m
     bx = np.longdouble(params.beta) * np.asarray(x, dtype=float)
     rows = np.zeros((max_degree + 1,) + bx.shape, dtype=np.longdouble)
@@ -90,10 +90,10 @@ def test_value_at_zero_matches_basis(theta, beta):
 
 def test_derivative_basis_zero_below_order():
     params = LaguerreParams(1.0, 3.0)
-    assert derivative_basis(params, 0, 1, 0.7)[0] == 0.0
-    assert derivative_basis(params, 1, 2, 0.7)[1] == 0.0
+    assert caputo_row(params, 1, 0, 0.7)[0] == 0.0
+    assert caputo_row(params, 2, 1, 0.7)[1] == 0.0
     # m = 0 returns the plain value
-    assert derivative_basis(params, 4, 0, 0.7)[4] == pytest.approx(
+    assert caputo_row(params, 0, 4, 0.7)[4] == pytest.approx(
         eval_basis(params, 4, 0.7)[4], rel=1e-14)
 
 
@@ -106,7 +106,7 @@ def test_derivative_basis_vs_finite_difference(theta, beta, i):
         plus = eval_basis(params, i, x + h)[i]
         minus = eval_basis(params, i, x - h)[i]
         fd = (plus - minus) / (2.0 * h)
-        exact = derivative_basis(params, i, 1, x)[i]
+        exact = caputo_row(params, 1, i, x)[i]
         assert abs(fd - exact) <= 2e-5 * max(1.0, abs(exact))
 
 
@@ -114,9 +114,9 @@ def test_second_derivative_vs_finite_difference():
     params = LaguerreParams(2.0, 4.0)
     h = 1e-5
     for x in (0.5, 1.5):
-        fd = (derivative_basis(params, 6, 1, x + h)[6]
-              - derivative_basis(params, 6, 1, x - h)[6]) / (2.0 * h)
-        exact = derivative_basis(params, 6, 2, x)[6]
+        fd = (caputo_row(params, 1, 6, x + h)[6]
+              - caputo_row(params, 1, 6, x - h)[6]) / (2.0 * h)
+        exact = caputo_row(params, 2, 6, x)[6]
         assert abs(fd - exact) <= 1e-4 * max(1.0, abs(exact))
 
 
@@ -132,12 +132,12 @@ def test_derivative_basis_accuracy(m, n):
             params = LaguerreParams(theta, beta)
             for N in (2, 8, 20, 40):
                 x = collocation_nodes(params, N, N if n == 1 else N - 1)
-                got = derivative_basis(params, N, m, x)
+                got = caputo_row(params, m, N, x)
                 want = longdouble_derivative_basis(params, N, m, x)
                 scale = np.max(np.abs(want), axis=0)
                 assert np.all(np.abs(got - want) <= 2e-15 * (N + 1) * scale), (theta, beta, N)
                 worst = max(worst, float(np.max(np.abs(got - want))) / float(np.max(scale)))
-                at_zero = derivative_basis(params, N, m, 0.0)
+                at_zero = caputo_row(params, m, N, 0.0)
                 closed = np.zeros(N + 1)
                 closed[m:] = (-beta) ** m * value_at_zero(LaguerreParams(theta + m, beta),
                                                          np.arange(N + 1 - m))
@@ -202,7 +202,8 @@ def test_norm_matches_quadrature(theta, beta):
 
 @pytest.mark.parametrize("func", [value_at_zero, norm])
 @pytest.mark.parametrize("degrees", [-1, 2.5, [0, -1, 2], [0, 1.5], [0, math.nan],
-                                     [0, math.inf], [[0, 1]], True, [True, False]])
+                                     [0, math.inf], [[0, 1]], True, [True, False],
+                                     [0, True]])
 def test_degree_validation(func, degrees):
     with pytest.raises(ValueError, match="^i must be"):
         func(LaguerreParams(1.0, 3.0), degrees)
@@ -483,6 +484,8 @@ def test_scalar_degree_rejects_non_finite(degree):
         value_at_zero(params, degree)
     with pytest.raises(ValueError, match="^N must be a nonnegative integer"):
         gauss_rule(params, degree)
+    with pytest.raises(ValueError, match="^order must be a nonnegative integer"):
+        caputo_row(params, degree, 4, 1.0)
 
 
 DEGREES = np.array([2, 3])
@@ -493,8 +496,8 @@ ORDER = OrderFunction.constant(0.5)
     (lambda p: eval_basis(p, DEGREES, 1.0), "max_degree"),
     (lambda p: frac_integral_basis(p, ORDER, DEGREES, 1.0), "max_degree"),
     (lambda p: caputo_row(p, ORDER, DEGREES, 1.0), "max_degree"),
-    (lambda p: derivative_basis(p, DEGREES, 1, 1.0), "max_degree"),
-    (lambda p: derivative_basis(p, 4, DEGREES, 1.0), "m"),
+    (lambda p: caputo_row(p, 1, DEGREES, 1.0), "max_degree"),
+    (lambda p: caputo_row(p, DEGREES, 4, 1.0), "order"),
     (lambda p: gauss_rule(p, DEGREES), "N"),
     (lambda p: collocation_nodes(p, DEGREES, 2), "N"),
     (lambda p: collocation_nodes(p, 4, DEGREES), "count"),

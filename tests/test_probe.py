@@ -18,10 +18,12 @@ def test_probe_of_this_tree_matches_itself(tmp_path):
     for name in ("a.json", "b.json"):
         proc = run_probe("--root", ROOT, "--out", tmp_path / name)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == f"210 tasks probed into {tmp_path / name}\n"
+        assert proc.stdout == f"213 tasks probed into {tmp_path / name}\n"
     proc = run_probe("--compare", tmp_path / "a.json", tmp_path / "b.json")
-    assert (proc.returncode, proc.stdout) == (0, "0 of 210 tasks differ\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "0 of 213 tasks differ\n"), proc.stderr
     records = json.loads((tmp_path / "a.json").read_text())
+    # the default example runs are probed besides the benchmark's tasks
+    assert {f"presets:-:example{k}" for k in (1, 2, 3)} <= records.keys()
     # every task exits 0 with its files written, or 2 (a numerical refusal) with none
     assert {(r["exit"], bool(r["files"])) for r in records.values()} == {(0, True), (2, False)}
     # a rerun over the files of the first run leaves the same bytes

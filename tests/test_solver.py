@@ -17,7 +17,6 @@ from lagfrac import (
     caputo_of_sin,
     caputo_row,
     collocation_nodes,
-    derivative_basis,
     eval_basis,
     eval_interpolant,
     gauss_rule,
@@ -110,7 +109,7 @@ def test_assemble_second_order_layout():
     # N - 1 equation columns, then value and slope columns
     expected_value = [value_at_zero(spec.params, i) for i in range(7)]
     assert np.allclose(matrix[5], expected_value, rtol=1e-13)
-    expected_slope = derivative_basis(spec.params, 6, 1, 0.0)
+    expected_slope = caputo_row(spec.params, 1, 6, 0.0)
     assert np.allclose(matrix[6], expected_slope, rtol=1e-13)
     assert tuple(rhs[5:]) == spec.initial
 
@@ -150,9 +149,9 @@ def test_assemble_matches_separate_ladders(m, n, variable):
                 want = np.zeros((N + 1, N + 1))
                 want[:count] = (a(x) * integer + b(x) * caputo_row(params, order, N, x)
                                 + c(x) * eval_basis(params, N, x)).T
-                # u^(j)(0) rows by the parameter shift, as derivative_basis at 0
+                # u^(j)(0) rows by the parameter shift, as caputo_row of order j at 0
                 for j in range(max(m, n)):
-                    want[count + j] = derivative_basis(params, N, j, 0.0)
+                    want[count + j] = caputo_row(params, j, N, 0.0)
                 got, _ = assemble(equation_spec(params, N, order, m, a, b, c))
                 scale = np.max(np.abs(want), axis=1, keepdims=True)
                 assert np.all(np.abs(got - want) <= 1e-13 * scale), (theta, beta, N)
@@ -177,7 +176,7 @@ def test_assemble_fractional_rows_are_caputo_row(m, n, variable):
 @pytest.mark.parametrize("m,n", ORDERS)
 def test_assemble_integer_rows_are_derivative_basis(m, n):
     # with a = 1 and b = c = 0 the equation rows are the integer-derivative block
-    # alone, the derivative_basis matrix at the nodes bit for bit
+    # alone, the caputo_row matrix of order m at the nodes bit for bit
     zero = lambda x: 0.0
     order = window_order(n, False)
     for theta in (-0.5, 0.0, 2.0, 10.0):
@@ -186,7 +185,7 @@ def test_assemble_integer_rows_are_derivative_basis(m, n):
             for N in [N for N in (2, 8, 20, 40) if N >= max(m, n)]:
                 count = N + 1 - max(m, n)
                 got, _ = assemble(equation_spec(params, N, order, m, ONE, zero, zero))
-                want = derivative_basis(params, N, m, collocation_nodes(params, N, count))
+                want = caputo_row(params, m, N, collocation_nodes(params, N, count))
                 assert np.array_equal(got[:count], want.T), (theta, beta, N)
 
 
@@ -232,7 +231,7 @@ def test_initial_conditions_hold():
     coeffs = solve(oscillator_spec(N=12))
     params = coeffs.params
     assert eval_interpolant(coeffs, 0.0) == pytest.approx(0.0, abs=1e-10)
-    slopes = derivative_basis(params, coeffs.coeffs.size - 1, 1, 0.0)
+    slopes = caputo_row(params, 1, coeffs.coeffs.size - 1, 0.0)
     slope = sum(c * slopes[i] for i, c in enumerate(coeffs.coeffs))
     assert slope == pytest.approx(1.0, abs=1e-10)
 

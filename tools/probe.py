@@ -1,4 +1,4 @@
-"""Byte-identity probe: run every benchmark task in process and hash what it leaves.
+"""Byte-identity probe: run every benchmark task and example in process, hash what it leaves.
 
 Usage (from the root of a checkout):
 
@@ -10,11 +10,13 @@ the benchmark's workloads (``bench/workloads.py`` of the checkout holding
 this script, imported and left as it is) at seeds 5 and 6, one
 ``lagfrac.cli.main(argv)`` call per task in a fresh directory, in the
 benchmark's order and with BLAS pinned to one thread, as the benchmark
-runs them. Per task it records the exit code and the sha256 of stdout, of
-stderr (every warning printed) and of each file the task wrote. It then
-runs the task a second time in the same directory, over the files the
-first run left, as every benchmark pass after the first does, and records
-the same digests after that rerun under ``rerun``.
+runs them; then, as three more tasks, the default ``example1``,
+``example2`` and ``example3`` runs, which no workload holds. Per task it
+records the exit code and the sha256 of stdout, of stderr (every warning
+printed) and of each file the task wrote. It then runs the task a second
+time in the same directory, over the files the first run left, as every
+benchmark pass after the first does, and records the same digests after
+that rerun under ``rerun``.
 
 The second form lists the tasks whose records differ between two probes,
 or whose rerun left other bytes than their first run in either probe, and
@@ -43,6 +45,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
 
 SEEDS = (5, 6)
+# the default example runs, keyed presets:-:<subcommand>
+PRESETS = [{"id": name, "argv": [name]} for name in ("example1", "example2", "example3")]
 
 
 def _sha256(data: bytes) -> str:
@@ -83,16 +87,17 @@ def _run_task(main, task: dict) -> dict:
 
 
 def probe(root: Path) -> dict:
-    """Records of every task at every seed, keyed workload:seed:task id."""
+    """Records of every task at every seed, keyed workload:seed:task id, then the presets."""
     src = (root / "src").resolve()
     sys.path.insert(0, str(src))
     import lagfrac.cli
 
     if Path(lagfrac.cli.__file__).resolve().parent != src / "lagfrac":
         raise ImportError(f"lagfrac was imported from {lagfrac.cli.__file__}, not {src}")
-    return {f"{workload}:{seed}:{task['id']}": _run_task(lagfrac.cli.main, task)
-            for workload in workloads.WORKLOADS for seed in SEEDS
-            for task in workloads.make_tasks(workload, seed)}
+    tasks = [(f"{workload}:{seed}:{task['id']}", task) for workload in workloads.WORKLOADS
+             for seed in SEEDS for task in workloads.make_tasks(workload, seed)]
+    tasks += [(f"presets:-:{task['id']}", task) for task in PRESETS]
+    return {key: _run_task(lagfrac.cli.main, task) for key, task in tasks}
 
 
 def _rerun_differs(record: dict) -> bool:
