@@ -34,8 +34,9 @@ def main():
     one = lambda x: 1.0
     print("N   max abs error on [0, 1]")
     for N in (4, 6, 8, 10):
-        spec = IvpSpec(params=LaguerreParams(2.0, 4.0), N=N, order=order,
-                       m=1, a=one, b=one, c=one, f=forcing,
+        # the terms u', D^(1/2) u and u, each with coefficient 1
+        spec = IvpSpec(params=LaguerreParams(2.0, 4.0), N=N,
+                       terms=[(one, 1), (one, order), (one, 0)], f=forcing,
                        initial=[1.0])
         coeffs = solve(spec)
         error = max_abs_error(coeffs, lambda x: x ** 2 + 1.0, 1.0, 1001)

@@ -4,8 +4,8 @@ Solves  u'' + D^(3/2) u + u = f,  u(0) = 0, u'(0) = 1  on [0, 1]
 where f = D^(3/2) sin from its closed form, so the exact solution is
 sin(x). Shows spectral decay of the error as N grows and writes the
 N=20 pointwise error to demo_output/oscillator_error.csv. Then the same
-solution under a variable order in (1, 2), and under a fractional damping
-term D^(1/2) u, whose order lies below m = 2.
+solution under a variable order in (1, 2), under a fractional damping
+term D^(1/2) u in place of D^(3/2) u, and with both fractional terms.
 
 Run from the repository root:
 
@@ -39,8 +39,8 @@ def main():
     last = None
     print("N   max abs error on [0, 1]")
     for N in (5, 10, 15, 20):
-        spec = IvpSpec(params=params, N=N, order=order, m=2,
-                       a=one, b=one, c=one,
+        spec = IvpSpec(params=params, N=N,
+                       terms=[(one, 2), (one, order), (one, 0)],
                        f=lambda x: caputo_of_sin(order, x),
                        initial=[0.0, 1.0])
         coeffs = solve(spec)
@@ -60,21 +60,29 @@ def main():
     # a variable order inside the same (1, 2) window works unchanged
     variable = OrderFunction.from_callable(
         lambda x: (9.0 + np.sin(x - 10.0)) / 5.0, 1.0)
-    spec = IvpSpec(params=params, N=20, order=variable, m=2,
-                   a=one, b=one, c=one,
+    spec = IvpSpec(params=params, N=20,
+                   terms=[(one, 2), (one, variable), (one, 0)],
                    f=lambda x: caputo_of_sin(variable, x),
                    initial=[0.0, 1.0])
     error = max_abs_error(solve(spec), np.sin, 1.0, 1001)
     print(f"variable order (9+sin(x-10))/5, N=20: {error:.3e}")
 
     # the fractionally damped oscillator u'' + D^(1/2) u + u = f, where
-    # u'' + u = 0 for sin: k = max(m, n) = 2 initial values, as before
+    # u'' + u = 0 for sin; the highest order, 2, takes 2 initial values
     half = OrderFunction.constant(0.5)
-    spec = IvpSpec(params=LaguerreParams(2.0, 4.0), N=20, order=half, m=2,
-                   a=one, b=one, c=one, f=lambda x: caputo_of_sin(half, x),
+    spec = IvpSpec(params=LaguerreParams(2.0, 4.0), N=20,
+                   terms=[(one, 2), (one, half), (one, 0)],
+                   f=lambda x: caputo_of_sin(half, x), initial=[0.0, 1.0])
+    error = max_abs_error(solve(spec), np.sin, 1.0, 1001)
+    print(f"damping order 1/2 (orders 2, 1/2, 0), N=20: {error:.3e}")
+
+    # both fractional terms at once: u'' + D^(3/2) u + D^(1/2) u + u = f
+    spec = IvpSpec(params=LaguerreParams(2.0, 4.0), N=20,
+                   terms=[(one, 2), (one, order), (one, half), (one, 0)],
+                   f=lambda x: caputo_of_sin(order, x) + caputo_of_sin(half, x),
                    initial=[0.0, 1.0])
     error = max_abs_error(solve(spec), np.sin, 1.0, 1001)
-    print(f"damping order 1/2 (m=2, n=1), N=20: {error:.3e}")
+    print(f"orders 2, 3/2, 1/2, 0, N=20: {error:.3e}")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ Functions on the half line are expanded in generalized Laguerre polynomials;
 fractional integrals and Caputo derivatives of the expansion follow from
 recurrences on the basis, with the order free to vary with x. A spectral
 collocation solver built on the same machinery handles initial value
-problems of any integer order with an added variable-order fractional term.
+problems with any number of integer-order and variable-order derivative terms.
 """
 
 from . import exprs, fractional, laguerre, solver, special

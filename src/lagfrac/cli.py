@@ -340,13 +340,13 @@ def _compile(name: str, raw: dict, table: bool) -> dict:
         cells = [(p, N, *o) for p in families for N in degrees for o in orders]
     if mode == "solve":
         # only a solve config may leave m out, and it holds one order
-        problem = {key: _problem(raw[key], key) for key in ("a", "b", "c", "f")}
+        a, b, c, f = (_problem(raw[key], key) for key in ("a", "b", "c", "f"))
         m = _as_int(raw["m"], "m") if "m" in raw else orders[0][1].n
         # u0 and v0 are u(0) and u'(0): the keys given are the initial values
         initial = [_as_float(raw[key], key) for key in ("u0", "v0") if key in raw]
         run["cells"] = [(p, N, text, order, IvpSpec(
-            params=p, N=N, order=order, m=m, initial=initial,
-            **{key: partial(func, order) for key, func in problem.items()}))
+            params=p, N=N, f=partial(f, order), initial=initial,
+            terms=[(partial(a, order), m), (partial(b, order), order), (partial(c, order), 0)]))
             for p, N, text, order in cells]
     else:  # every degree passes the check gauss_rule applies
         run.update(u=_expression(raw["u"], "u"), cells=[

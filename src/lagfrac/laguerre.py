@@ -60,6 +60,11 @@ def _frozen_array(values, name: str) -> np.ndarray:
     return arr
 
 
+def _check_params(params) -> None:
+    if not isinstance(params, LaguerreParams):
+        raise ValueError(f"params must be a LaguerreParams, got {params!r}")
+
+
 class QuadratureRule(Record):
     """Gauss rule for one basis family from its nodes, with the discrete transform.
 
@@ -77,6 +82,7 @@ class QuadratureRule(Record):
     __slots__ = ("params", "nodes", "weights", "basis", "norms")
 
     def __init__(self, params: LaguerreParams, nodes: np.ndarray):
+        _check_params(params)
         nodes = _frozen_array(nodes, "nodes")
         if nodes[0] <= 0.0 or np.any(np.diff(nodes) <= 0.0):
             raise ValueError("nodes must be positive and strictly increasing")
@@ -107,6 +113,7 @@ class InterpolantCoeffs(Record):
     __slots__ = ("params", "coeffs")
 
     def __init__(self, params: LaguerreParams, coeffs: np.ndarray):
+        _check_params(params)
         self._fill(params, _frozen_array(coeffs, "coeffs"))
 
 

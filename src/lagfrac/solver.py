@@ -1,9 +1,9 @@
-"""Spectral collocation for initial value problems with a fractional term.
+"""Spectral collocation for initial value problems with fractional terms.
 
-The unknown is expanded in a generalized Laguerre basis. The differential
-equation is enforced at the smallest Gauss nodes and the initial data fill
-the remaining rows, giving a dense square system for the coefficients that
-is solved directly by LU with partial pivoting.
+The unknown is expanded in a generalized Laguerre basis. The equation, a sum
+of integer-order and variable-order fractional terms, is enforced at the
+smallest Gauss nodes and the initial data fill the remaining rows, giving a
+dense square system for the coefficients that is solved directly by LU.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .laguerre import (
     InterpolantCoeffs,
     LaguerreParams,
     _certified_basis,
+    _check_params,
     _checked_degree,
     _checked_int,
     _checked_length,
@@ -50,35 +51,41 @@ class SolverError(RuntimeError):
 
 
 class IvpSpec(Record):
-    """An initial value problem with an added fractional derivative term.
+    """The initial value problem sum_k c_k(x) D^(q_k) u(x) = f(x) for x >= 0.
 
-    The equation is a(x) u^(m)(x) + b(x) D^(rho(x)) u(x) + c(x) u(x) = f(x)
-    for x >= 0, with m >= 1 and rho inside one unit window (n - 1, n). The
-    k = max(m, n) values u(0), u'(0), ..., u^(k-1)(0) are the initial
-    sequence, and N >= max(2, k) leaves at least one collocation row. The
-    coefficient and forcing callables take a 1-D float array of points and
-    return an array of the same shape (a scalar return is broadcast); they
-    must be pure and finite at the collocation nodes.
+    terms holds one (coefficient c_k, order q_k) pair per term. An order is an
+    int q >= 0, the q-th derivative (0 is u itself), or an OrderFunction inside
+    one unit window (n - 1, n), the Caputo derivative. initial holds u(0), ...,
+    u^(k-1)(0), k the largest q or n, and N >= max(2, k) leaves a collocation
+    row. Each callable maps a 1-D float array of points to an array of its
+    shape (a scalar is broadcast) and must be pure and finite at the nodes.
     """
 
-    __slots__ = ("params", "N", "order", "m", "a", "b", "c", "f", "initial")
+    __slots__ = ("params", "N", "terms", "f", "initial")
 
-    def __init__(self, params: LaguerreParams, N: int, order: OrderFunction, m: int,
-                 a: Callable[[np.ndarray], np.ndarray], b: Callable[[np.ndarray], np.ndarray],
-                 c: Callable[[np.ndarray], np.ndarray], f: Callable[[np.ndarray], np.ndarray],
-                 initial: Sequence[float]):
-        m = _checked_int(m, "m", 1)
-        _require_derivative_window(order)
-        k = max(m, order.n)
+    def __init__(self, params: LaguerreParams, N: int, terms: Sequence[tuple],
+                 f: Callable[[np.ndarray], np.ndarray], initial: Sequence[float]):
+        _check_params(params)
+        checked = []
+        for i, (coefficient, order) in enumerate(terms):
+            if not callable(coefficient):
+                raise ValueError(f"coefficient of term {i} must be callable")
+            if isinstance(order, OrderFunction):
+                _require_derivative_window(order)
+            else:
+                order = _checked_degree(order, f"order of term {i}")
+            checked.append((coefficient, order))
+        if not checked:
+            raise ValueError("terms must hold at least one (coefficient, order) pair")
+        k = max(order.n if isinstance(order, OrderFunction) else order for _, order in checked)
         N = _checked_int(N, "N", max(2, k))
-        for name, func in (("a", a), ("b", b), ("c", c), ("f", f)):
-            if not callable(func):
-                raise ValueError(f"{name} must be callable")
+        if not callable(f):
+            raise ValueError("f must be callable")
         values = np.asarray(initial, dtype=float)
         if values.shape != (k,) or not np.all(np.isfinite(values)):
-            raise ValueError(f"{k} finite initial values u^(j)(0), j < {k}, are needed "
-                             f"for m={m} and n={order.n}, got {initial!r}")
-        self._fill(params, N, order, m, a, b, c, f, tuple(values.tolist()))
+            raise ValueError(f"{k} finite initial values u^(j)(0), j < {k}, are needed, "
+                             f"got {initial!r}")
+        self._fill(params, N, tuple(checked), f, tuple(values.tolist()))
 
 
 def collocation_nodes(params: LaguerreParams, N, count) -> np.ndarray:
@@ -99,46 +106,42 @@ def collocation_nodes(params: LaguerreParams, N, count) -> np.ndarray:
 def assemble(spec: IvpSpec) -> tuple[np.ndarray, np.ndarray]:
     """The square collocation system (matrix, rhs), matrix @ coeffs = rhs.
 
-    One row per collocation node carries the equation
-    a(x_j) u^(m) + b(x_j) D^(rho) u + c(x_j) u = f(x_j); the remaining k
-    rows carry the initial conditions u^(j)(0) = initial[j], j < k, whose
-    basis values (-beta)^j L_(i-j)^(theta+j)(0) come by the parameter shift.
-
-    The three ladders at the nodes come from one recurrence pass, a column
-    block each, for the derivative orders 0, m and rho as caputo_row reads
-    them: the basis to degree N + 1 (whose top rows certify the nodes), the
-    m-th derivatives and the Caputo rows. A row that leaves double range (a
-    huge coefficient, say) raises SolverError naming N and the row's x.
+    One row per collocation node x_j carries sum_k c_k(x_j) D^(q_k) u = f(x_j);
+    the remaining k rows carry u^(j)(0) = initial[j], whose basis values
+    (-beta)^j L_(i-j)^(theta+j)(0) come by the parameter shift. The ladders at
+    the nodes come from one recurrence pass, a column block each: the basis to
+    degree N + 1 (whose top rows certify the nodes; an order-0 term reads it),
+    then one block per term of nonzero order, as caputo_row reads it. The
+    coefficients are sampled in term order, then f. A row that leaves double
+    range (a huge coefficient, say) raises SolverError naming N and the row's x.
     """
-    n, m, N = spec.order.n, spec.m, spec.N
+    N, terms = spec.N, spec.terms
     count = N + 1 - len(spec.initial)
     nodes = collocation_nodes(spec.params, N, count)
     theta, beta = spec.params.theta, spec.params.beta
-    shifts, orders = zip(*(_ladder_orders(order, nodes) for order in (0, m, spec.order)))
-    ladder = _frac_ladder(spec.params, np.concatenate(orders), N + 1, np.tile(nodes, 3),
-                          shift=np.repeat(shifts, count))
-    # rows by degree, a column per node; rows past the ones kept may be out of range
-    basis = _certified_basis(spec.params, nodes, ladder[:, :count])
-    integer, frac = np.zeros((N + 1, count)), np.zeros((N + 1, count))
-    np.multiply(ladder[:N - m + 1, count:2 * count], (-beta) ** m, out=integer[m:])
-    np.multiply(_checked_range(ladder[:N - n + 1, 2 * count:], nodes), (-beta) ** n,
-                out=frac[n:])
-
-    a_vals = _sample(spec.a, nodes, "function 'a'")
-    b_vals = _sample(spec.b, nodes, "function 'b'")
-    c_vals = _sample(spec.c, nodes, "function 'c'")
-    f_vals = _sample(spec.f, nodes, "function 'f'")
-
+    orders = [0] + [order for _, order in terms if order != 0]
+    shifts, ladder_orders = zip(*(_ladder_orders(order, nodes) for order in orders))
+    ladder = _frac_ladder(spec.params, np.concatenate(ladder_orders), N + 1,
+                          np.tile(nodes, len(orders)), shift=np.repeat(shifts, count))
+    # by block, degree and node; degrees past the ones a block keeps may be out of range
+    blocks = ladder.reshape(N + 2, len(orders), count).swapaxes(0, 1)
+    _certified_basis(spec.params, nodes, blocks[0])
+    for order, s, block in zip(orders, shifts, blocks):
+        if isinstance(order, OrderFunction):
+            _checked_range(block[:N - s + 1], nodes)
+    sampled = [_sample(c, nodes, f"coefficient of term {i}") for i, (c, _) in enumerate(terms)]
     matrix = np.zeros((N + 1, N + 1))
-    rhs = np.empty(N + 1)
-    rhs[:count] = f_vals
+    rhs = np.concatenate([_sample(spec.f, nodes, "function 'f'"), spec.initial])
     # a row past double range is reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        matrix[:count] = (a_vals * integer + b_vals * frac + c_vals * basis).T
-        for j, value in enumerate(spec.initial):
+        rows = np.zeros((N + 1, count))
+        for values, (_, order) in zip(sampled, terms):
+            i = orders.index(order)
+            rows[shifts[i]:] += values * (blocks[i][:N - shifts[i] + 1] * (-beta) ** shifts[i])
+        matrix[:count] = rows.T
+        for j in range(len(spec.initial)):
             family = LaguerreParams(theta + j, beta)
             matrix[count + j, j:] = (-beta) ** j * value_at_zero(family, np.arange(N + 1 - j))
-            rhs[count + j] = value
     bad = np.flatnonzero(~np.all(np.isfinite(matrix), axis=1))
     if bad.size:
         x = nodes[bad[0]] if bad[0] < count else 0.0

@@ -38,8 +38,8 @@ def _report(name, ok, detail):
 
 
 def _solve_oscillator(theta, beta, N, order):
-    spec = IvpSpec(params=LaguerreParams(theta, beta), N=N, order=order, m=2,
-                   a=ONE, b=ONE, c=ONE,
+    spec = IvpSpec(params=LaguerreParams(theta, beta), N=N,
+                   terms=[(ONE, 2), (ONE, order), (ONE, 0)],
                    f=lambda x: caputo_of_sin(order, x),
                    initial=[0.0, 1.0])
     coeffs = solve(spec)
@@ -123,8 +123,8 @@ def test_criterion_4_polynomial_exact_benchmark():
         forcing = lambda x, _o=order: (caputo_power_rule(3.0, _o, x)
                                        + x ** 3 + 7.0 * x + 1.0)
         for N in (3, 4, 5):
-            spec = IvpSpec(params=params, N=N, order=order, m=2,
-                           a=ONE, b=ONE, c=ONE, f=forcing,
+            spec = IvpSpec(params=params, N=N,
+                           terms=[(ONE, 2), (ONE, order), (ONE, 0)], f=forcing,
                            initial=[1.0, 1.0])
             coeffs = solve(spec)
             error = max_abs_error(coeffs, lambda x: x ** 3 + x + 1.0,
@@ -210,8 +210,8 @@ def test_criterion_7_solver_invariants():
     start = time.perf_counter()
     # manufactured first-order problem, u = x^2 + 1, order 1/2
     order = OrderFunction.constant(0.5)
-    spec = IvpSpec(params=LaguerreParams(2.0, 4.0), N=10, order=order, m=1,
-                   a=ONE, b=ONE, c=ONE,
+    spec = IvpSpec(params=LaguerreParams(2.0, 4.0), N=10,
+                   terms=[(ONE, 1), (ONE, order), (ONE, 0)],
                    f=lambda x: (2.0 * x + (2.0 / math.gamma(2.5)) * x ** 1.5
                                 + x ** 2 + 1.0),
                    initial=[1.0])
@@ -223,8 +223,8 @@ def test_criterion_7_solver_invariants():
     solution_err = max_abs_error(coeffs, lambda x: x ** 2 + 1.0, 1.0, 1001)
     # second-window problem: both initial conditions
     order2 = OrderFunction.constant(1.5)
-    spec2 = IvpSpec(params=LaguerreParams(3.0, 6.0), N=12, order=order2, m=2,
-                    a=ONE, b=ONE, c=ONE,
+    spec2 = IvpSpec(params=LaguerreParams(3.0, 6.0), N=12,
+                    terms=[(ONE, 2), (ONE, order2), (ONE, 0)],
                     f=lambda x: caputo_of_sin(order2, x),
                     initial=[0.0, 1.0])
     coeffs2 = solve(spec2)

@@ -128,6 +128,18 @@ def test_solve_config_manufactured(workdir):
     assert Path("basset.csv").read_bytes() == first
 
 
+def test_solve_config_with_m_zero(workdir):
+    # m = 0 makes a a second u term: 2u + D^(1/2) u = f, with one initial value from n = 1
+    cfg = write_config(Path("zero.json"), {
+        "mode": "solve", "theta": 2, "beta": 4, "N": 8, "order": "0.5",
+        "a": "1", "b": "1", "c": "1", "f": "gamma(3)/gamma(2.5)*x^1.5 + 2*(x^2 + 1)",
+        "exact": "x^2 + 1", "m": 0, "u0": 1, "length": 1, "grid": 101, "out": "zero.csv"})
+    assert main(["solve", "--config", cfg]) == 0
+    rows = read_rows("zero.csv")
+    report = rows[next(i for i, r in enumerate(rows) if r[0] == "N") + 1]
+    assert float(report[4]) <= 1e-13
+
+
 def test_solve_reproduces_example2_cell(workdir):
     assert main(["example2", "--theta", "3", "--beta", "6", "--N", "20",
                  "--order", "3/2", "--out", "table.csv"]) == 0
@@ -609,8 +621,8 @@ def test_solve_logs_once_logging_is_configured_in_a_fresh_interpreter():
         "import logging, sys",
         "from lagfrac import IvpSpec, LaguerreParams, OrderFunction, solve",
         "one = lambda x: 1.0",
-        "spec = IvpSpec(LaguerreParams(1, 3), 8, OrderFunction.constant(0.5), 1, "
-        "one, one, one, one, [0.0])",
+        "spec = IvpSpec(LaguerreParams(1, 3), 8, "
+        "[(one, 1), (one, OrderFunction.constant(0.5)), (one, 0)], one, [0.0])",
         "solve(spec)",
         "print('configured', file=sys.stderr)",
         "logging.basicConfig(level=logging.INFO)",
@@ -751,8 +763,8 @@ SOLVE = ["solve", "--config", "run.json"]
     # every order is compiled before the first cell, not when the sweep reaches it
     # (example3 gives u(0) and u'(0), and an order in (2, 3) needs u''(0) too)
     pytest.param(["example3", "--order", "1.5,2.5", "--N", "3,4,5", "--grid", "11"], None,
-                 "3 finite initial values u^(j)(0), j < 3, are needed for m=2 and n=3, "
-                 "got [1.0, 1.0]", id="example3 second order"),
+                 "3 finite initial values u^(j)(0), j < 3, are needed, got [1.0, 1.0]",
+                 id="example3 second order"),
     # every cell's basis and IvpSpec are built, and every degree checked, before the first cell
     pytest.param(["example2", "--theta", "0,-2", "--beta", "1,1", "--N", "5", "--grid", "11"],
                  None, "theta must exceed -1, got -2.0", id="example2 second theta"),
@@ -760,17 +772,19 @@ SOLVE = ["solve", "--config", "run.json"]
                  id="solve second degree"),
     pytest.param(SOLVE, dict(DERIVATIVE_RUN, N=[10, -1]),
                  "N must be a nonnegative integer, got -1", id="derivative second degree"),
-    pytest.param(SOLVE, dict(SOLVE_RUN, m=0), "m must be an integer >= 1, got 0", id="zero m"),
+    # m is the order of term 0, a; b and c are terms 1 and 2
+    pytest.param(SOLVE, dict(SOLVE_RUN, m=-1),
+                 "order of term 0 must be a nonnegative integer, got -1", id="negative m"),
     # u0 and v0 give u(0) and u'(0); k = max(m, n) of them are needed
     pytest.param(SOLVE, dict(SOLVE_RUN, order="3/2", m=2),
-                 "2 finite initial values u^(j)(0), j < 2, are needed for m=2 and n=2, "
-                 "got [0.0]", id="missing v0"),
+                 "2 finite initial values u^(j)(0), j < 2, are needed, got [0.0]",
+                 id="missing v0"),
     pytest.param(SOLVE, dict(SOLVE_RUN, v0=1),
-                 "1 finite initial values u^(j)(0), j < 1, are needed for m=1 and n=1, "
-                 "got [0.0, 1.0]", id="v0 for a first-order problem"),
+                 "1 finite initial values u^(j)(0), j < 1, are needed, got [0.0, 1.0]",
+                 id="v0 for a first-order problem"),
     pytest.param(SOLVE, dict(SOLVE_RUN, order="2.5", v0=1),
-                 "3 finite initial values u^(j)(0), j < 3, are needed for m=3 and n=3, "
-                 "got [0.0, 1.0]", id="order past 2 needs u''(0)"),
+                 "3 finite initial values u^(j)(0), j < 3, are needed, got [0.0, 1.0]",
+                 id="order past 2 needs u''(0)"),
     # an empty exact is an empty expression, as in every other key
     pytest.param(SOLVE, dict(SOLVE_RUN, exact=""), "exact: expression is empty at column 1",
                  id="empty exact"),

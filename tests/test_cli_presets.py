@@ -189,5 +189,5 @@ def test_null_v0_is_missing_v0(workdir, capsys):
         "b": "1", "c": "1", "f": "1", "u0": 0, "v0": None, "out": "v.csv"})
     assert main(["solve", "--config", cfg]) == 1
     assert capsys.readouterr().err == ("error: 2 finite initial values u^(j)(0), j < 2, are "
-                                       "needed for m=2 and n=2, got [0.0]\n")
+                                       "needed, got [0.0]\n")
     assert not Path("v.csv").exists()

@@ -430,6 +430,11 @@ def test_interpolant_coeffs_validation(coeffs, message):
         InterpolantCoeffs(LaguerreParams(0.0, 1.0), coeffs)
 
 
+def test_interpolant_coeffs_refuse_params_of_another_type():
+    with pytest.raises(ValueError, match=r"^params must be a LaguerreParams, got \(1, 3\)$"):
+        InterpolantCoeffs((1, 3), [1.0])
+
+
 @pytest.mark.filterwarnings("error")
 def test_interpolate_past_double_range_names_n():
     # finite samples whose transform overflows: a DomainError, no numpy warning
@@ -444,6 +449,8 @@ def test_quadrature_rule_validation():
     params = LaguerreParams(0.0, 1.0)
     with pytest.raises(ValueError):
         QuadratureRule(params=params, nodes=np.array([1.5, 0.5]))
+    with pytest.raises(ValueError, match=r"^params must be a LaguerreParams, got \(0.0, 1.0\)$"):
+        QuadratureRule(params=(0.0, 1.0), nodes=gauss_rule(params, 1).nodes)
     # the weights follow from the nodes, so nodes off the zeros of L_2 fail the moment check
     with pytest.raises(RuntimeError, match="N=1"):
         QuadratureRule(params=params, nodes=np.array([0.5, 1.5]))

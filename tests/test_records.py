@@ -35,8 +35,8 @@ CASES = {
     "QuadratureRule": (QuadratureRule, (PARAMS, NODES), ["params", "nodes"]),
     "InterpolantCoeffs": (InterpolantCoeffs, (PARAMS, [1.0, 2.0]), ["params", "coeffs"]),
     "OrderFunction": (OrderFunction, (np.tanh, 0.25, 0.75), ["eval", "rho_min", "rho_max"]),
-    "IvpSpec": (IvpSpec, (PARAMS, 6, ORDER, 1, np.cos, np.sin, np.exp, np.tanh, (0.5,)),
-                ["params", "N", "order", "m", "a", "b", "c", "f", "initial"]),
+    "IvpSpec": (IvpSpec, (PARAMS, 6, ((np.cos, 1), (np.sin, ORDER), (np.exp, 0)), np.tanh,
+                          (0.5,)), ["params", "N", "terms", "f", "initial"]),
     "Num": (Num, (2.5,), ["value"]),
     "Var": (Var, (), []),
     "Pi": (Pi, (), []),
@@ -104,8 +104,8 @@ def test_repr_text():
     assert repr(Call("sin", Neg(Pi()))) == "Call(name='sin', arg=Neg(operand=Pi()))"
     assert repr(ORDER) == "OrderFunction(eval=<ufunc 'tanh'>, rho_min=0.25, rho_max=0.75)"
     assert repr(build("IvpSpec")) == (
-        f"IvpSpec(params={PARAMS!r}, N=6, order={ORDER!r}, m=1, a=<ufunc 'cos'>, "
-        "b=<ufunc 'sin'>, c=<ufunc 'exp'>, f=<ufunc 'tanh'>, initial=(0.5,))")
+        f"IvpSpec(params={PARAMS!r}, N=6, terms=((<ufunc 'cos'>, 1), (<ufunc 'sin'>, "
+        f"{ORDER!r}), (<ufunc 'exp'>, 0)), f=<ufunc 'tanh'>, initial=(0.5,))")
     coeffs = build("InterpolantCoeffs")
     assert repr(coeffs) == f"InterpolantCoeffs(params={PARAMS!r}, coeffs={coeffs.coeffs!r})"
     rule = build("QuadratureRule")

@@ -33,48 +33,80 @@ def basset_spec(N=10):
     order = OrderFunction.constant(0.5)
     forcing = lambda x: (2.0 * x + (2.0 / math.gamma(2.5)) * x ** 1.5
                          + x ** 2 + 1.0)
-    return IvpSpec(params=LaguerreParams(2.0, 4.0), N=N, order=order, m=1,
-                   a=ONE, b=ONE, c=ONE, f=forcing, initial=[1.0])
+    return IvpSpec(params=LaguerreParams(2.0, 4.0), N=N,
+                   terms=[(ONE, 1), (ONE, order), (ONE, 0)], f=forcing, initial=[1.0])
 
 
 def oscillator_spec(N, theta=3.0, beta=6.0):
     """u'' + D^{3/2} u + u = f with exact solution sin."""
     order = OrderFunction.constant(1.5)
     forcing = lambda x: caputo_of_sin(order, x)
-    return IvpSpec(params=LaguerreParams(theta, beta), N=N, order=order, m=2,
-                   a=ONE, b=ONE, c=ONE, f=forcing, initial=[0.0, 1.0])
+    return IvpSpec(params=LaguerreParams(theta, beta), N=N,
+                   terms=[(ONE, 2), (ONE, order), (ONE, 0)], f=forcing, initial=[0.0, 1.0])
+
+
+def terms(m, order, a=ONE, b=ONE, c=ONE):
+    """The term list of a(x) u^(m) + b(x) D^order u + c(x) u."""
+    return [(a, m), (b, order), (c, 0)]
 
 
 def test_ivp_spec_validation():
-    base = dict(params=LaguerreParams(1.0, 3.0), N=5, order=OrderFunction.constant(0.5),
-                m=1, a=ONE, b=ONE, c=ONE, f=ONE, initial=[0.0])
-    # one rule per input: m >= 1, N >= max(2, k), k = max(m, n) finite initial values
+    half = OrderFunction.constant(0.5)
+    base = dict(params=LaguerreParams(1.0, 3.0), N=5, terms=terms(1, half), f=ONE,
+                initial=[0.0])
+    # one rule per input: callable coefficients, int orders >= 0, N >= max(2, k), and
+    # k finite initial values, k the largest q or n over the terms
     for change, message in [
+            ({"params": (1.0, 3.0)}, r"^params must be a LaguerreParams, got \(1.0, 3.0\)$"),
             ({"N": 1}, r"^N must be an integer >= 2, got 1$"),
-            ({"m": 0}, r"^m must be an integer >= 1, got 0$"),
-            ({"m": 1.5}, r"^m must be an integer >= 1, got 1.5$"),
-            ({"m": 3, "N": 2, "initial": [0.0] * 3}, r"^N must be an integer >= 3, got 2$"),
-            ({"order": OrderFunction.constant(2.5), "N": 2, "initial": [0.0] * 3},
+            ({"terms": []}, r"^terms must hold at least one \(coefficient, order\) pair$"),
+            ({"terms": terms(0.5, half)},
+             r"^order of term 0 must be a nonnegative integer, got 0.5$"),
+            ({"terms": terms(1.5, half)},
+             r"^order of term 0 must be a nonnegative integer, got 1.5$"),
+            ({"terms": terms(True, half)},
+             r"^order of term 0 must be a nonnegative integer, got True$"),
+            ({"terms": terms(-1, half)},
+             r"^order of term 0 must be a nonnegative integer, got -1$"),
+            ({"terms": terms(math.inf, half)},
+             r"^order of term 0 must be a nonnegative integer, got inf$"),
+            ({"terms": [(ONE, 1), (ONE, 0.5)]},
+             r"^order of term 1 must be a nonnegative integer, got 0.5$"),
+            ({"terms": terms(3, half), "N": 2, "initial": [0.0] * 3},
              r"^N must be an integer >= 3, got 2$"),
-            ({"order": OrderFunction.constant(1.5)},
-             r"^2 finite initial values .* for m=1 and n=2"),
-            ({"m": 2}, r"^2 finite initial values .* for m=2 and n=1, got \[0.0\]$"),
+            ({"terms": terms(1, OrderFunction.constant(2.5)), "N": 2, "initial": [0.0] * 3},
+             r"^N must be an integer >= 3, got 2$"),
+            ({"terms": terms(1, OrderFunction.constant(1.5))},
+             r"^2 finite initial values u\^\(j\)\(0\), j < 2, are needed, got \[0.0\]$"),
+            ({"terms": terms(2, half)},
+             r"^2 finite initial values u\^\(j\)\(0\), j < 2, are needed, got \[0.0\]$"),
             ({"initial": [0.0, 1.0]}, r"^1 finite initial values"),
             ({"initial": []}, r"^1 finite initial values"),
             ({"initial": 0.0}, r"^1 finite initial values .*, got 0.0$"),
             ({"initial": [[0.0]]}, r"^1 finite initial values"),
             ({"initial": [math.nan]}, r"^1 finite initial values .*, got \[nan\]$"),
-            ({"m": 3, "initial": [0.0, 1.0, math.inf]}, r"^3 finite initial values"),
-            ({"a": 3.0}, r"^a must be callable$")]:
+            ({"terms": terms(3, half), "initial": [0.0, 1.0, math.inf]},
+             r"^3 finite initial values"),
+            ({"terms": terms(1, half, a=3.0)}, r"^coefficient of term 0 must be callable$"),
+            ({"terms": terms(1, half, c=None)}, r"^coefficient of term 2 must be callable$"),
+            ({"f": 3.0}, r"^f must be callable$")]:
         with pytest.raises(ValueError, match=message):
             IvpSpec(**{**base, **change})
+
+
+def test_ivp_spec_stores_its_terms_as_a_tuple_of_checked_pairs():
+    half = OrderFunction.constant(0.5)
+    spec = IvpSpec(LaguerreParams(1.0, 3.0), 5, [[ONE, np.int64(1)], (ONE, half)], ONE, [0.0])
+    assert spec.terms == ((ONE, 1), (ONE, half))
+    assert all(type(term) is tuple for term in spec.terms)
+    assert type(spec.terms[0][1]) is int
 
 
 @pytest.mark.parametrize("m,rho,initial", [(1, 0.5, [2]), (2, 0.5, (0, 1.0)),
                                            (1, 2.5, np.array([0.0, 1.0, 0.0]))])
 def test_ivp_spec_stores_initial_values_as_a_tuple_of_floats(m, rho, initial):
-    spec = IvpSpec(params=LaguerreParams(1.0, 3.0), N=5, order=OrderFunction.constant(rho),
-                   m=m, a=ONE, b=ONE, c=ONE, f=ONE, initial=initial)
+    spec = IvpSpec(params=LaguerreParams(1.0, 3.0), N=5,
+                   terms=terms(m, OrderFunction.constant(rho)), f=ONE, initial=initial)
     assert type(spec.initial) is tuple
     assert all(type(value) is float for value in spec.initial)
     assert spec.initial == tuple(float(value) for value in initial)
@@ -122,7 +154,7 @@ def window_order(n, variable):
 
 
 def equation_spec(params, N, order, m, a, b, c):
-    return IvpSpec(params=params, N=N, order=order, m=m, a=a, b=b, c=c, f=np.cos,
+    return IvpSpec(params=params, N=N, terms=terms(m, order, a, b, c), f=np.cos,
                    initial=[1.0, 0.5, -0.25][:max(m, order.n)])
 
 
@@ -212,10 +244,60 @@ def test_sin_solves_with_orders_outside_the_paper_windows(m, rho):
     order = OrderFunction.constant(rho)
     derivatives = [np.sin, np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x)]
     k = max(m, order.n)
-    spec = IvpSpec(params=LaguerreParams(2.0, 4.0), N=20, order=order, m=m, a=ONE, b=ONE,
-                   c=ONE, f=lambda x: derivatives[m](x) + caputo_of_sin(order, x) + np.sin(x),
+    spec = IvpSpec(params=LaguerreParams(2.0, 4.0), N=20, terms=terms(m, order),
+                   f=lambda x: derivatives[m](x) + caputo_of_sin(order, x) + np.sin(x),
                    initial=[derivative(0.0) for derivative in derivatives[:k]])
     assert max_abs_error(solve(spec), np.sin, 1.0, 1001) <= 1e-12
+
+
+@pytest.mark.parametrize("variable", [False, True])
+def test_sin_solves_with_two_fractional_terms(variable):
+    # u'' + D^rho1 u + D^rho2 u + u = f for u = sin, rho1 in (1, 2) and rho2 in (0, 1)
+    if variable:
+        upper = OrderFunction.from_callable(lambda x: 1.5 + 0.3 * np.sin(x), 1.0)
+        lower = OrderFunction.from_callable(lambda x: 0.3 + 0.2 * np.sin(x), 1.0)
+    else:
+        upper, lower = OrderFunction.constant(1.5), OrderFunction.constant(0.5)
+    # u'' + u = 0 for u = sin, so f is the two Caputo terms alone
+    forcing = lambda x: caputo_of_sin(upper, x) + caputo_of_sin(lower, x)
+    spec = IvpSpec(params=LaguerreParams(2.0, 4.0), N=20,
+                   terms=[(ONE, 2), (ONE, upper), (ONE, lower), (ONE, 0)], f=forcing,
+                   initial=[0.0, 1.0])
+    assert max_abs_error(solve(spec), np.sin, 1.0, 1001) <= 1e-12
+
+
+def test_terms_of_one_order_add_up():
+    # the rows add up the terms in order: two adjacent unit terms of one order are one
+    # term with coefficient 2, bit for bit, for an OrderFunction, an int and order 0
+    half, two = OrderFunction.constant(0.5), lambda x: 2.0
+    params = LaguerreParams(2.0, 4.0)
+    for twice, once in [([(ONE, half), (ONE, half), (ONE, 0)], [(two, half), (ONE, 0)]),
+                        ([(ONE, 1), (ONE, 1), (ONE, half)], [(two, 1), (ONE, half)]),
+                        ([(ONE, 0), (ONE, 0), (ONE, half)], [(two, 0), (ONE, half)])]:
+        got, _ = assemble(IvpSpec(params, 12, twice, np.cos, [1.0]))
+        want, _ = assemble(IvpSpec(params, 12, once, np.cos, [1.0]))
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("N", [4, 8])
+def test_equation_without_an_integer_derivative(N):
+    # D^(1/2) u + u = f for u = x^2 + 1: one initial value, from the order's n = 1
+    spec = IvpSpec(params=LaguerreParams(2.0, 4.0), N=N,
+                   terms=[(ONE, OrderFunction.constant(0.5)), (ONE, 0)],
+                   f=lambda x: (2.0 / math.gamma(2.5)) * x ** 1.5 + x ** 2 + 1.0,
+                   initial=[1.0])
+    assert max_abs_error(solve(spec), lambda x: x ** 2 + 1.0, 1.0, 1001) <= 1e-13
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_coefficient_names_its_term():
+    spec = basset_spec(N=6)
+    bad = IvpSpec(params=spec.params, N=6, terms=terms(1, OrderFunction.constant(0.5),
+                                                       b=lambda x: np.where(x > 0.1, np.inf, 1.0)),
+                  f=spec.f, initial=[1.0])
+    with pytest.raises(DomainError, match=r"^coefficient of term 1 returned non-finite value "
+                                          r"inf at x=0\.\d+$"):
+        assemble(bad)
 
 
 def test_residual_of_solution():
@@ -254,8 +336,8 @@ def test_oscillator_error_decays_with_degree():
 def test_singular_system_raises_solver_error():
     zero = lambda x: 0.0
     order = OrderFunction.constant(0.5)
-    spec = IvpSpec(params=LaguerreParams(1.0, 3.0), N=8, order=order, m=1,
-                   a=zero, b=zero, c=zero, f=zero, initial=[0.0])
+    spec = IvpSpec(params=LaguerreParams(1.0, 3.0), N=8, terms=terms(1, order, zero, zero, zero),
+                   f=zero, initial=[0.0])
     # an exact zero pivot is a SolverError, with no numpy warning on the way
     with pytest.raises(SolverError, match="rcond") as info:
         solve(spec)
@@ -266,8 +348,9 @@ def test_singular_system_raises_solver_error():
 def test_non_finite_coefficients_name_N():
     # the system passes the rcond gate, but a forcing near the largest double
     # makes the solution overflow
-    spec = IvpSpec(params=LaguerreParams(0.0, 1.0), N=8, order=OrderFunction.constant(0.5),
-                   m=1, a=ONE, b=ONE, c=ONE, f=lambda x: 1e308, initial=[0.0])
+    spec = IvpSpec(params=LaguerreParams(0.0, 1.0), N=8,
+                   terms=terms(1, OrderFunction.constant(0.5)), f=lambda x: 1e308,
+                   initial=[0.0])
     with pytest.raises(SolverError) as info:
         solve(spec)
     assert str(info.value) == "linear solve produced non-finite coefficients for N=8"
@@ -293,11 +376,16 @@ def test_solve_past_ladder_range_is_runtime_error(N):
 @pytest.mark.parametrize("key,value", [("N", math.inf), ("m", math.inf), ("N", True),
                                        ("m", True)], ids=["N", "m", "N-bool", "m-bool"])
 def test_ivp_spec_rejects_infinite_integers(key, value):
-    # a bool is no integer either: m=True would be stored as m = 1
+    # a bool is no integer either: an order of True would be stored as 1; m is the
+    # order of the integer term, term 0
     spec = basset_spec()
     fields = {name: getattr(spec, name) for name in inspect.signature(IvpSpec).parameters}
-    with pytest.raises(ValueError, match=f"^{key} must be"):
-        IvpSpec(**{**fields, key: value})
+    if key == "N":
+        change, name = {"N": value}, "N"
+    else:
+        change, name = {"terms": ((ONE, value),) + spec.terms[1:]}, "order of term 0"
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        IvpSpec(**{**fields, **change})
 
 
 @pytest.mark.parametrize("rho,solved,refused", [(0.5, 22, 23), (1.5, 24, 25)])
@@ -314,8 +402,8 @@ def test_refusal_boundary(rho, solved, refused):
     forcing = lambda x: integer(x) + fractional * x ** (3.0 - rho) + x ** 3
 
     def spec(N):
-        return IvpSpec(params=LaguerreParams(2.0, 4.0), N=N, order=order, m=m, a=ONE, b=ONE,
-                       c=ONE, f=forcing, initial=[0.0] * m)
+        return IvpSpec(params=LaguerreParams(2.0, 4.0), N=N, terms=terms(m, order),
+                       f=forcing, initial=[0.0] * m)
 
     assert max_abs_error(solve(spec(solved)), lambda x: x ** 3, 1.0, 201) < 1e-11
     with pytest.raises(SolverError, match=f"N={refused}"):
@@ -330,8 +418,8 @@ def test_solve_logs_condition_estimate(caplog):
 
 def test_nonfinite_forcing_rejected():
     spec = basset_spec(N=6)
-    bad = IvpSpec(params=spec.params, N=6, order=spec.order, m=1,
-                  a=ONE, b=ONE, c=ONE, f=lambda x: math.inf, initial=[1.0])
+    bad = IvpSpec(params=spec.params, N=6, terms=spec.terms, f=lambda x: math.inf,
+                  initial=[1.0])
     with pytest.raises(ValueError, match="f"):
         assemble(bad)
 
@@ -345,12 +433,12 @@ def test_callables_are_sampled_once_on_the_node_array():
         shapes.append(x.shape)
         return forcing(x)
 
-    counted = IvpSpec(params=spec.params, N=spec.N, order=spec.order, m=1,
-                      a=ONE, b=ONE, c=ONE, f=recording, initial=[1.0])
+    counted = IvpSpec(params=spec.params, N=spec.N, terms=spec.terms, f=recording,
+                      initial=[1.0])
     assert np.array_equal(assemble(counted)[0], assemble(spec)[0])
     assert shapes == [(spec.N,)]
-    wrong = IvpSpec(params=spec.params, N=spec.N, order=spec.order, m=1,
-                    a=ONE, b=ONE, c=ONE, f=lambda x: np.ones(2), initial=[1.0])
+    wrong = IvpSpec(params=spec.params, N=spec.N, terms=spec.terms, f=lambda x: np.ones(2),
+                    initial=[1.0])
     with pytest.raises(ValueError, match="shape"):
         assemble(wrong)
 
@@ -400,8 +488,9 @@ def test_max_abs_error_names_a_non_finite_expansion():
 def test_overflowing_system_is_a_solver_error():
     # a = 1e300 times the derivative rows leaves double range at some node
     spec = basset_spec(N=20)
-    huge = IvpSpec(params=spec.params, N=20, order=spec.order, m=1, a=lambda x: 1e300,
-                   b=ONE, c=ONE, f=spec.f, initial=[1.0])
+    huge = IvpSpec(params=spec.params, N=20, terms=terms(1, OrderFunction.constant(0.5),
+                                                        a=lambda x: 1e300),
+                   f=spec.f, initial=[1.0])
     with pytest.raises(SolverError, match=r"^collocation system for N=20 leaves double "
                                           r"range in its row at x=\d"):
         solve(huge)
