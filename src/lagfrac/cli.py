@@ -15,6 +15,10 @@ checks an example's values and a ``solve`` config alike and builds every cell
 before the first runs; ``_run`` only computes and writes. Problem callables
 (a, b, c, f, exact) take ``(order, x)``; ``u`` and the order take ``x``.
 
+``_read_argv`` reads the flags of ``_COMMANDS`` (an example's preset flags
+and --config; solve's --config and --out) with argparse's grammar and
+messages, exact names only; --help text comes from ``_FLAG_HELP``.
+
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 Nothing is logged by default; with -v (after the subcommand) each solve's
 INFO line, which reports its rcond, goes to stderr.
@@ -24,12 +28,11 @@ digits, so reruns with the same inputs are byte identical.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import csv
-import json
 import math
 import os
+import re
 import stat
 import sys
 from functools import partial
@@ -169,6 +172,8 @@ def _as_int(value, key: str) -> int:
 
 
 def _load_config(path, allowed: set[str]) -> dict:
+    import json  # here, not at module level: a run without --config never loads it
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -233,12 +238,14 @@ def _order_from_text(text: str, length: float, derivative=True) -> OrderFunction
 _BUILTIN_FORCINGS = {"builtin:caputo_sin": lambda order, x: caputo_of_sin(order, x)}
 
 
-# argparse help of the example flags
+# the --help text of every flag (see _help)
 _FLAG_HELP = {"theta": "comma list of theta values",
               "beta": "comma list of beta values (paired with theta)",
               "N": "comma list of expansion degrees", "length": "domain length L",
               "grid": "uniform error-grid size", "out": "output CSV path",
-              "order": "fractional order expression(s) in x"}
+              "order": "fractional order expression(s) in x",
+              "config": "JSON config file",
+              "verbose": "log each solve's rcond to stderr (INFO)"}
 
 # u'' + D^rho u + u = f with u'(0) = 1, solved by examples 2 and 3; their two
 # initial values cover orders in (0, 1) and (1, 2), where k = max(m, n) = 2
@@ -280,6 +287,11 @@ _EXAMPLES = {
     },
 }
 
+
+# every subcommand's help and flags, with the defaults its --help shows
+_COMMANDS = {**{name: (preset["help"], {**preset["flags"], "config": None})
+                for name, preset in _EXAMPLES.items()},
+             "solve": ("run a JSON config file", {"config": None, "out": None})}
 
 _SOLVE_KEYS = {"mode", "theta", "beta", "N", "order", "a", "b", "c", "f", "u",
                "exact", "m", "u0", "v0", "length", "grid", "out"}
@@ -413,34 +425,96 @@ def _run(run: dict) -> None:
               f"{' + pointwise files' if pointwise else ''})")
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with code 2 on usage errors, which this tool reserves
-    # for numerical failures; route them to ConfigError -> exit 1 instead
-    def error(self, message):
-        raise ConfigError(message)
+# argparse's negative-number pattern: such a token is a value, not a flag
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+# the flags that take no value, by the name their errors give
+_SWITCHES = {"-h": "-h/--help", "--help": "-h/--help", "-v": "-v/--verbose",
+             "--verbose": "-v/--verbose"}
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="lagfrac",
-                     description="Variable-order fractional calculus benchmarks "
-                                 "on generalized Laguerre expansions.")
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-    for command, preset in _EXAMPLES.items():
-        example = sub.add_parser(command, help=preset["help"])
-        for key in preset["flags"]:
-            example.add_argument(f"--{key}", help=_FLAG_HELP[key])
-        example.add_argument("--config", help="JSON config file supplying defaults")
-    ps = sub.add_parser("solve", help="run a JSON config file")
-    ps.add_argument("--config", required=True, help="JSON config file")
-    ps.add_argument("--out", help="override the config output path")
-    for command_parser in sub.choices.values():
-        command_parser.add_argument("-v", "--verbose", action="store_true",
-                                    help="log each solve's rcond to stderr (INFO)")
-    return parser
+def _option(token: str, known) -> tuple | None:
+    """(flag, its =value or None) if token is a flag, None if it is a value.
+
+    A known flag is an exact name of known, alone or with =value; flag ""
+    stands for any other token that starts with "-", except "-" itself, a
+    negative number and a token holding a space, which are values.
+    """
+    name, eq, value = token.partition("=")
+    if name in known:
+        return name, value if eq else None
+    if token[:1] != "-" or token == "-" or " " in token or _NEGATIVE.match(token):
+        return None
+    return "", None
 
 
-# parse_args leaves the parser unchanged, so one instance serves every main() call
-_PARSER = _build_parser()
+def _help(command=None) -> str:
+    """The --help text of a subcommand, or of lagfrac itself."""
+    if command is None:
+        return ("usage: lagfrac <command> [options]\n\nVariable-order fractional calculus "
+                "benchmarks on generalized Laguerre expansions.\n\ncommands:\n"
+                + "".join(f"  {name:<8}  {text}\n" for name, (text, _) in _COMMANDS.items())
+                + "\nlagfrac <command> --help lists the flags of a command.\n")
+    about, flags = _COMMANDS[command]
+    rows = [(f"--{key} {key.upper()}", _FLAG_HELP[key] + (
+        "; required" if command == "solve" and key == "config"
+        else "" if default is None else f"; default {default}"))
+        for key, default in flags.items()]
+    rows += [("-v, --verbose", _FLAG_HELP["verbose"]), ("-h, --help", "show this help and exit")]
+    width = max(len(left) for left, _ in rows)
+    return (f"usage: lagfrac {command} {'--config CONFIG ' * (command == 'solve')}[options]"
+            f"\n\n{about}\n\noptions:\n"
+            + "".join(f"  {left:<{width}}  {text}\n" for left, text in rows))
+
+
+def _read_argv(argv: list) -> tuple | None:
+    """The command, the flag values given and -v; None once help is printed.
+
+    A flag takes ``--flag value`` or ``--flag=value``, the last one given
+    wins. Before the command only -h is known, and the first value is the
+    command ("--" too, if anything follows). "--" and what follows, unknown
+    flags and stray values are unrecognized. Messages are argparse's.
+    """
+    command, given, verbose, unknown = None, {}, False, []
+    known = ("-h", "--help")
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        option = _option(token, known)
+        if command is None and (option is None or token == "--" and i < len(argv)):
+            if token not in _COMMANDS:
+                raise ConfigError(f"argument command: invalid choice: {token!r} (choose from "
+                                  f"{', '.join(map(repr, _COMMANDS))})")
+            command = token
+            known = {*_SWITCHES, *(f"--{key}" for key in _COMMANDS[command][1])}
+            continue
+        if token == "--":
+            unknown += argv[i - 1:]
+            break
+        flag, value = option or ("", None)
+        if not flag:
+            unknown.append(token)
+        elif flag in _SWITCHES:
+            if value is not None:
+                raise ConfigError(f"argument {_SWITCHES[flag]}: ignored explicit argument {value!r}")
+            if flag in ("-h", "--help"):
+                print(_help(command), end="")
+                return None
+            verbose = True
+        elif value is not None:
+            given[flag[2:]] = value
+        elif i < len(argv) and _option(argv[i], known) is None:
+            given[flag[2:]] = argv[i]
+            i += 1
+        else:
+            raise ConfigError(f"argument {flag}: expected one argument")
+    if command is None and not unknown:
+        raise ConfigError(f"a subcommand is required: {', '.join(_EXAMPLES)}, or solve")
+    if command == "solve" and "config" not in given:
+        raise ConfigError("the following arguments are required: --config")
+    if unknown:
+        raise ConfigError(f"unrecognized arguments: {' '.join(unknown)}")
+    return command, given, verbose
 
 
 @contextlib.contextmanager
@@ -468,21 +542,20 @@ def _info_to_stderr():
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
-        if args.command is None:
-            raise ConfigError(f"a subcommand is required: {', '.join(_EXAMPLES)}, or solve")
-        with _info_to_stderr() if args.verbose else contextlib.nullcontext():
-            preset = _EXAMPLES.get(args.command)
+        read = _read_argv(sys.argv[1:] if argv is None else argv)
+        if read is None:  # help was printed
+            return 0
+        command, given, verbose = read
+        config = given.pop("config", None)
+        with _info_to_stderr() if verbose else contextlib.nullcontext():
+            preset = _EXAMPLES.get(command)
             if preset is None:  # solve: the config, then --out
-                raw, flags = _load_config(args.config, _SOLVE_KEYS), ("out",)
+                raw = _load_config(config, _SOLVE_KEYS)
             else:  # the preset run, flag defaults, config values, then the flags given
                 flags = preset["flags"]
                 raw = {**preset["run"], **flags,
-                       **(_load_config(args.config, set(flags)) if args.config else {})}
-            raw.update((key, getattr(args, key)) for key in flags if getattr(args, key) is not None)
-            _run(_compile(args.command, raw, table=preset is not None))
-    except SystemExit as exc:  # from argparse, only after printing --help
-        return exc.code
+                       **(_load_config(config, set(flags)) if config else {})}
+            _run(_compile(command, {**raw, **given}, table=preset is not None))
     except (DomainError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -67,7 +67,12 @@ class IvpSpec(Record):
                  f: Callable[[np.ndarray], np.ndarray], initial: Sequence[float]):
         _check_params(params)
         checked = []
-        for i, (coefficient, order) in enumerate(terms):
+        for i, term in enumerate(terms):
+            try:
+                coefficient, order = term
+            except (TypeError, ValueError):
+                raise ValueError(f"term {i} must be a (coefficient, order) pair, "
+                                 f"got {term!r}") from None
             if not callable(coefficient):
                 raise ValueError(f"coefficient of term {i} must be callable")
             if isinstance(order, OrderFunction):

@@ -438,7 +438,7 @@ def test_grid_error_of_finite_values_a_double_range_apart_is_inf(workdir, capsys
 
 
 def test_repeated_main_matches_fresh_processes(tmp_path, capsys):
-    # the parser is built once per process; no call may see another's flags
+    # one process serves every call; no call may see another's flags
     solve_config = {
         "mode": "solve", "theta": 2, "beta": 4, "N": 8, "order": "0.5",
         "a": "1", "b": "1", "c": "1",
@@ -533,10 +533,12 @@ def run_python(*args, cwd=None):
     return proc
 
 
-@pytest.mark.parametrize("module", ["mpmath", "scipy", "dataclasses", "logging"])
+@pytest.mark.parametrize("module", ["mpmath", "scipy", "dataclasses", "logging", "argparse",
+                                    "json"])
 def test_import_loads_no_module_a_run_does_not_need(module):
-    # mpmath and scipy are test-only dependencies; the records are plain classes, and
-    # logging loads only with -v or when the embedding program imports it
+    # mpmath and scipy are test-only dependencies; the records are plain classes;
+    # logging loads only with -v or when the embedding program imports it, json only
+    # with the first config file, and the CLI reads its flags without argparse
     proc = run_python("-c", f"import sys, lagfrac, lagfrac.cli; print({module!r} in sys.modules)")
     assert proc.stdout.strip() == "False"
 

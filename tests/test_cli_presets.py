@@ -1,16 +1,22 @@
 """The command line surface: flags, config keys, help, row order, file names."""
 
+import argparse
 import json
 import re
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lagfrac.cli import main
+from lagfrac.cli import _EXAMPLES, ConfigError, _read_argv, main
 
 TABLE_FLAGS = {"theta", "beta", "N", "order", "length", "grid", "out"}
 EXAMPLE3_FLAGS = {"order", "N", "grid", "out"}
+# every subcommand's flags besides --config
+COMMAND_FLAGS = {"example1": TABLE_FLAGS, "example2": TABLE_FLAGS, "example3": EXAMPLE3_FLAGS,
+                 "solve": {"out"}}
 
 
 @pytest.fixture()
@@ -36,12 +42,15 @@ def test_help_returns_zero_and_prints_usage(workdir, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out.startswith(f"usage: lagfrac {' '.join(argv[:-1])}".rstrip())
     assert captured.err == ""
+    # lagfrac --help names every subcommand, a subcommand's help every flag it takes
+    names = list(COMMAND_FLAGS) if len(argv) == 1 else [
+        *(f"--{key} " for key in COMMAND_FLAGS[argv[0]] | {"config"}), "-v, --verbose",
+        "-h, --help"]
+    for name in names:
+        assert name in captured.out, name
 
 
-@pytest.mark.parametrize("command,flags", [
-    ("example1", TABLE_FLAGS), ("example2", TABLE_FLAGS), ("example3", EXAMPLE3_FLAGS),
-    ("solve", {"out"}),
-])
+@pytest.mark.parametrize("command,flags", COMMAND_FLAGS.items())
 def test_each_subcommand_has_exactly_its_flags(workdir, capsys, command, flags):
     # a flag given without its value fails to parse, known or not, so nothing runs
     required = ["--config", "x.json"] if command == "solve" else []
@@ -57,10 +66,76 @@ def test_each_subcommand_has_exactly_its_flags(workdir, capsys, command, flags):
     (["example3", "--theta", "1"], "unrecognized arguments: --theta 1"),
     (["example3", "--length", "2"], "unrecognized arguments: --length 2"),
     (["example2", "--order", "1.5,1.6"], "example2 takes a single order expression"),
+    # only exact names are flags: no abbreviations, no combined short flags
+    (["example1", "--ord", "0.5"], "unrecognized arguments: --ord 0.5"),
+    (["example1", "-vh"], "unrecognized arguments: -vh"),
 ])
 def test_flags_outside_a_preset_are_config_errors(workdir, capsys, argv, message):
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _reference_parser() -> _ReferenceParser:
+    """The argparse parser the command line was read with before _read_argv."""
+    parser = _ReferenceParser(prog="lagfrac")
+    sub = parser.add_subparsers(dest="command", parser_class=_ReferenceParser)
+    for command, preset in _EXAMPLES.items():
+        example = sub.add_parser(command)
+        for key in preset["flags"]:
+            example.add_argument(f"--{key}")
+        example.add_argument("--config")
+    ps = sub.add_parser("solve")
+    ps.add_argument("--config", required=True)
+    ps.add_argument("--out")
+    for command_parser in sub.choices.values():
+        command_parser.add_argument("-v", "--verbose", action="store_true")
+    return parser
+
+
+REFERENCE = _reference_parser()
+
+
+def reference_read(argv):
+    """_read_argv's result as the reference parser reads argv."""
+    values = vars(REFERENCE.parse_args(argv))
+    command, verbose = values.pop("command"), values.pop("verbose", False)
+    if command is None:
+        raise ConfigError("a subcommand is required: example1, example2, example3, or solve")
+    return command, {key: value for key, value in values.items() if value is not None}, verbose
+
+
+# no token is a prefix of a flag it is not (argparse read abbreviations) or
+# a help flag; "-v=" and "--verbose=1" are switches given a value
+VALUES = ["1", "0.5,1.5", "-0.5", "-3", "-.5", "1e-3", "-1e-3", "-x", "-", "", "a b", "-x y",
+          "x=1", "example1"]
+SWITCHES = ["-v", "--verbose", "-v=", "--verbose=1"]
+UNKNOWN = ["--", "--bogus", "--mode", "-x", "--u=1", "stray"]
+FLAGS = [f"--{key}" for key in sorted(TABLE_FLAGS | {"config"})]
+TOKENS = st.one_of(st.sampled_from(FLAGS + SWITCHES + UNKNOWN + VALUES),
+                   st.builds("{}={}".format, st.sampled_from(FLAGS), st.sampled_from(VALUES)))
+ARGVS = st.builds(lambda before, command, after: before + command + after,
+                  st.lists(st.sampled_from(SWITCHES[:2] + UNKNOWN + ["-0.5"]), max_size=2),
+                  st.sampled_from([[], ["example1"], ["example2"], ["example3"], ["solve"],
+                                   ["solve", "--config", "c.json"], ["bogus"]]),
+                  st.lists(TOKENS, max_size=8))
+
+
+@settings(max_examples=600)
+@given(argv=ARGVS)
+def test_argv_reads_as_argparse_read_it(argv):
+    try:
+        expected = reference_read(argv)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as info:
+            _read_argv(argv)
+        assert str(info.value) == str(exc)
+    else:
+        assert _read_argv(argv) == expected
 
 
 def test_example3_config_rejects_theta(workdir, capsys):

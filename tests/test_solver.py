@@ -60,6 +60,9 @@ def test_ivp_spec_validation():
             ({"params": (1.0, 3.0)}, r"^params must be a LaguerreParams, got \(1.0, 3.0\)$"),
             ({"N": 1}, r"^N must be an integer >= 2, got 1$"),
             ({"terms": []}, r"^terms must hold at least one \(coefficient, order\) pair$"),
+            ({"terms": [ONE]}, r"^term 0 must be a \(coefficient, order\) pair, got <function "),
+            ({"terms": [(ONE, 1), (ONE, 0, 1)]},
+             r"^term 1 must be a \(coefficient, order\) pair, got \(<function .*, 0, 1\)$"),
             ({"terms": terms(0.5, half)},
              r"^order of term 0 must be a nonnegative integer, got 0.5$"),
             ({"terms": terms(1.5, half)},
