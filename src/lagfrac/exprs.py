@@ -226,51 +226,78 @@ def evaluate(node: Expr, x):
     infinity.
     """
     points = np.asarray(x, dtype=float)
+    grid = np.atleast_1d(points)
     with np.errstate(all="ignore"):
-        values = _evaluate(node, np.atleast_1d(points))
+        values = _spread(_evaluate(node, grid), grid)
     return float(values[0]) if points.ndim == 0 else values
 
 
-def _check(bad: np.ndarray, problem: str, node: Expr, x: np.ndarray) -> None:
-    hits = np.flatnonzero(bad)
+def _bad_power(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    # real pow is undefined here for finite operands; infinite ones take C99 limits
+    finite = np.isfinite(left) & np.isfinite(right)
+    fractional = (left < 0.0) & (right != np.floor(right))
+    return finite & (fractional | ((left == 0.0) & (right < 0.0)))
+
+
+# (test, problem) of each operator and function with a domain: the test takes
+# the operands and marks the points outside it. A point outside gives an inf or
+# a nan (gamma raises ValueError), so a test runs only once that shows.
+_DOMAINS = {
+    "/": (lambda left, right: right == 0.0, "division by zero"),
+    "^": (_bad_power, "invalid power (negative base with fractional exponent, "
+                      "or zero to a negative power)"),
+    **{name: (np.isinf, f"{name} of an infinite value") for name in ("sin", "cos", "tan")},
+    "log": (lambda value: value <= 0.0, "log of non-positive value"),
+    "sqrt": (lambda value: value < 0.0, "sqrt of negative value"),
+    "gamma": (lambda value: (value <= 0.0) & (value == np.floor(value)), "gamma pole"),
+}
+_PI = np.float64(math.pi)
+
+
+def _check(node: Expr, x: np.ndarray, *operands) -> None:
+    """Raise ExprDomainError at the first point where operands leave node's domain, if any."""
+    test, problem = _DOMAINS[node.op if type(node) is BinOp else node.name]
+    hits = np.flatnonzero(np.broadcast_to(test(*operands), x.shape))
     if hits.size:
         raise ExprDomainError(
             f"{problem} in {to_text(node)!r} at x={x.flat[hits[0]]}")
 
 
-def _evaluate(node: Expr, x: np.ndarray) -> np.ndarray:
-    if isinstance(node, Num):
-        return np.full(x.shape, node.value)
-    if isinstance(node, Var):
+def _spread(value, x: np.ndarray) -> np.ndarray:
+    """value as an array of x's shape: a scalar fills one, an array passes."""
+    return value if isinstance(value, np.ndarray) else np.full(x.shape, value)
+
+
+def _evaluate(node: Expr, x: np.ndarray):
+    """node at the points x: an array of x's shape, or a float64 scalar where
+    node is numbers and pi under + - * / and negation."""
+    kind = type(node)
+    if kind is BinOp:
+        op, left, right = node.op, _evaluate(node.left, x), _evaluate(node.right, x)
+        if op == "^":  # np.power rounds a scalar exponent 2, 0.5 or -1 differently
+            left, right = _spread(left, x), _spread(right, x)
+        value = _OPS[op][1](left, right)
+        if op in _DOMAINS and not np.isfinite(value).all():
+            _check(node, x, left, right)
+        return value
+    if kind is Var:
         return x
-    if isinstance(node, Pi):
-        return np.full(x.shape, math.pi)
-    if isinstance(node, Neg):
+    if kind is Num:
+        return np.float64(node.value)
+    if kind is Call:
+        name, arg = node.name, _spread(_evaluate(node.arg, x), x)
+        try:
+            value = _FUNCS[name](arg)
+        except ValueError:  # gamma at a pole
+            _check(node, x, arg)
+            raise
+        if name in _DOMAINS and not np.isfinite(value).all():
+            _check(node, x, arg)
+        return value
+    if kind is Neg:
         return -_evaluate(node.operand, x)
-    if isinstance(node, BinOp):
-        left = _evaluate(node.left, x)
-        right = _evaluate(node.right, x)
-        if node.op == "/":
-            _check(right == 0.0, "division by zero", node, x)
-        elif node.op == "^":
-            # real pow is undefined here for finite operands; infinite ones take C99 limits
-            finite = np.isfinite(left) & np.isfinite(right)
-            fractional = (left < 0.0) & (right != np.floor(right))
-            _check(finite & (fractional | ((left == 0.0) & (right < 0.0))),
-                   "invalid power (negative base with fractional exponent, "
-                   "or zero to a negative power)", node, x)
-        return _OPS[node.op][1](left, right)
-    if isinstance(node, Call):
-        value = _evaluate(node.arg, x)
-        if node.name in ("sin", "cos", "tan"):
-            _check(np.isinf(value), f"{node.name} of an infinite value", node, x)
-        elif node.name == "log":
-            _check(value <= 0.0, "log of non-positive value", node, x)
-        elif node.name == "sqrt":
-            _check(value < 0.0, "sqrt of negative value", node, x)
-        elif node.name == "gamma":
-            _check((value <= 0.0) & (value == np.floor(value)), "gamma pole", node, x)
-        return _FUNCS[node.name](value)
+    if kind is Pi:
+        return _PI
     raise TypeError(f"not an expression node: {node!r}")
 
 

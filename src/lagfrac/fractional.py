@@ -142,26 +142,26 @@ def _sample(func, points: np.ndarray, name: str) -> np.ndarray:
     elif values.shape != points.shape:
         raise ValueError(f"{name} returned shape {values.shape} "
                          f"for points of shape {points.shape}")
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        j = bad[0]
+    finite = np.isfinite(values)
+    if not finite.all():
+        j = np.flatnonzero(~finite)[0]
         raise DomainError(f"{name} returned non-finite value {values[j]} at x={points[j]}")
     return values
 
 
 def _order_values(order: OrderFunction, points: np.ndarray) -> np.ndarray:
     _require_derivative_window(order)
-    # rho(0) = n - 1, up to rounding, is harmless: every derivative ladder entry
-    # carries x^(n - rho) and vanishes at x = 0
     rho = _sample(order.eval, points, "order function")
     n = order.n
-    lower = np.where(points == 0.0, n - 1 - _ORIGIN_SLACK * max(n - 1, 1), n - 1)
-    inside = (lower < rho) & (rho < n)
-    bad = np.flatnonzero(~inside)
-    if bad.size:
-        j = bad[0]
-        raise DomainError(
-            f"order value {rho[j]} at x={points[j]} lies outside ({n - 1}, {n})")
+    if not ((n - 1 < rho) & (rho < n)).all():
+        # rho(0) = n - 1, up to rounding, is harmless: every derivative ladder
+        # entry carries x^(n - rho) and vanishes at x = 0
+        lower = np.where(points == 0.0, n - 1 - _ORIGIN_SLACK * max(n - 1, 1), n - 1)
+        bad = np.flatnonzero(~((lower < rho) & (rho < n)))
+        if bad.size:
+            j = bad[0]
+            raise DomainError(
+                f"order value {rho[j]} at x={points[j]} lies outside ({n - 1}, {n})")
     return rho
 
 
@@ -220,9 +220,10 @@ def _checked_range(rows: np.ndarray, x: np.ndarray, ladder="fractional") -> np.n
     tells where a column leaves double range (x = 1e300, say). ladder names
     the ladder in the message.
     """
-    bad = np.flatnonzero(~np.isfinite(rows[-1]))
-    if bad.size:
-        raise DomainError(f"{ladder} ladder leaves double range at x={x[bad[0]]}")
+    finite = np.isfinite(rows[-1])
+    if not finite.all():
+        j = np.flatnonzero(~finite)[0]
+        raise DomainError(f"{ladder} ladder leaves double range at x={x[j]}")
     return rows
 
 
@@ -240,10 +241,11 @@ def frac_integral_basis(params: LaguerreParams, order: OrderFunction, max_degree
     deg = _checked_degree(max_degree, "max_degree")
     pts, scalar = _as_points(x)
     rho = _sample(order.eval, pts, "order function")
-    bad = np.flatnonzero((rho < 0.0) | ((rho == 0.0) & (pts != 0.0)))
-    if bad.size:
-        j = bad[0]
-        raise DomainError(f"integral order must be positive, got {rho[j]} at x={pts[j]}")
+    if not (rho > 0.0).all():
+        bad = np.flatnonzero((rho < 0.0) | ((rho == 0.0) & (pts != 0.0)))
+        if bad.size:
+            j = bad[0]
+            raise DomainError(f"integral order must be positive, got {rho[j]} at x={pts[j]}")
     rows = _checked_range(_frac_ladder(params, rho, deg, pts), pts)
     return rows[:, 0] if scalar else rows
 
@@ -335,9 +337,8 @@ def caputo_power_rule(gamma_exp, order: OrderFunction, x):
     if not np.isfinite(exponent) or exponent < 0.0:
         raise ValueError(f"gamma_exp must be nonnegative, got {gamma_exp!r}")
     pts, scalar = _as_points(x)
-    nonpositive = np.flatnonzero(pts == 0.0)
-    if nonpositive.size:
-        raise DomainError(f"x must be positive, got {pts[nonpositive[0]]}")
+    if not pts.all():  # the points are nonnegative, so this finds x = 0
+        raise DomainError(f"x must be positive, got {pts[np.flatnonzero(pts == 0.0)[0]]}")
     n, rho = order.n, _order_values(order, pts)
     if exponent <= n - 1:
         if exponent != int(exponent):

@@ -54,7 +54,7 @@ def _frozen_array(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-D array")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
     return arr
@@ -84,7 +84,7 @@ class QuadratureRule(Record):
     def __init__(self, params: LaguerreParams, nodes: np.ndarray):
         _check_params(params)
         nodes = _frozen_array(nodes, "nodes")
-        if nodes[0] <= 0.0 or np.any(np.diff(nodes) <= 0.0):
+        if nodes[0] <= 0.0 or (np.diff(nodes) <= 0.0).any():
             raise ValueError("nodes must be positive and strictly increasing")
         n = nodes.size - 1
         with np.errstate(over="ignore", invalid="ignore"):
@@ -150,7 +150,7 @@ def _checked_degree(value, name: str = "degree", arrays: bool = False):
     if (given.dtype == bool or arr.ndim != 1
             or (not isinstance(value, np.ndarray)
                 and any(isinstance(item, (bool, np.bool_)) for item in value))
-            or not np.all(np.isfinite(arr) & (arr >= 0.0) & (arr == np.floor(arr)))):
+            or not (np.isfinite(arr) & (arr >= 0.0) & (arr == np.floor(arr))).all()):
         raise ValueError(f"{name} must be a 1-D array of nonnegative integers, got {value!r}")
     return arr.astype(int)
 
@@ -162,9 +162,9 @@ def _as_points(x):
     pts = np.atleast_1d(arr)
     if pts.ndim != 1:
         raise ValueError("x must be a scalar or a 1-D array")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise DomainError("x must be finite")
-    if np.any(pts < 0.0):
+    if (pts < 0.0).any():
         raise DomainError("x must be nonnegative (half line domain)")
     return pts, scalar
 
@@ -211,11 +211,17 @@ def value_at_zero(params: LaguerreParams, i):
     A value beyond double range is inf, without a warning.
     """
     idx = _checked_degree(i, "i", arrays=True)
+    ladder = _zero_ladder(params.theta, np.max(idx, initial=0))
+    return ladder[idx] if np.ndim(idx) == 0 else np.array(ladder)[idx]
+
+
+def _zero_ladder(theta: float, top: int) -> list[float]:
+    """[L_0(0), ..., L_top(0)] of the family theta, as value_at_zero gives them."""
     # Python floats, unlike numpy scalars, overflow to inf without a warning
     ladder = [1.0]
-    for k in range(np.max(idx, initial=0)):
-        ladder.append(ladder[k] * (k + params.theta + 1.0) / (k + 1.0))
-    return ladder[idx] if np.ndim(idx) == 0 else np.array(ladder)[idx]
+    for k in range(top):
+        ladder.append(ladder[k] * (k + theta + 1.0) / (k + 1.0))
+    return ladder
 
 
 def norm(params: LaguerreParams, i):
@@ -239,7 +245,7 @@ def norm(params: LaguerreParams, i):
 
 
 def _require_finite_positive(values: np.ndarray, name: str, n: int, cause: str) -> None:
-    if not np.all(np.isfinite(values) & (values > 0.0)):
+    if not (np.isfinite(values) & (values > 0.0)).all():
         raise RuntimeError(f"quadrature {name} for N={n} are not finite and positive: "
                            f"{cause} leaves double range")
 
@@ -256,9 +262,9 @@ def _certified_basis(params: LaguerreParams, nodes: np.ndarray, ladder: np.ndarr
     top = ladder[n + 1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         step = nodes * top / ((n + 1.0) * top - (n + 1.0 + params.theta) * ladder[n])
-    if not np.all(np.abs(step) <= 1e-8 * nodes):
+    if not (np.abs(step) <= 1e-8 * nodes).all():
         cause = ("a Newton step on L_(N+1) moves one by more than 1e-8 relative"
-                 if np.all(np.isfinite(top)) else "the basis ladder leaves double range")
+                 if np.isfinite(top).all() else "the basis ladder leaves double range")
         raise RuntimeError(f"quadrature nodes for N={n} are not certified: {cause}")
     return ladder[:n + 1]
 
@@ -278,7 +284,7 @@ def _gauss_nodes(params: LaguerreParams, n: int) -> np.ndarray:
         nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"tridiagonal eigenvalue solve failed for N={n}: {exc}") from exc
-    if nodes[0] <= 0.0 or np.any(np.diff(nodes) <= 0.0):
+    if nodes[0] <= 0.0 or (np.diff(nodes) <= 0.0).any():
         raise RuntimeError(f"quadrature nodes for N={n} are not positive and strictly increasing")
     return nodes
 
@@ -306,11 +312,11 @@ def interpolate(rule: QuadratureRule, samples) -> InterpolantCoeffs:
     vals = np.asarray(samples, dtype=float)
     if vals.ndim != 1 or vals.size != rule.nodes.size:
         raise ValueError(f"expected {rule.nodes.size} samples, got shape {vals.shape}")
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise ValueError("samples must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = rule.basis @ (vals * rule.weights) / rule.norms
-    if not np.all(np.isfinite(coeffs)):
+    if not np.isfinite(coeffs).all():
         raise DomainError(f"interpolation coefficients for N={vals.size - 1} leave double range")
     return InterpolantCoeffs(params=rule.params, coeffs=coeffs)
 

@@ -32,8 +32,8 @@ from .laguerre import (
     _checked_int,
     _checked_length,
     _gauss_nodes,
+    _zero_ladder,
     eval_interpolant,
-    value_at_zero,
 )
 
 __all__ = [
@@ -87,7 +87,7 @@ class IvpSpec(Record):
         if not callable(f):
             raise ValueError("f must be callable")
         values = np.asarray(initial, dtype=float)
-        if values.shape != (k,) or not np.all(np.isfinite(values)):
+        if values.shape != (k,) or not np.isfinite(values).all():
             raise ValueError(f"{k} finite initial values u^(j)(0), j < {k}, are needed, "
                              f"got {initial!r}")
         self._fill(params, N, tuple(checked), f, tuple(values.tolist()))
@@ -142,13 +142,14 @@ def assemble(spec: IvpSpec) -> tuple[np.ndarray, np.ndarray]:
         rows = np.zeros((N + 1, count))
         for values, (_, order) in zip(sampled, terms):
             i = orders.index(order)
-            rows[shifts[i]:] += values * (blocks[i][:N - shifts[i] + 1] * (-beta) ** shifts[i])
+            s, block = shifts[i], blocks[i][:N - shifts[i] + 1]
+            # an order-0 block skips its scale, (-beta)^0 = 1
+            rows[s:] += values * (block * (-beta) ** s if s else block)
         matrix[:count] = rows.T
         for j in range(len(spec.initial)):
-            family = LaguerreParams(theta + j, beta)
-            matrix[count + j, j:] = (-beta) ** j * value_at_zero(family, np.arange(N + 1 - j))
-    bad = np.flatnonzero(~np.all(np.isfinite(matrix), axis=1))
-    if bad.size:
+            matrix[count + j, j:] = (-beta) ** j * np.array(_zero_ladder(theta + j, N - j))
+    if not np.isfinite(matrix).all():
+        bad = np.flatnonzero(~np.all(np.isfinite(matrix), axis=1))
         x = nodes[bad[0]] if bad[0] < count else 0.0
         raise SolverError(f"collocation system for N={N} leaves double range "
                           f"in its row at x={x}")
@@ -173,7 +174,7 @@ def solve(spec: IvpSpec) -> InterpolantCoeffs:
             f"collocation matrix is singular to working precision "
             f"(rcond={rcond:.3e}, N={spec.N})")
     coeffs = np.linalg.solve(matrix, rhs)
-    if not np.all(np.isfinite(coeffs)):
+    if not np.isfinite(coeffs).all():
         raise SolverError(f"linear solve produced non-finite coefficients for N={spec.N}")
     # no handler or level can exist before logging is imported, so until then nothing listens
     logging = sys.modules.get("logging")

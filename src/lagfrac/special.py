@@ -63,9 +63,9 @@ def log_gamma(x):
     2.55e305.
     """
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"log_gamma requires finite input, got {x!r}")
-    if not np.all(arr > 0.0):
+    if not (arr > 0.0).all():
         raise DomainError(f"log_gamma requires values > 0.0, got {x!r}")
     out = _elementwise(math.lgamma, arr)
     return float(out) if np.ndim(x) == 0 else out

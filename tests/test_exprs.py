@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from lagfrac.exprs import (
+    _FUNCS,
+    _OPS,
     FUNCTION_NAMES,
     BinOp,
     Call,
@@ -102,6 +104,25 @@ def test_domain_errors(text, x):
 def test_domain_error_names_subexpression():
     with pytest.raises(ExprDomainError, match="division by zero"):
         evaluate(parse("1/(x - 2)"), 2.0)
+
+
+_INVALID_POWER = ("invalid power (negative base with fractional exponent, "
+                  "or zero to a negative power)")
+
+
+@pytest.mark.parametrize("text,x,message", [
+    ("(x - 2)^0.5", 1.0, f"{_INVALID_POWER} in '(x-2.0)^0.5' at x=1.0"),
+    ("x^-1", 0.0, f"{_INVALID_POWER} in 'x^-1.0' at x=0.0"),
+    ("gamma(x)", -2.0, "gamma pole in 'gamma(x)' at x=-2.0"),
+    ("tan(exp(x))", 1000.0, "tan of an infinite value in 'tan(exp(x))' at x=1000.0"),
+    ("cos(-x)", -math.inf, "cos of an infinite value in 'cos(-x)' at x=-inf"),
+    ("log(x)", 0.0, "log of non-positive value in 'log(x)' at x=0.0"),
+])
+def test_domain_error_messages(text, x, message):
+    # -7 leaves every one of these domains too; the message names the first bad point
+    with pytest.raises(ExprDomainError) as info:
+        evaluate(parse(text), np.array([3.5, x, -7.0]))
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("text,x", [
@@ -435,3 +456,96 @@ def test_parse_matches_reference_front_end():
             assert parse(to_text(got)) == got, repr(text)
     # both branches of the comparison are exercised
     assert 2_000 < accepted < 18_000
+
+
+# ---- the evaluator that ran every domain test before computing a node, kept
+# as the reference for the differential test below -----------------------------
+
+def _reference_check(bad: np.ndarray, problem: str, node: Expr, x: np.ndarray) -> None:
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        raise ExprDomainError(
+            f"{problem} in {to_text(node)!r} at x={x.flat[hits[0]]}")
+
+
+def _reference_evaluate(node: Expr, x: np.ndarray) -> np.ndarray:
+    if isinstance(node, Num):
+        return np.full(x.shape, node.value)
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Pi):
+        return np.full(x.shape, math.pi)
+    if isinstance(node, Neg):
+        return -_reference_evaluate(node.operand, x)
+    if isinstance(node, BinOp):
+        left = _reference_evaluate(node.left, x)
+        right = _reference_evaluate(node.right, x)
+        if node.op == "/":
+            _reference_check(right == 0.0, "division by zero", node, x)
+        elif node.op == "^":
+            # real pow is undefined here for finite operands; infinite ones take C99 limits
+            finite = np.isfinite(left) & np.isfinite(right)
+            fractional = (left < 0.0) & (right != np.floor(right))
+            _reference_check(finite & (fractional | ((left == 0.0) & (right < 0.0))),
+                             "invalid power (negative base with fractional exponent, "
+                             "or zero to a negative power)", node, x)
+        return _OPS[node.op][1](left, right)
+    if isinstance(node, Call):
+        value = _reference_evaluate(node.arg, x)
+        if node.name in ("sin", "cos", "tan"):
+            _reference_check(np.isinf(value), f"{node.name} of an infinite value", node, x)
+        elif node.name == "log":
+            _reference_check(value <= 0.0, "log of non-positive value", node, x)
+        elif node.name == "sqrt":
+            _reference_check(value < 0.0, "sqrt of negative value", node, x)
+        elif node.name == "gamma":
+            _reference_check((value <= 0.0) & (value == np.floor(value)), "gamma pole",
+                             node, x)
+        return _FUNCS[node.name](value)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def reference_evaluate(node: Expr, x):
+    points = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        values = _reference_evaluate(node, np.atleast_1d(points))
+    return float(values[0]) if points.ndim == 0 else values
+
+
+# zeros, gamma poles, negatives, infinities, nan, and points where exp, gamma
+# or a power overflows or an argument is subnormal
+EDGE_POINTS = [0.0, -0.0, -1.0, -2.0, -0.5, -7.25, 0.5, 1.0, 2.5, 3.0, 172.0, 800.0,
+               1e300, -1e300, 1e-320, math.inf, -math.inf, math.nan]
+
+
+def _evaluation(evaluator, tree, x):
+    """The value's type, shape and bytes, or the type and message of what was raised."""
+    try:
+        value = evaluator(tree, x)
+    except Exception as exc:  # any difference in what is raised counts
+        return type(exc), str(exc)
+    return type(value), np.shape(value), np.asarray(value).tobytes()
+
+
+# np.power rounds a scalar exponent 2, 0.5 or -1 otherwise than an array of it
+POWERS = [parse(text) for text in ("x^2", "x^0.5", "x^-1", "(x/3)^2", "2^x", "pi^-x")]
+
+
+def test_evaluate_matches_reference_evaluator():
+    rng = random.Random(30)
+    raised = nonfinite = 0
+    for i in range(1500):
+        tree = POWERS[i] if i < len(POWERS) else random_expr(rng, depth=rng.randint(1, 5))
+        grid = np.array(rng.sample(EDGE_POINTS, rng.randint(1, 8)))
+        # points of full precision, where rounding differences show
+        spread = np.array([rng.uniform(-60.0, 60.0) for _ in range(64)])
+        for x in (grid, float(rng.choice(EDGE_POINTS)), np.array([]), np.array(EDGE_POINTS),
+                  spread):
+            got = _evaluation(evaluate, tree, x)
+            assert got == _evaluation(reference_evaluate, tree, x), (to_text(tree), x)
+            if got[0] is ExprDomainError:
+                raised += 1
+            elif not np.isfinite(evaluate(tree, x)).all():
+                nonfinite += 1
+    # domain errors and non-finite values that are not errors are both exercised
+    assert raised > 300 and nonfinite > 300, (raised, nonfinite)

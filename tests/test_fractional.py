@@ -96,6 +96,15 @@ def test_frac_integral_basis_validation():
         frac_integral_basis(params, OrderFunction.constant(0.5), 2.5, 1.0)
 
 
+def test_frac_integral_basis_names_a_nonpositive_order():
+    # an order of 0 is accepted at x = 0 only
+    lying = OrderFunction(eval=lambda x: np.where(x < 1.0, 0.0, -0.5), rho_min=0.5,
+                          rho_max=0.5)
+    with pytest.raises(DomainError) as info:
+        frac_integral_basis(LaguerreParams(0.0, 1.0), lying, 3, np.array([0.0, 0.5, 2.0]))
+    assert str(info.value) == "integral order must be positive, got 0.0 at x=0.5"
+
+
 def test_vo_integral_of_constant_function():
     # I^{rho(x)} 1 = x^rho(x) / Gamma(rho(x) + 1)
     params = LaguerreParams(1.0, 3.0)
@@ -635,6 +644,18 @@ def test_order_may_touch_lower_integer_at_origin_only():
                           rho_min=1.0 + 1e-6, rho_max=1.5)
     with pytest.raises(DomainError, match="order value 1.0 at x=0.25"):
         caputo_exp_exact(lower, np.array([0.0, 0.25]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_order_one_ulp_below_its_window_is_accepted_at_the_origin_only(n):
+    params = LaguerreParams(1.0, 6.0)
+    below = math.nextafter(n - 1.0, -math.inf)
+    order = OrderFunction(eval=lambda x: np.where(x < 0.5, below, n - 0.5),
+                          rho_min=n - 0.5, rho_max=n - 0.5)
+    assert np.all(caputo_row(params, order, 6, 0.0) == 0.0)
+    with pytest.raises(DomainError) as info:
+        caputo_row(params, order, 6, np.array([0.0, 0.25]))
+    assert str(info.value) == f"order value {below} at x=0.25 lies outside ({n - 1}, {n})"
 
 
 def test_order_function_validation():
