@@ -119,6 +119,9 @@ _OPS = {
 }
 # levels of unary minus and of atoms, which sit above every binary operator
 _UNARY, _ATOM = 3, 5
+# parse refuses deeper text; evaluate and to_text recurse once per level and the
+# parser twice, far inside Python's default limit of 1000 frames
+_MAX_DEPTH = 200
 
 
 def _scan(text: str) -> list[tuple[str, str, int]]:
@@ -135,45 +138,59 @@ def _scan(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def _climb(tokens: list, pos: int, min_level: int) -> tuple[Expr, int]:
-    """An operand and every binary operator of level >= min_level after it."""
-    node, pos = _operand(tokens, pos)
+def _climb(tokens: list, pos: int, min_level: int, depth: int) -> tuple[Expr, int, int]:
+    """An operand and every binary operator of level >= min_level after it, and its height.
+
+    depth counts the levels around it, and depth + height may not pass _MAX_DEPTH.
+    """
+    if depth >= _MAX_DEPTH:
+        raise _too_deep(tokens[pos][2])
+    node, pos, height = _operand(tokens, pos, depth)
     op = tokens[pos][1]
     while op in _OPS and _OPS[op][0] >= min_level:
-        level = _OPS[op][0]
+        level, at = _OPS[op][0], pos
         # '^' is right associative, the others left associative
-        right, pos = _climb(tokens, pos + 1, level if op == "^" else level + 1)
+        right, pos, right_height = _climb(tokens, pos + 1, level if op == "^" else level + 1,
+                                          depth + 1)
         node = BinOp(op, node, right)
+        height = (height if height > right_height else right_height) + 1
+        if depth + height > _MAX_DEPTH:  # a long left-associative chain
+            raise _too_deep(tokens[at][2])
         op = tokens[pos][1]
-    return node, pos
+    return node, pos, height
 
 
-def _operand(tokens: list, pos: int) -> tuple[Expr, int]:
-    """A number, name, call, negation or parenthesized expression."""
+def _too_deep(column: int) -> ExprSyntaxError:
+    return ExprSyntaxError(f"expression nests more than {_MAX_DEPTH} levels deep "
+                           f"at column {column}")
+
+
+def _operand(tokens: list, pos: int, depth: int) -> tuple[Expr, int, int]:
+    """A number, name, call, negation or parenthesized expression, and its height."""
     kind, text, column = tokens[pos]
     pos += 1
     if kind == "number":
-        return Num(float(text)), pos
+        return Num(float(text)), pos, 1
     if kind == "ident":
         if text == "x":
-            return Var(), pos
+            return Var(), pos, 1
         if text == "pi":
-            return Pi(), pos
+            return Pi(), pos, 1
         if text in FUNCTION_NAMES:
             if tokens[pos][1] != "(":
                 raise ExprSyntaxError(
                     f"expected '(' after {text!r} at column {tokens[pos][2]}")
-            arg, pos = _climb(tokens, pos + 1, 1)
-            return Call(text, arg), _close(tokens, pos)
+            arg, pos, height = _climb(tokens, pos + 1, 1, depth + 1)
+            return Call(text, arg), _close(tokens, pos), height + 1
         allowed = ", ".join(("x", "pi") + FUNCTION_NAMES)
         raise ExprNameError(
             f"unknown identifier {text!r} at column {column}; allowed names: {allowed}")
     if text == "-":
-        operand, pos = _climb(tokens, pos, _UNARY + 1)
-        return Neg(operand), pos
+        operand, pos, height = _climb(tokens, pos, _UNARY + 1, depth + 1)
+        return Neg(operand), pos, height + 1
     if text == "(":
-        node, pos = _climb(tokens, pos, 1)
-        return node, _close(tokens, pos)
+        node, pos, height = _climb(tokens, pos, 1, depth + 1)
+        return node, _close(tokens, pos), height + 1
     if kind == "end":
         raise ExprSyntaxError(f"unexpected end of input at column {column}")
     raise ExprSyntaxError(f"unexpected {text!r} at column {column}")
@@ -186,13 +203,17 @@ def _close(tokens: list, pos: int) -> int:
 
 
 def parse(text: str) -> Expr:
-    """Parse expression text into an AST; raises ExprSyntaxError / ExprNameError."""
+    """Parse expression text into an AST; raises ExprSyntaxError / ExprNameError.
+
+    Each operator, negation, call and pair of parentheses nests one level, and
+    text nested past _MAX_DEPTH levels is a syntax error naming its column.
+    """
     if not isinstance(text, str):
         raise ExprSyntaxError(f"expression must be a string, got {type(text).__name__}")
     if not text.strip():
         raise ExprSyntaxError("expression is empty at column 1")
     tokens = _scan(text)
-    node, pos = _climb(tokens, 0, 1)
+    node, pos, _ = _climb(tokens, 0, 1, 0)
     kind, trailing, column = tokens[pos]
     if kind != "end":
         raise ExprSyntaxError(f"unexpected trailing input {trailing!r} at column {column}")

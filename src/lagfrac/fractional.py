@@ -22,6 +22,7 @@ from .laguerre import (
     LaguerreParams,
     _as_points,
     _checked_degree,
+    _checked_int,
     _checked_length,
 )
 from .special import DomainError, gamma_ratio, log_gamma
@@ -37,10 +38,6 @@ __all__ = [
     "caputo_of_sin",
 ]
 
-# margin for the strict bound checks n-1 < rho_min <= rho_max < n
-_WINDOW_MARGIN = 1e-12
-# OrderFunction.from_callable certifies bounds from this many points of (0, L]
-_ORDER_SAMPLES = 2049
 # at x = 0 an order may lie less than this below n - 1 (4 ulps of max(n - 1, 1))
 _ORIGIN_SLACK = 4.0 * np.finfo(float).eps
 
@@ -55,14 +52,15 @@ _MAX_STEPS = 200
 
 
 class OrderFunction(Record):
-    """A variable fractional order x -> rho(x) with certified bounds.
+    """A variable fractional order x -> rho(x) and its unit window (n - 1, n).
 
-    rho_min and rho_max bound the values on the intended working range. The
-    integer ceiling n = floor(rho_min) + 1 used by the derivative formulas
-    follows from rho_min; they require n - 1 < rho(x) < n pointwise
-    (rho(0) = n - 1 is also accepted at the origin). The bounds gate
-    derivative usage up front; every evaluation is additionally checked
-    pointwise, so bounds certified by sampling are safe to use.
+    n, an int >= 1, is the integer ceiling the derivative formulas use: a
+    Caputo derivative checks n - 1 < rho(x) < n at every point where it
+    evaluates the order (rho(0) = n - 1 is also accepted at the origin), and
+    an integral checks rho(x) > 0 there. One order keeps one window because
+    the frozen-order derivative jumps where rho crosses an integer: for exp
+    at rho = 1 it is e^x from below and e^x - 1 from above. constant and
+    from_callable read n from a value of the order.
 
     The callable stored in ``eval`` takes a 1-D float array of points and
     returns the orders there as an array of the same shape; a scalar return
@@ -71,26 +69,12 @@ class OrderFunction(Record):
     fails. It must be pure and thread safe.
     """
 
-    __slots__ = ("eval", "rho_min", "rho_max")
+    __slots__ = ("eval", "n")
 
-    def __init__(self, eval: Callable[[np.ndarray], np.ndarray], rho_min: float,
-                 rho_max: float):
+    def __init__(self, eval: Callable[[np.ndarray], np.ndarray], n: int):
         if not callable(eval):
             raise ValueError("eval must be callable")
-        rho_min = float(rho_min)
-        rho_max = float(rho_max)
-        if not (math.isfinite(rho_min) and math.isfinite(rho_max)):
-            raise ValueError("order bounds must be finite")
-        if rho_min <= 0.0:
-            raise ValueError(f"order values must be positive, got rho_min={rho_min}")
-        if rho_min > rho_max:
-            raise ValueError(f"rho_min={rho_min} exceeds rho_max={rho_max}")
-        self._fill(eval, rho_min, rho_max)
-
-    @property
-    def n(self) -> int:
-        """The integer ceiling: floor(rho_min) + 1."""
-        return math.floor(self.rho_min) + 1
+        self._fill(eval, _checked_int(n, "n", 1))
 
     @classmethod
     def constant(cls, value) -> "OrderFunction":
@@ -98,32 +82,21 @@ class OrderFunction(Record):
         v = float(value)
         if not np.isfinite(v) or v <= 0.0:
             raise ValueError(f"constant order must be positive and finite, got {value!r}")
-        return cls(eval=lambda _x, _v=v: _v, rho_min=v, rho_max=v)
+        return cls(eval=lambda _x, _v=v: _v, n=math.floor(v) + 1)
 
     @classmethod
     def from_callable(cls, func, domain_length) -> "OrderFunction":
-        """Certify bounds for func by dense sampling of (0, domain_length].
+        """func with the window of its value at domain_length: n = floor(rho(L)) + 1.
 
-        Zero itself is excluded from the sample so orders that touch an
-        integer only at the origin (where fractional ladders vanish anyway)
-        remain usable; pointwise checks still guard every later evaluation.
+        func is called once, at the one point L. A non-finite value there
+        raises DomainError, and a value <= 0 ValueError. The window is not
+        checked here: every derivative checks it where it evaluates the order.
         """
         length = _checked_length(domain_length, "domain_length")
-        xs = np.linspace(0.0, length, _ORDER_SAMPLES + 1)[1:]
-        vals = _sample(func, xs, "order function")
-        rho_min = float(vals.min())
-        rho_max = float(vals.max())
-        if rho_min <= 0.0:
-            raise ValueError(f"order function must stay positive, sampled minimum {rho_min}")
-        return cls(eval=func, rho_min=rho_min, rho_max=rho_max)
-
-
-def _require_derivative_window(order: OrderFunction) -> None:
-    n = order.n
-    if not (order.rho_min > n - 1 + _WINDOW_MARGIN and order.rho_max < n - _WINDOW_MARGIN):
-        raise DomainError(
-            f"order bounds [{order.rho_min}, {order.rho_max}] must lie strictly "
-            f"inside ({n - 1}, {n})")
+        rho = float(_sample(func, np.array([length]), "order function")[0])
+        if rho <= 0.0:
+            raise ValueError(f"order function must be positive, got {rho} at x={length}")
+        return cls(eval=func, n=math.floor(rho) + 1)
 
 
 def _sample(func, points: np.ndarray, name: str) -> np.ndarray:
@@ -150,7 +123,7 @@ def _sample(func, points: np.ndarray, name: str) -> np.ndarray:
 
 
 def _order_values(order: OrderFunction, points: np.ndarray) -> np.ndarray:
-    _require_derivative_window(order)
+    """The order's values at points, or DomainError naming one outside its window."""
     rho = _sample(order.eval, points, "order function")
     n = order.n
     if not ((n - 1 < rho) & (rho < n)).all():

@@ -20,7 +20,7 @@ from .fractional import (
     _checked_range,
     _frac_ladder,
     _ladder_orders,
-    _require_derivative_window,
+    _order_values,
     _sample,
 )
 from .laguerre import (
@@ -35,6 +35,7 @@ from .laguerre import (
     _zero_ladder,
     eval_interpolant,
 )
+from .special import DomainError
 
 __all__ = [
     "SolverError",
@@ -59,9 +60,13 @@ class IvpSpec(Record):
     u^(k-1)(0), k the largest q or n, and N >= max(2, k) leaves a collocation
     row. Each callable maps a 1-D float array of points to an array of its
     shape (a scalar is broadcast) and must be pure and finite at the nodes.
+
+    nodes, derived and read-only, are the N + 1 - k collocation nodes. Every
+    OrderFunction is checked against its window there on construction: a
+    value outside it raises DomainError naming the node, the term and N.
     """
 
-    __slots__ = ("params", "N", "terms", "f", "initial")
+    __slots__ = ("params", "N", "terms", "f", "initial", "nodes")
 
     def __init__(self, params: LaguerreParams, N: int, terms: Sequence[tuple],
                  f: Callable[[np.ndarray], np.ndarray], initial: Sequence[float]):
@@ -75,9 +80,7 @@ class IvpSpec(Record):
                                  f"got {term!r}") from None
             if not callable(coefficient):
                 raise ValueError(f"coefficient of term {i} must be callable")
-            if isinstance(order, OrderFunction):
-                _require_derivative_window(order)
-            else:
+            if not isinstance(order, OrderFunction):
                 order = _checked_degree(order, f"order of term {i}")
             checked.append((coefficient, order))
         if not checked:
@@ -90,7 +93,15 @@ class IvpSpec(Record):
         if values.shape != (k,) or not np.isfinite(values).all():
             raise ValueError(f"{k} finite initial values u^(j)(0), j < {k}, are needed, "
                              f"got {initial!r}")
-        self._fill(params, N, tuple(checked), f, tuple(values.tolist()))
+        nodes = collocation_nodes(params, N, N + 1 - k)
+        for i, (_, order) in enumerate(checked):
+            if isinstance(order, OrderFunction):
+                try:
+                    _order_values(order, nodes)
+                except DomainError as exc:
+                    raise DomainError(f"{exc} (term {i}, N={N})") from None
+        nodes.setflags(write=False)
+        self._fill(params, N, tuple(checked), f, tuple(values.tolist()), nodes)
 
 
 def collocation_nodes(params: LaguerreParams, N, count) -> np.ndarray:
@@ -98,8 +109,8 @@ def collocation_nodes(params: LaguerreParams, N, count) -> np.ndarray:
 
     The nodes of ``gauss_rule(params, N)``, bit for bit, with no ladder,
     weights or norms, so past the N ~ 190 where the Gauss weights
-    underflow. assemble certifies the nodes from its basis ladder, which
-    leaves double range from N ~ 375.
+    underflow. IvpSpec keeps them; assemble certifies them from its basis
+    ladder, which leaves double range from N ~ 375.
     """
     degree = _checked_degree(N, "N")
     c = _checked_degree(count, "count")
@@ -111,7 +122,7 @@ def collocation_nodes(params: LaguerreParams, N, count) -> np.ndarray:
 def assemble(spec: IvpSpec) -> tuple[np.ndarray, np.ndarray]:
     """The square collocation system (matrix, rhs), matrix @ coeffs = rhs.
 
-    One row per collocation node x_j carries sum_k c_k(x_j) D^(q_k) u = f(x_j);
+    One row per collocation node x_j of spec.nodes carries sum_k c_k(x_j) D^(q_k) u = f(x_j);
     the remaining k rows carry u^(j)(0) = initial[j], whose basis values
     (-beta)^j L_(i-j)^(theta+j)(0) come by the parameter shift. The ladders at
     the nodes come from one recurrence pass, a column block each: the basis to
@@ -120,9 +131,8 @@ def assemble(spec: IvpSpec) -> tuple[np.ndarray, np.ndarray]:
     coefficients are sampled in term order, then f. A row that leaves double
     range (a huge coefficient, say) raises SolverError naming N and the row's x.
     """
-    N, terms = spec.N, spec.terms
-    count = N + 1 - len(spec.initial)
-    nodes = collocation_nodes(spec.params, N, count)
+    N, terms, nodes = spec.N, spec.terms, spec.nodes
+    count = nodes.size
     theta, beta = spec.params.theta, spec.params.beta
     orders = [0] + [order for _, order in terms if order != 0]
     shifts, ladder_orders = zip(*(_ladder_orders(order, nodes) for order in orders))

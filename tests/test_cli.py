@@ -231,16 +231,33 @@ def test_order_touching_lower_integer_at_origin(workdir, capsys):
     assert "order value 2.0 at x=0.0" in capsys.readouterr().err
 
 
-def test_order_leaving_its_window_past_length_is_numerical_error(workdir, capsys):
-    # the order is certified on (0, length], but the collocation nodes reach
-    # about 4N/beta: here x = 13.6, past the x = 2.67 where 1.2 + 0.3x reaches 2
-    cfg = write_config(Path("past.json"), {
-        "order": "1.2+0.3*x", "length": 1, "theta": 2, "beta": 4, "N": 20, "m": 2,
-        "a": "1", "b": "1", "c": "1", "f": "1", "u0": 0, "v0": 0, "out": "past.csv"})
-    assert main(["solve", "--config", cfg]) == 2
-    assert capsys.readouterr().err.startswith(
-        "error: order value 2.0117403556208333 at x=2.7058011854027777 lies outside (1, 2)")
-    assert not Path("past.csv").exists()
+def test_order_leaving_its_window_past_length_is_numerical_error(workdir, capsys, monkeypatch):
+    # the window comes from rho(length), but the collocation nodes reach about
+    # 4N/beta: here x = 13.6, past the x = 2.67 where 1.2 + 0.3x reaches 2. Every
+    # cell's IvpSpec checks its nodes before the first cell runs, so a sweep
+    # whose N = 2 cell would pass writes nothing either
+    def no_work(*_args):
+        raise AssertionError("work started")
+    monkeypatch.setattr("lagfrac.cli.solve", no_work)
+    past = {"order": "1.2+0.3*x", "length": 1, "theta": 2, "beta": 4, "N": 20, "m": 2,
+            "a": "1", "b": "1", "c": "1", "f": "1", "u0": 0, "v0": 0, "out": "past.csv"}
+    leaving = ("error: order value 2.0117403556208333 at x=2.7058011854027777 "
+               "lies outside (1, 2) (term 1, N=20)\n")
+    sweep = ["example2", "--theta", "2", "--beta", "4", "--N", "2,20", "--order", "1.2+0.3*x",
+             "--grid", "11"]
+    # an order that crosses 1 inside (0, length] takes the window of rho(length), (1, 2)
+    crossing = dict(past, order="0.5+x", N=8)
+    for argv, config, message in [
+            (None, past, leaving), (None, dict(past, N=[2, 20]), leaving), (sweep, None, leaving),
+            (None, crossing, "error: order value 0.6579634430712837 at x=0.15796344307128374 "
+                             "lies outside (1, 2) (term 1, N=8)\n")]:
+        if config is not None:
+            argv = ["solve", "--config", write_config(Path("past.json"), config)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == message
+        assert os.listdir(".") == ([] if config is None else ["past.json"])
+        for path in Path(".").iterdir():
+            path.unlink()
 
 
 def test_norm_past_double_range_is_numerical_error(workdir, capsys):
@@ -744,8 +761,8 @@ SOLVE = ["solve", "--config", "run.json"]
                  id="invalid JSON"),
     pytest.param(SOLVE, "[]", "config file run.json must hold a JSON object", id="not an object"),
     pytest.param(SOLVE, dict(DERIVATIVE_RUN, mode="integral", order="0.5 - x"),
-                 "order expression '0.5 - x': order function must stay positive, "
-                 "sampled minimum -0.5", id="order leaves its domain"),
+                 "order expression '0.5 - x': order function must be positive, "
+                 "got -0.5 at x=1.0", id="order leaves its domain"),
     pytest.param(["example1", "--theta", "1,2", "--beta", "3", "--out", "x.csv"], None,
                  "theta list (2 values) and beta list (1 values) must pair up",
                  id="unpaired theta and beta"),
@@ -790,6 +807,9 @@ SOLVE = ["solve", "--config", "run.json"]
     # an empty exact is an empty expression, as in every other key
     pytest.param(SOLVE, dict(SOLVE_RUN, exact=""), "exact: expression is empty at column 1",
                  id="empty exact"),
+    pytest.param(SOLVE, dict(SOLVE_RUN, f="-" * 201 + "x"),
+                 "f: expression nests more than 200 levels deep at column 201",
+                 id="expression nested too deeply"),
 ])
 def test_config_error_stops_before_any_work(workdir, capsys, monkeypatch, argv, config, message):
     def no_work(*_args):

@@ -82,6 +82,36 @@ def test_unknown_identifier():
         parse("y + 1")
 
 
+# text nested `levels` levels deep, the column of its level 201, its value at
+# x = 0.5, and the levels at which a CLI run reached Python's recursion limit
+# before parse had a limit of its own: 497 nested parentheses, 498 nested calls
+# or minus signs, a 996-term sum (that one in evaluate, the others in parse)
+NESTED = {
+    "parentheses": (lambda levels: "(" * (levels - 1) + "x" + ")" * (levels - 1), 201,
+                    0.5, 498),
+    "calls": (lambda levels: "sin(" * (levels - 1) + "x" + ")" * (levels - 1), 801,
+              None, 499),
+    "minus signs": (lambda levels: "-" * (levels - 1) + "x", 201, -0.5, 499),
+    "sum": (lambda levels: "0.5" + "+0" * (levels - 1), 402, 0.5, 996),
+}
+
+
+@pytest.mark.parametrize("shape", NESTED)
+def test_nesting_past_the_limit_is_a_syntax_error_naming_its_column(shape):
+    text, column, value, overflowed = NESTED[shape]
+    tree = parse(text(200))
+    if value is None:  # 199 nested sines
+        value = 0.5
+        for _ in range(199):
+            value = math.sin(value)
+    assert evaluate(tree, 0.5) == value
+    assert parse(to_text(tree)) == tree
+    for levels in (201, overflowed):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse(text(levels))
+        assert str(info.value) == f"expression nests more than 200 levels deep at column {column}"
+
+
 @pytest.mark.parametrize("text,x", [
     ("1/x", 0.0),
     ("log(x)", 0.0),

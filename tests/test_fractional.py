@@ -74,7 +74,7 @@ def test_frac_integral_basis_at_origin():
     values = frac_integral_basis(LaguerreParams(2.0, 6.0), OrderFunction.constant(0.7), 6, 0.0)
     assert np.all(values == 0.0)
     # an order reaching 0 at x = 0 leaves the basis there, the limit as x -> 0+
-    params, touching = LaguerreParams(0.0, 4.0), OrderFunction(lambda x: 0.5 * x, 1e-3, 0.5)
+    params, touching = LaguerreParams(0.0, 4.0), OrderFunction(lambda x: 0.5 * x, 1)
     rows = frac_integral_basis(params, touching, 6, np.array([0.0, 1e-300]))
     assert np.array_equal(rows[:, 0], eval_basis(params, 6, 0.0))
     assert np.allclose(rows[:, 1], rows[:, 0], rtol=1e-12, atol=0.0)
@@ -85,11 +85,11 @@ def test_frac_integral_basis_at_origin():
 
 def test_frac_integral_basis_validation():
     params = LaguerreParams(0.0, 1.0)
-    # bounds are not the values: each evaluation checks the order it samples
+    # the window is not the values: each evaluation checks the order it samples
     for value in (0.0, -0.5):
-        lying = OrderFunction(eval=lambda x, _v=value: _v, rho_min=0.5, rho_max=0.5)
+        outside = OrderFunction(eval=lambda x, _v=value: _v, n=1)
         with pytest.raises(DomainError, match=f"got {value} at x=1.0"):
-            frac_integral_basis(params, lying, 3, 1.0)
+            frac_integral_basis(params, outside, 3, 1.0)
     with pytest.raises(DomainError):
         frac_integral_basis(params, OrderFunction.constant(0.5), 3, -1.0)
     with pytest.raises(ValueError, match="max_degree"):
@@ -98,10 +98,9 @@ def test_frac_integral_basis_validation():
 
 def test_frac_integral_basis_names_a_nonpositive_order():
     # an order of 0 is accepted at x = 0 only
-    lying = OrderFunction(eval=lambda x: np.where(x < 1.0, 0.0, -0.5), rho_min=0.5,
-                          rho_max=0.5)
+    outside = OrderFunction(eval=lambda x: np.where(x < 1.0, 0.0, -0.5), n=1)
     with pytest.raises(DomainError) as info:
-        frac_integral_basis(LaguerreParams(0.0, 1.0), lying, 3, np.array([0.0, 0.5, 2.0]))
+        frac_integral_basis(LaguerreParams(0.0, 1.0), outside, 3, np.array([0.0, 0.5, 2.0]))
     assert str(info.value) == "integral order must be positive, got 0.0 at x=0.5"
 
 
@@ -154,7 +153,7 @@ def test_vo_integral_rejects_nonpositive_order():
     params = LaguerreParams(0.0, 1.0)
     rule = gauss_rule(params, 4)
     coeffs = interpolate(rule, np.ones_like(rule.nodes))
-    shrinking = OrderFunction(eval=lambda x: 0.5 - x, rho_min=1e-3, rho_max=0.5)
+    shrinking = OrderFunction(eval=lambda x: 0.5 - x, n=1)
     with pytest.raises(DomainError):
         vo_integral(coeffs, shrinking, 0.75)
 
@@ -496,9 +495,9 @@ def test_caputo_power_rule_validation():
     with pytest.raises(ValueError):
         caputo_power_rule(-1.0, half, 1.0)
     # the order's values are checked against its window as every derivative checks them
-    lying = OrderFunction(eval=lambda x: np.where(x < 1.0, 0.5, 1.5), rho_min=0.5, rho_max=0.9)
+    outside = OrderFunction(eval=lambda x: np.where(x < 1.0, 0.5, 1.5), n=1)
     with pytest.raises(DomainError, match=r"order value 1.5 at x=2.0 lies outside \(0, 1\)"):
-        caputo_power_rule(2.0, lying, np.array([0.5, 2.0]))
+        caputo_power_rule(2.0, outside, np.array([0.5, 2.0]))
 
 
 def test_caputo_power_rule_saturates_to_inf_silently():
@@ -587,9 +586,10 @@ def test_closed_forms_take_arrays():
 
 def test_order_function_constant():
     order = OrderFunction.constant(0.5)
-    assert order.n == 1
-    assert order.rho_min == order.rho_max == 0.5
+    assert order.n == 1 and order.eval(np.zeros(3)) == 0.5
     assert OrderFunction.constant(1.2).n == 2
+    # an integer value takes the window above it, the floor rule
+    assert OrderFunction.constant(1.0).n == 2
     with pytest.raises(ValueError):
         OrderFunction.constant(-0.5)
     with pytest.raises(ValueError):
@@ -597,19 +597,38 @@ def test_order_function_constant():
 
 
 def test_order_function_from_callable_excludes_origin():
-    # rho touches 1 exactly at x = 0; bounds are certified on (0, L] so the
+    # rho touches 1 exactly at x = 0; the window comes from rho(L), so the
     # order is still usable as a second-window derivative order
     order = OrderFunction.from_callable(
         lambda x: 1.0 + 0.5 * np.abs(np.sin(x)), math.pi / 2.0)
     assert order.n == 2
-    assert order.rho_min > 1.0
-    assert order.rho_max == pytest.approx(1.5, abs=1e-6)
+    assert np.all(caputo_row(LaguerreParams(1.0, 6.0), order, 6, 0.0) == 0.0)
+
+
+def test_order_function_from_callable_calls_once_at_length():
+    calls = []
+
+    def counting(x):
+        calls.append(x.copy())
+        return 2.5 - 0.5 * x
+
+    # rho(1) = 2 takes the window above it, as constant does
+    for length, n in [(1.0, 3), (2.0, 2), (0.5, 3)]:
+        calls.clear()
+        assert OrderFunction.from_callable(counting, length).n == n
+        assert len(calls) == 1 and np.array_equal(calls[0], [length])
+    # nor is the window checked there: rho(0) = 2.5 lies above the (1, 2) of
+    # rho(2.75) = 1.125, and a derivative that evaluates the order at 0 says so
+    order = OrderFunction.from_callable(counting, 2.75)
+    assert order.n == 2
+    with pytest.raises(DomainError, match=r"order value 2.5 at x=0.0 lies outside \(1, 2\)"):
+        caputo_row(LaguerreParams(1.0, 6.0), order, 6, 0.0)
 
 
 def test_order_callables_take_arrays():
     # a scalar return is broadcast over the sample
     constant = OrderFunction.from_callable(lambda x: 0.5, 1.0)
-    assert constant.rho_min == constant.rho_max == 0.5
+    assert constant.n == 1 and constant.eval(np.zeros(3)) == 0.5
     with pytest.raises(ValueError, match="shape"):
         OrderFunction.from_callable(lambda x: np.full(3, 0.5), 1.0)
     with pytest.raises(ValueError, match="non-finite"):
@@ -631,8 +650,7 @@ def test_order_may_touch_lower_integer_at_origin_only():
     assert np.all(caputo_row(params, rounded, 6, 0.0) == 0.0)
     assert caputo_exp_exact(rounded, 0.0) == 0.0
     assert caputo_of_sin(rounded, 0.0) == 0.0
-    below = OrderFunction(eval=lambda x: np.where(x == 0.0, 1.0 - 1e-9, 1.5),
-                          rho_min=1.5, rho_max=1.5)
+    below = OrderFunction(eval=lambda x: np.where(x == 0.0, 1.0 - 1e-9, 1.5), n=2)
     for op in (lambda: caputo_row(params, below, 6, 0.0),
                lambda: caputo_exp_exact(below, 0.0), lambda: caputo_of_sin(below, 0.0)):
         with pytest.raises(DomainError, match="order value 0.999999999 at x=0.0"):
@@ -640,8 +658,7 @@ def test_order_may_touch_lower_integer_at_origin_only():
     upper = OrderFunction.from_callable(lambda x: 2.0 - 0.5 * np.abs(np.sin(x)), 1.0)
     with pytest.raises(DomainError, match="order value 2.0 at x=0.0"):
         caputo_row(params, upper, 6, 0.0)
-    lower = OrderFunction(eval=lambda x: np.where(x < 0.5, 1.0, 1.5),
-                          rho_min=1.0 + 1e-6, rho_max=1.5)
+    lower = OrderFunction(eval=lambda x: np.where(x < 0.5, 1.0, 1.5), n=2)
     with pytest.raises(DomainError, match="order value 1.0 at x=0.25"):
         caputo_exp_exact(lower, np.array([0.0, 0.25]))
 
@@ -650,8 +667,7 @@ def test_order_may_touch_lower_integer_at_origin_only():
 def test_order_one_ulp_below_its_window_is_accepted_at_the_origin_only(n):
     params = LaguerreParams(1.0, 6.0)
     below = math.nextafter(n - 1.0, -math.inf)
-    order = OrderFunction(eval=lambda x: np.where(x < 0.5, below, n - 0.5),
-                          rho_min=n - 0.5, rho_max=n - 0.5)
+    order = OrderFunction(eval=lambda x: np.where(x < 0.5, below, n - 0.5), n=n)
     assert np.all(caputo_row(params, order, 6, 0.0) == 0.0)
     with pytest.raises(DomainError) as info:
         caputo_row(params, order, 6, np.array([0.0, 0.25]))
@@ -659,19 +675,16 @@ def test_order_one_ulp_below_its_window_is_accepted_at_the_origin_only(n):
 
 
 def test_order_function_validation():
-    with pytest.raises(ValueError):
-        OrderFunction(eval=lambda x: 0.5, rho_min=0.9, rho_max=0.5)
-    with pytest.raises(ValueError):
-        OrderFunction(eval=lambda x: 0.5, rho_min=-0.1, rho_max=0.5)
-    with pytest.raises(ValueError):
-        OrderFunction.from_callable(lambda x: -x, 1.0)
+    for func in (lambda x: -x, lambda x: 0.0 * x):
+        with pytest.raises(ValueError, match="^order function must be positive, got "):
+            OrderFunction.from_callable(func, 1.0)
     with pytest.raises(ValueError, match="^eval must be callable$"):
-        OrderFunction(eval=0.5, rho_min=0.5, rho_max=0.5)
-    for low, high in [(0.5, math.inf), (math.nan, 0.5), (-math.inf, 0.5)]:
-        with pytest.raises(ValueError, match="^order bounds must be finite$"):
-            OrderFunction(eval=lambda x: 0.5, rho_min=low, rho_max=high)
-    assert OrderFunction(eval=lambda x: 1.5, rho_min=1.2, rho_max=1.7).n == 2
-    assert OrderFunction(eval=lambda x: 3.5, rho_min=3.2, rho_max=3.7).n == 4
+        OrderFunction(eval=0.5, n=1)
+    for n in (0, -1, 1.5, math.inf, math.nan, True, np.True_):
+        with pytest.raises(ValueError, match="^n must be an integer >= 1, got "):
+            OrderFunction(eval=lambda x: 0.5, n=n)
+    assert OrderFunction(eval=lambda x: 1.5, n=2).n == 2
+    assert type(OrderFunction(eval=lambda x: 3.5, n=np.int64(4)).n) is int
 
 
 def test_derivative_window_gating():
@@ -690,19 +703,18 @@ def test_derivative_window_gating():
                    (3, np.full(xs.size, 6.0))]:
         got = vo_derivative(coeffs, q, xs)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), q
-    # an order that crosses an integer is refused by its bounds
-    crossing = OrderFunction(eval=lambda x: 1.5 + x, rho_min=1.5, rho_max=2.5)
-    with pytest.raises(DomainError, match=r"must lie strictly inside \(1, 2\)"):
+    # an order that crosses an integer is refused where it leaves its window
+    crossing = OrderFunction(eval=lambda x: 1.5 + x, n=2)
+    caputo_row(params, crossing, 5, 0.25)
+    with pytest.raises(DomainError, match=r"order value 2.5 at x=1.0 lies outside \(1, 2\)"):
         caputo_row(params, crossing, 5, 1.0)
-    edge = OrderFunction(eval=lambda x: 1.0, rho_min=1.0, rho_max=1.0)
-    with pytest.raises(DomainError):
-        caputo_row(params, edge, 5, 1.0)
+    with pytest.raises(DomainError, match=r"order value 1.0 at x=1.0 lies outside \(1, 2\)"):
+        caputo_row(params, OrderFunction.constant(1.0), 5, 1.0)
 
 
 def test_pointwise_window_check_catches_lying_bounds():
     params = LaguerreParams(1.0, 3.0)
-    sneaky = OrderFunction(eval=lambda x: np.where(x < 1.0, 0.5, 1.5),
-                           rho_min=0.5, rho_max=0.9)
+    sneaky = OrderFunction(eval=lambda x: np.where(x < 1.0, 0.5, 1.5), n=1)
     caputo_row(params, sneaky, 5, 0.5)
     with pytest.raises(DomainError):
         caputo_row(params, sneaky, 5, 2.0)

@@ -26,7 +26,7 @@ from lagfrac.exprs import BinOp, Call, Neg, Num, Pi, Var
 
 PARAMS = LaguerreParams(1.0, 2.0)
 # module-level ufuncs pickle by name, unlike lambdas
-ORDER = OrderFunction(np.tanh, 0.25, 0.75)
+ORDER = OrderFunction(np.tanh, 1)
 NODES = gauss_rule(PARAMS, 4).nodes
 
 # (class, positional arguments, the signature's parameter names)
@@ -34,7 +34,7 @@ CASES = {
     "LaguerreParams": (LaguerreParams, (1.0, 2.0), ["theta", "beta"]),
     "QuadratureRule": (QuadratureRule, (PARAMS, NODES), ["params", "nodes"]),
     "InterpolantCoeffs": (InterpolantCoeffs, (PARAMS, [1.0, 2.0]), ["params", "coeffs"]),
-    "OrderFunction": (OrderFunction, (np.tanh, 0.25, 0.75), ["eval", "rho_min", "rho_max"]),
+    "OrderFunction": (OrderFunction, (np.tanh, 1), ["eval", "n"]),
     "IvpSpec": (IvpSpec, (PARAMS, 6, ((np.cos, 1), (np.sin, ORDER), (np.exp, 0)), np.tanh,
                           (0.5,)), ["params", "N", "terms", "f", "initial"]),
     "Num": (Num, (2.5,), ["value"]),
@@ -44,10 +44,11 @@ CASES = {
     "BinOp": (BinOp, ("+", Num(1.0), Var()), ["op", "left", "right"]),
     "Call": (Call, ("sin", Var()), ["name", "arg"]),
 }
-HOLD_ARRAYS = {"QuadratureRule", "InterpolantCoeffs"}
+HOLD_ARRAYS = {"QuadratureRule", "InterpolantCoeffs", "IvpSpec"}
 # every field a record shows, in order, including the ones its class derives
 FIELDS = {name: params for name, (_, _, params) in CASES.items()}
 FIELDS["QuadratureRule"] = ["params", "nodes", "weights", "basis", "norms"]
+FIELDS["IvpSpec"] = ["params", "N", "terms", "f", "initial", "nodes"]
 
 
 def build(name, by_keyword=False):
@@ -102,10 +103,12 @@ def test_repr_text():
     assert repr(PARAMS) == "LaguerreParams(theta=1.0, beta=2.0)"
     assert repr(build("BinOp")) == "BinOp(op='+', left=Num(value=1.0), right=Var())"
     assert repr(Call("sin", Neg(Pi()))) == "Call(name='sin', arg=Neg(operand=Pi()))"
-    assert repr(ORDER) == "OrderFunction(eval=<ufunc 'tanh'>, rho_min=0.25, rho_max=0.75)"
-    assert repr(build("IvpSpec")) == (
+    assert repr(ORDER) == "OrderFunction(eval=<ufunc 'tanh'>, n=1)"
+    spec = build("IvpSpec")
+    assert repr(spec) == (
         f"IvpSpec(params={PARAMS!r}, N=6, terms=((<ufunc 'cos'>, 1), (<ufunc 'sin'>, "
-        f"{ORDER!r}), (<ufunc 'exp'>, 0)), f=<ufunc 'tanh'>, initial=(0.5,))")
+        f"{ORDER!r}), (<ufunc 'exp'>, 0)), f=<ufunc 'tanh'>, initial=(0.5,), "
+        f"nodes={spec.nodes!r})")
     coeffs = build("InterpolantCoeffs")
     assert repr(coeffs) == f"InterpolantCoeffs(params={PARAMS!r}, coeffs={coeffs.coeffs!r})"
     rule = build("QuadratureRule")

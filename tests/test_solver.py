@@ -115,6 +115,29 @@ def test_ivp_spec_stores_initial_values_as_a_tuple_of_floats(m, rho, initial):
     assert spec.initial == tuple(float(value) for value in initial)
 
 
+def test_ivp_spec_checks_its_orders_at_its_nodes(monkeypatch):
+    # 1.2 + 0.3x leaves (1, 2) at x = 8/3; at (2, 4) the one node of N = 2 lies
+    # below that, and the nodes of N = 20 reach about 4N/beta = 20
+    params, order = LaguerreParams(2.0, 4.0), OrderFunction.from_callable(
+        lambda x: 1.2 + 0.3 * x, 1.0)
+    spec = IvpSpec(params, 2, terms(2, order), ONE, [0.0, 0.0])
+    assert np.array_equal(spec.nodes, collocation_nodes(params, 2, 1))
+    assert not spec.nodes.flags.writeable
+    # assemble reads them: one node solve per spec
+    with monkeypatch.context() as patch:
+        patch.setattr("lagfrac.solver.collocation_nodes", None)
+        assert assemble(spec)[0].shape == (3, 3)
+    with pytest.raises(DomainError) as info:
+        IvpSpec(params, 20, terms(2, order), ONE, [0.0, 0.0])
+    assert str(info.value) == ("order value 2.0117403556208333 at x=2.7058011854027777 "
+                               "lies outside (1, 2) (term 1, N=20)")
+    # a non-finite order value at a node is named with its term and N too
+    with pytest.raises(DomainError, match=r"^order function returned non-finite value nan "
+                                          r"at x=.* \(term 1, N=4\)$"):
+        IvpSpec(params, 4, terms(1, OrderFunction(lambda x: np.where(x > 0.5, np.nan, 0.5), 1)),
+                ONE, [0.0])
+
+
 def test_collocation_nodes_are_smallest_gauss_nodes():
     params = LaguerreParams(2.0, 6.0)
     rule = gauss_rule(params, 9)

@@ -115,7 +115,7 @@ def test_incomplete_gamma_matches_mpmath():
         xs, first = np.unique(x[n == window], return_index=True)
         table = dict(zip(xs.tolist(), rho[n == window][first].tolist()))
         order = OrderFunction(eval=lambda t, _at=table: np.array([_at[v] for v in t.tolist()]),
-                              rho_min=min(table.values()), rho_max=max(table.values()))
+                              n=window)
         assert np.array_equal(caputo_exp_exact(order, xs),
                               [caputo_exp_exact(order, v) for v in xs])
 
