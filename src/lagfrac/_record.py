@@ -6,8 +6,7 @@ import numpy as np
 def _rebuild(cls, values):
     """A record of class cls holding values, restored without running __init__.
 
-    Arrays come back from pickle and deepcopy writeable; they are made
-    read-only again, as every array a record holds is.
+    Arrays, writeable as pickle and deepcopy return them, are made read-only.
     """
     for value in values:
         if isinstance(value, np.ndarray):
@@ -23,9 +22,9 @@ class Record:
     A subclass lists its fields in order in __slots__ and writes its own
     __init__, which checks the arguments and stores the fields with _fill
     (or object.__setattr__ on hot paths). Assigning or deleting an attribute
-    raises AttributeError; == and hash go by class and fields; repr reads
-    Name(field=value, ...); pickle and copy restore the fields, arrays
-    read-only, without running __init__ again.
+    raises AttributeError; == and hash go by class and fields, == comparing
+    arrays by np.array_equal; repr reads Name(field=value, ...); pickle and
+    copy restore the fields, arrays read-only, without running __init__ again.
     """
 
     __slots__ = ()
@@ -47,7 +46,8 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return all(a is b or (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b)
+                   for a, b in zip(self._values(), other._values()))
 
     def __hash__(self):
         return hash(self._values())
