@@ -16,8 +16,9 @@ before the first runs; ``_run`` only computes and writes. Problem callables
 (a, b, c, f, exact) take ``(order, x)``; ``u`` and the order take ``x``.
 
 ``_read_argv`` reads the flags of ``_COMMANDS`` (an example's preset flags
-and --config; solve's --config and --out) with argparse's grammar and
-messages, exact names only; --help text comes from ``_FLAG_HELP``.
+and --config; solve's --config and --out) by exact name; a flag's value is
+the next word unless that starts with "--" or is -h or -v. --help text
+comes from ``_FLAG_HELP``.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure. An order's
 unit window (n - 1, n) comes from its value at x = length, which must be finite
@@ -35,7 +36,6 @@ import contextlib
 import csv
 import math
 import os
-import re
 import stat
 import sys
 from functools import partial
@@ -145,9 +145,11 @@ def _as_text(value, key: str) -> str:
 
 
 def _as_path(value, key: str) -> str:
-    """An output path; only a nonempty string names one."""
+    """An output path: a nonempty string whose last part names a file."""
     if not (isinstance(value, str) and value):
         raise ConfigError(f"{key}: expected a path string, got {value!r}")
+    if os.path.basename(value) in ("", ".", ".."):
+        raise ConfigError(f"{key}: expected a file name, got {value!r}")
     return value
 
 
@@ -420,28 +422,6 @@ def _run(run: dict) -> None:
               f"{' + pointwise files' if pointwise else ''})")
 
 
-# argparse's negative-number pattern: such a token is a value, not a flag
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
-# the flags that take no value, by the name their errors give
-_SWITCHES = {"-h": "-h/--help", "--help": "-h/--help", "-v": "-v/--verbose",
-             "--verbose": "-v/--verbose"}
-
-
-def _option(token: str, known) -> tuple | None:
-    """(flag, its =value or None) if token is a flag, None if it is a value.
-
-    A known flag is an exact name of known, alone or with =value; flag ""
-    stands for any other token that starts with "-", except "-" itself, a
-    negative number and a token holding a space, which are values.
-    """
-    name, eq, value = token.partition("=")
-    if name in known:
-        return name, value if eq else None
-    if token[:1] != "-" or token == "-" or " " in token or _NEGATIVE.match(token):
-        return None
-    return "", None
-
-
 def _help(command=None) -> str:
     """The --help text of a subcommand, or of lagfrac itself."""
     if command is None:
@@ -464,47 +444,39 @@ def _help(command=None) -> str:
 def _read_argv(argv: list) -> tuple | None:
     """The command, the flag values given and -v; None once help is printed.
 
-    A flag takes ``--flag value`` or ``--flag=value``, the last one given
-    wins. Before the command only -h is known, and the first value is the
-    command ("--" too, if anything follows). "--" and what follows, unknown
-    flags and stray values are unrecognized. Messages are argparse's.
+    The command is the first word, or -h/--help for the command list. After
+    it, -h/--help prints the command's help and -v/--verbose turns on the
+    INFO log. A flag of the command takes ``--flag=value`` or the next word,
+    unless that word starts with "--" or is -h or -v; the last one given
+    wins. Every other word is unrecognized.
     """
-    command, given, verbose, unknown = None, {}, False, []
-    known = ("-h", "--help")
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        i += 1
-        option = _option(token, known)
-        if command is None and (option is None or token == "--" and i < len(argv)):
-            if token not in _COMMANDS:
-                raise ConfigError(f"argument command: invalid choice: {token!r} (choose from "
-                                  f"{', '.join(map(repr, _COMMANDS))})")
-            command = token
-            known = {*_SWITCHES, *(f"--{key}" for key in _COMMANDS[command][1])}
-            continue
-        if token == "--":
-            unknown += argv[i - 1:]
-            break
-        flag, value = option or ("", None)
-        if not flag:
-            unknown.append(token)
-        elif flag in _SWITCHES:
-            if value is not None:
-                raise ConfigError(f"argument {_SWITCHES[flag]}: ignored explicit argument {value!r}")
-            if flag in ("-h", "--help"):
-                print(_help(command), end="")
-                return None
-            verbose = True
-        elif value is not None:
-            given[flag[2:]] = value
-        elif i < len(argv) and _option(argv[i], known) is None:
-            given[flag[2:]] = argv[i]
-            i += 1
-        else:
-            raise ConfigError(f"argument {flag}: expected one argument")
-    if command is None and not unknown:
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        print(_help(), end="")
+        return None
+    if command is None:
         raise ConfigError(f"a subcommand is required: {', '.join(_EXAMPLES)}, or solve")
+    if command not in _COMMANDS:
+        raise ConfigError(f"argument command: invalid choice: {command!r} (choose from "
+                          f"{', '.join(map(repr, _COMMANDS))})")
+    flags = {f"--{key}" for key in _COMMANDS[command][1]}
+    given, verbose, unknown, i = {}, False, [], 1
+    while i < len(argv):
+        word, i = argv[i], i + 1
+        flag, _, value = word.partition("=")
+        if word in ("-h", "--help"):
+            print(_help(command), end="")
+            return None
+        if word in ("-v", "--verbose"):
+            verbose = True
+        elif word in flags:
+            if i == len(argv) or argv[i][:2] == "--" or argv[i] in ("-h", "-v"):
+                raise ConfigError(f"argument {word}: expected one argument")
+            given[word[2:]], i = argv[i], i + 1
+        elif flag in flags:
+            given[flag[2:]] = value
+        else:
+            unknown.append(word)
     if command == "solve" and "config" not in given:
         raise ConfigError("the following arguments are required: --config")
     if unknown:

@@ -262,7 +262,7 @@ def _bad_power(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 # (test, problem) of each operator and function with a domain: the test takes
 # the operands and marks the points outside it. A point outside gives an inf or
-# a nan (gamma raises ValueError), so a test runs only once that shows.
+# a nan, so a test runs only once that shows.
 _DOMAINS = {
     "/": (lambda left, right: right == 0.0, "division by zero"),
     "^": (_bad_power, "invalid power (negative base with fractional exponent, "
@@ -307,11 +307,7 @@ def _evaluate(node: Expr, x: np.ndarray):
         return np.float64(node.value)
     if kind is Call:
         name, arg = node.name, _spread(_evaluate(node.arg, x), x)
-        try:
-            value = _FUNCS[name](arg)
-        except ValueError:  # gamma at a pole
-            _check(node, x, arg)
-            raise
+        value = _FUNCS[name](arg)
         if name in _DOMAINS and not np.isfinite(value).all():
             _check(node, x, arg)
         return value

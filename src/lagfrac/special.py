@@ -24,6 +24,8 @@ def _saturating(func, value: float) -> float:
         return func(value)
     except OverflowError:
         return math.copysign(math.inf, value)
+    except ValueError:  # a pole of math.gamma
+        return math.nan
 
 
 def _elementwise(func, values: np.ndarray) -> np.ndarray:
@@ -31,7 +33,7 @@ def _elementwise(func, values: np.ndarray) -> np.ndarray:
 
     Where func overflows (``math.gamma`` above 171.62 or at subnormal
     arguments, ``math.lgamma`` above about 2.55e305) the value is the
-    infinity of the argument's sign.
+    infinity of the argument's sign; at a pole it is nan.
     """
     flat = values.ravel()
     if flat.size > 1 and (flat == flat[0]).all():
@@ -39,16 +41,14 @@ def _elementwise(func, values: np.ndarray) -> np.ndarray:
         return np.full(values.shape, _saturating(func, float(flat[0])))
     try:
         out = np.fromiter(map(func, flat.tolist()), float, flat.size)
-    except OverflowError:
+    except (OverflowError, ValueError):
         out = np.array([_saturating(func, v) for v in flat.tolist()], dtype=float)
     return out.reshape(values.shape)
 
 
 def _gamma(values: np.ndarray) -> np.ndarray:
-    """Gamma at every element of a float array, signed infinity on overflow.
-
-    Poles (0, -1, -2, ...) raise ValueError; callers check them first.
-    """
+    """Gamma at every element of a float array: signed infinity on overflow,
+    nan at a pole (0, -1, -2, ... and -inf)."""
     return _elementwise(math.gamma, values)
 
 

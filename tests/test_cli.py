@@ -711,19 +711,23 @@ def test_non_string_out_is_config_error(workdir, capsys, command, value):
 @pytest.mark.parametrize("command,where", [("solve", "flag"), ("solve", "config"),
                                            ("example3", "flag"), ("example3", "config")])
 def test_empty_out_is_config_error(workdir, capsys, monkeypatch, command, where):
-    # Path("") is the working directory: the run must stop before its first cell
+    # Path("") is the working directory, and "sub/" would write sub_N4.csv there:
+    # an out that names no file must stop the run before its first cell
     def no_work(*_args):
         raise AssertionError("work started")
     monkeypatch.setattr("lagfrac.cli.gauss_rule", no_work)
     monkeypatch.setattr("lagfrac.cli.solve", no_work)
-    payload = {"out": "kept.csv" if where == "flag" else ""}
-    if command == "solve":
-        payload.update(mode="derivative", theta=1, beta=3, N=8, order="0.5", u="x")
-    cfg = write_config(Path("out.json"), payload)
-    argv = [command, "--config", cfg] + (["--out", ""] if where == "flag" else [])
-    assert main(argv) == 1
-    assert capsys.readouterr().err == "error: out: expected a path string, got ''\n"
-    assert sorted(os.listdir(".")) == ["out.json"]
+    for out in ("", ".", "..", "/", "sub/"):
+        payload = {"out": "kept.csv" if where == "flag" else out, "N": [4, 6]}
+        if command == "solve":
+            payload.update(mode="derivative", theta=1, beta=3, order="0.5", u="x")
+        cfg = write_config(Path("out.json"), payload)
+        argv = [command, "--config", cfg] + (["--out", out] if where == "flag" else [])
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: out: expected a path string, got ''\n" if out == ""
+            else f"error: out: expected a file name, got {out!r}\n")
+        assert sorted(os.listdir(".")) == ["out.json"]
 
 
 def test_integer_with_too_many_digits_is_config_error(workdir, capsys):

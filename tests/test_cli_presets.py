@@ -123,19 +123,119 @@ ARGVS = st.builds(lambda before, command, after: before + command + after,
                   st.sampled_from([[], ["example1"], ["example2"], ["example3"], ["solve"],
                                    ["solve", "--config", "c.json"], ["bogus"]]),
                   st.lists(TOKENS, max_size=8))
+# the messages kept from argparse; its others ("ignored explicit argument") are gone
+KEPT = re.compile(r"argument --\w+: expected one argument$|unrecognized arguments: "
+                  r"|the following arguments are required: --config$"
+                  r"|argument command: invalid choice: |a subcommand is required: ")
+
+
+def command_flags(argv) -> set:
+    return {f"--{key}" for key in COMMAND_FLAGS.get(argv[0], set()) | {"config"}} if argv else set()
+
+
+def joined(argv):
+    """argv with each single-dash word after a flag of its command joined to it by '='.
+
+    _read_argv reads such a word (-x, -1e-3, -v=) as the flag's value, as
+    argparse read it only in the --flag=word form; -h and -v are not values.
+    """
+    flags = command_flags(argv)
+    words = []
+    for word in argv:
+        if words and words[-1] in flags and word[:1] == "-" and word[:2] != "--" \
+                and word not in ("-h", "-v"):
+            words[-1] += "=" + word
+        else:
+            words.append(word)
+    return words
 
 
 @settings(max_examples=600)
 @given(argv=ARGVS)
 def test_argv_reads_as_argparse_read_it(argv):
+    # the intended differences, each pinned by a test below: a single-dash word
+    # after a flag is its value (hence joined), a "--" word never is, "--" is
+    # one unrecognized word, and a first word that is not a command is an
+    # invalid command
+    flags = command_flags(argv)
+    if any(flag in flags and word[:2] == "--" and " " in word
+           for flag, word in zip(argv, argv[1:])):
+        # argparse took a "--" word holding a space ("--N=a b") as a value
+        with pytest.raises(ConfigError):
+            _read_argv(argv)
+        return
     try:
-        expected = reference_read(argv)
+        expected = reference_read(joined(argv))
     except ConfigError as exc:
         with pytest.raises(ConfigError) as info:
             _read_argv(argv)
-        assert str(info.value) == str(exc)
+        message = str(exc)
+        # argparse also listed the words before the command and all after "--"
+        # as unrecognized, and took the first positional word as the command
+        same_cause = (not argv or argv[0] in COMMAND_FLAGS) and "--" not in argv
+        if KEPT.match(message) and (same_cause or message.startswith(
+                f"argument command: invalid choice: {argv[0]!r}")):
+            assert str(info.value) == message
     else:
         assert _read_argv(argv) == expected
+
+
+@pytest.mark.parametrize("value", ["-x", "-1e-3", "-v=", "-h=1", "-0.2*x+1.5"])
+def test_a_single_dash_word_after_a_flag_is_its_value(value):
+    # argparse took a single-dash word as a value only if it read as a number
+    assert _read_argv(["example1", "--order", value, "-v"]) == (
+        "example1", {"order": value}, True)
+
+
+def test_the_last_of_a_repeated_flag_wins():
+    assert _read_argv(["example1", "--N", "4", "--N=5", "--N", "6", "--theta=1", "--theta",
+                       "2"]) == ("example1", {"N": "6", "theta": "2"}, False)
+
+
+@pytest.mark.parametrize("argv", [
+    ["example1", "--theta", "-1e-3", "--beta", "4", "--N", "10", "--order", "0.5"],
+    ["example1", "--theta", "1", "--beta", "4", "--N", "10", "--order", "-0.2*x+1.5"],
+])
+def test_negative_values_without_equals_sign_run(workdir, argv):
+    assert main([*argv, "--grid", "11", "--out", "t.csv"]) == 0
+    assert len(table("t.csv")) == 1
+
+
+@pytest.mark.parametrize("value", ["--x y", "--", "--theta", "-h", "-v", "--help", "--verbose"])
+def test_a_double_dash_word_or_a_switch_is_never_a_value(value):
+    # argparse took "--x y" as a value, since it holds a space
+    with pytest.raises(ConfigError) as info:
+        _read_argv(["example1", "--theta", value])
+    assert str(info.value) == "argument --theta: expected one argument"
+
+
+def test_double_dash_is_an_ordinary_word(capsys):
+    # argparse stopped reading flags at "--"; every word after it was unrecognized
+    with pytest.raises(ConfigError) as info:
+        _read_argv(["example1", "--", "--theta", "1", "stray"])
+    assert str(info.value) == "unrecognized arguments: -- stray"
+    assert _read_argv(["example1", "--", "-h"]) is None
+    assert capsys.readouterr().out.startswith("usage: lagfrac example1 ")
+
+
+@pytest.mark.parametrize("argv", [["-v", "example1"], ["--bogus", "-h"], ["stray", "--help"],
+                                  ["--", "example1"]])
+def test_a_first_word_that_is_not_a_command_is_an_invalid_command(capsys, argv):
+    # argparse printed help for ["--bogus", "-h"] and reported "-v" as unrecognized
+    with pytest.raises(ConfigError) as info:
+        _read_argv(argv)
+    assert str(info.value) == (f"argument command: invalid choice: {argv[0]!r} (choose from "
+                               "'example1', 'example2', 'example3', 'solve')")
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("word", ["-v=x", "--verbose=1", "-h=x", "--help="])
+def test_a_switch_given_a_value_is_unrecognized(capsys, word):
+    # argparse said "argument -v/--verbose: ignored explicit argument 'x'"
+    with pytest.raises(ConfigError) as info:
+        _read_argv(["example1", word])
+    assert str(info.value) == f"unrecognized arguments: {word}"
+    assert capsys.readouterr().out == ""
 
 
 def test_example3_config_rejects_theta(workdir, capsys):

@@ -35,7 +35,7 @@ def explicit_low_degrees(theta, beta, x):
     return l0, l1, l2
 
 
-def longdouble_derivative_basis(params, max_degree, m, x):
+def longdouble_caputo_row(params, max_degree, m, x):
     """caputo_row at the integer order m and the points x, as (-beta)^m times
     the ladder of the family theta + m by the plain forward recurrence in
     np.longdouble."""
@@ -133,7 +133,7 @@ def test_derivative_basis_accuracy(m, n):
             for N in (2, 8, 20, 40):
                 x = collocation_nodes(params, N, N if n == 1 else N - 1)
                 got = caputo_row(params, m, N, x)
-                want = longdouble_derivative_basis(params, N, m, x)
+                want = longdouble_caputo_row(params, N, m, x)
                 scale = np.max(np.abs(want), axis=0)
                 assert np.all(np.abs(got - want) <= 2e-15 * (N + 1) * scale), (theta, beta, N)
                 worst = max(worst, float(np.max(np.abs(got - want))) / float(np.max(scale)))
@@ -341,7 +341,7 @@ def test_gauss_rule_matches_eigenvalues_and_one_ladder(theta, beta, N, data):
     # is within 6e-14 of 50-digit mpmath at the smallest node), hence the N
     ladder = eval_basis(params, N + 1, rule.nodes)
     slope = ((N + 1.0) * ladder[N + 1] - (N + 1.0 + theta) * ladder[N]) / rule.nodes
-    reference = longdouble_derivative_basis(params, N + 1, 1, rule.nodes)[N + 1]
+    reference = longdouble_caputo_row(params, N + 1, 1, rule.nodes)[N + 1]
     assert np.all(np.abs(slope - reference) <= 1e-14 * (N + 1) * np.abs(reference))
 
 
