@@ -7,13 +7,14 @@ Subcommands
     example3   polynomial-exact IVP on (0, pi/2] at theta = beta = 10
     solve      config-driven run: IVP solve, or derivative/integral of a function
 
-Every subcommand builds a run, a plain dict, for the one runner ``_run``:
-an operator applied to an interpolant, or an IVP solve, per cell of a sweep.
+Every subcommand builds a run, a plain dict, for the one runner ``_run``.
 The examples are presets in ``_EXAMPLES``, whose flags and defaults are also
 the keys an example's ``--config`` file may hold. One compiler, ``_compile``,
-checks an example's values and a ``solve`` config alike and builds every cell
-before the first runs; ``_run`` only computes and writes. Problem callables
-(a, b, c, f, exact) take ``(order, x)``; ``u`` and the order take ``x``.
+checks an example's values and a ``solve`` config alike, then builds each
+cell of a sweep: an IVP solution, or an operator on an interpolant of u.
+``_run`` only evaluates the cells on the grid and writes, so a failure
+building any cell writes no file. Problem callables (a, b, c, f, exact)
+take ``(order, x)``; ``u`` and the order take ``x``.
 
 ``_read_argv`` reads the flags of ``_COMMANDS`` (an example's preset flags
 and --config; solve's --config and --out) by exact name; a flag's value is
@@ -145,11 +146,14 @@ def _as_text(value, key: str) -> str:
 
 
 def _as_path(value, key: str) -> str:
-    """An output path: a nonempty string whose last part names a file."""
+    """An output path: a nonempty string naming a file in a directory that exists."""
     if not (isinstance(value, str) and value):
         raise ConfigError(f"{key}: expected a path string, got {value!r}")
     if os.path.basename(value) in ("", ".", ".."):
         raise ConfigError(f"{key}: expected a file name, got {value!r}")
+    directory = os.path.dirname(value)
+    if directory and not os.path.exists(directory):
+        raise ConfigError(f"{key}: directory {directory!r} does not exist")
     return value
 
 
@@ -302,7 +306,8 @@ def _compile(name: str, raw: dict, table: bool) -> dict:
     flags given, merged in that order (table), or a solve config with --out
     applied (not table), whose file names carry neither its order nor its
     (theta, beta) pair, so it must hold one of each. The run's "cells" are
-    (params, N, order text, order, IvpSpec or None) in output order.
+    (params, N, order text, evaluate, exact or None) in output order, each
+    built after every check: solved, or an operator on its interpolant of u.
     """
     mode = raw.get("mode", "solve")
     if mode not in ("solve", "derivative", "integral"):
@@ -340,8 +345,7 @@ def _compile(name: str, raw: dict, table: bool) -> dict:
             raise ConfigError(f"(theta, beta) pairs {other} and {pair} share pointwise files")
     out = _as_path(raw.get("out", f"{mode}.csv"), "out")
     orders = [(text, _order_from_text(text, length)) for text in texts]
-    run = dict(raw, name=name if table else mode, mode=mode, table=table, N=degrees,
-               grid=grid, length=length, out=out, exact=_problem(raw.get("exact"), "exact"))
+    exact = _problem(raw.get("exact"), "exact")
     families = [LaguerreParams(theta, beta) for theta, beta in pairs]
     if raw.get("orders_outer"):
         cells = [(p, N, *o) for o in orders for p in families for N in degrees]
@@ -353,47 +357,46 @@ def _compile(name: str, raw: dict, table: bool) -> dict:
         m = _as_int(raw["m"], "m") if "m" in raw else orders[0][1].n
         # u0 and v0 are u(0) and u'(0): the keys given are the initial values
         initial = [_as_float(raw[key], key) for key in ("u0", "v0") if key in raw]
-        run["cells"] = [(p, N, text, order, IvpSpec(
-            params=p, N=N, f=partial(f, order), initial=initial,
-            terms=[(partial(a, order), m), (partial(b, order), order), (partial(c, order), 0)]))
-            for p, N, text, order in cells]
-    else:  # every degree passes the check gauss_rule applies
-        run.update(u=_expression(raw["u"], "u"), cells=[
-            (p, _checked_degree(N, "N"), text, order, None) for p, N, text, order in cells])
-    return run
+        specs = [IvpSpec(params=p, N=N, f=partial(f, order), initial=initial, terms=[
+            (partial(a, order), m), (partial(b, order), order), (partial(c, order), 0)])
+            for p, N, _, order in cells]
+        evaluates = [partial(eval_interpolant, solve(spec)) for spec in specs]
+    else:  # every degree is checked, then one rule and interpolant of u per (params, N)
+        u, coeffs = _expression(raw["u"], "u"), {}
+        for N in degrees:
+            _checked_degree(N, "N")
+        for p, N in dict.fromkeys((p, N) for p, N, _, _ in cells):
+            rule = gauss_rule(p, N)
+            coeffs[p, N] = interpolate(rule, _sample(u, rule.nodes, "function 'u'"))
+        operator = vo_derivative if mode == "derivative" else vo_integral
+        evaluates = [partial(operator, coeffs[p, N], order) for p, N, _, order in cells]
+    return dict(name=name if table else mode, mode=mode, table=table, N=degrees, grid=grid,
+                length=length, out=out, pointwise=bool(raw.get("pointwise")), cells=[
+                    (p, N, text, evaluate, None if exact is None else partial(exact, order))
+                    for (p, N, text, order), evaluate in zip(cells, evaluates)])
 
 
 def _run(run: dict) -> None:
-    """Compute the compiled cells in order; write a table row or a file per degree.
+    """Evaluate the compiled cells on the grid in order; write a table row or a file per degree.
 
-    Operator mode builds one Gauss rule and interpolant of u per (theta,
-    beta, N) for every order. A value beyond double range on the grid is a
-    numerical failure naming its x; each cell's error is the max |value -
-    exact| over the grid, inf where finite values lie a double range apart.
+    A value beyond double range on the grid is a numerical failure naming its
+    x; each cell's error is the max |value - exact| over the grid, inf where
+    finite values lie a double range apart.
     """
     length, grid, out = run["length"], run["grid"], Path(run["out"])
     xs = np.linspace(0.0, length, grid)
-    rows, built = [], None
-    for params, N, text, order, spec in run["cells"]:
-        if spec is not None:
-            evaluate = partial(eval_interpolant, solve(spec))
-        else:
-            if built != (params, N):
-                rule = gauss_rule(params, N)
-                coeffs = interpolate(rule, _sample(run["u"], rule.nodes, "function 'u'"))
-                built = (params, N)
-            operator = vo_derivative if run["mode"] == "derivative" else vo_integral
-            evaluate = partial(operator, coeffs, order)
+    rows = []
+    for params, N, text, evaluate, exact in run["cells"]:
         values = _sample(evaluate, xs, "solution" if run["mode"] == "solve" else run["mode"])
         error = None
-        if run["exact"] is not None:
-            reference = _sample(partial(run["exact"], order), xs, "exact")
+        if exact is not None:
+            reference = _sample(exact, xs, "exact")
             with np.errstate(over="ignore"):  # finite values a double range apart: inf
                 errors = np.abs(values - reference)
             error = float(np.max(errors))
         if run["table"]:
             row = [_fmt(params.theta), _fmt(params.beta), str(N), text, _fmt(error)]
-            if run.get("pointwise"):
+            if run["pointwise"]:
                 name = (f"{out.stem}_pointwise_theta{params.theta:g}_beta{params.beta:g}"
                         f"_N{N}{out.suffix or '.csv'}")
                 _write_sections(out.parent / name, [(["x", "abs_error"], (xs, errors))])
@@ -413,7 +416,7 @@ def _run(run: dict) -> None:
         _write_sections(path, sections)
         print(f"{run['name']}: wrote {path}{summary}")
     if run["table"]:
-        pointwise = run.get("pointwise", False)
+        pointwise = run["pointwise"]
         header = ["theta", "beta", "N", "order", "max_abs_error"]
         if pointwise:
             header.append("pointwise_file")

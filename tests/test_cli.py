@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lagfrac import gauss_rule
 from lagfrac.cli import _write_sections, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -628,6 +629,14 @@ def test_verbose_logs_the_rcond_line(workdir, capsys):
             # one line per call: handlers do not pile up over repeated calls
             assert len(lines) == 1
             assert lines[0].startswith("INFO lagfrac.solver: solved collocation system N=8, rcond=")
+        # a sweep logs one line per degree; every degree is solved before the first write
+        sweep = dict(json.loads(Path(cfg).read_text()), N=[8, 10], out="s.csv")
+        assert main(["solve", "--config", write_config(Path("sweep.json"), sweep), "-v"]) == 0
+        captured = capsys.readouterr()
+        assert [line.split(", rcond=")[0] for line in captured.err.splitlines()] == [
+            f"INFO lagfrac.solver: solved collocation system N={N}" for N in (8, 10)]
+        assert captured.out == "solve: wrote s_N8.csv\nsolve: wrote s_N10.csv\n"
+        assert Path("s_N8.csv").exists() and Path("s_N10.csv").exists()
         assert root.handlers == [] and logging.getLogger("lagfrac").handlers == []
 
 
@@ -814,6 +823,11 @@ SOLVE = ["solve", "--config", "run.json"]
     pytest.param(SOLVE, dict(SOLVE_RUN, f="-" * 201 + "x"),
                  "f: expression nests more than 200 levels deep at column 201",
                  id="expression nested too deeply"),
+    # out's directory is checked with the other out rules, not when the first file is written
+    pytest.param(SOLVE, dict(SOLVE_RUN, N=[4, 6], out="nodir/x.csv"),
+                 "out: directory 'nodir' does not exist", id="solve out in a missing directory"),
+    pytest.param(["example1", "--N", "10", "--grid", "11", "--out", "nodir/x.csv"], None,
+                 "out: directory 'nodir' does not exist", id="example out in a missing directory"),
 ])
 def test_config_error_stops_before_any_work(workdir, capsys, monkeypatch, argv, config, message):
     def no_work(*_args):
@@ -836,3 +850,43 @@ def test_solve_config_takes_one_element_pair_lists(workdir):
     listed = dict(DERIVATIVE_RUN, theta=[1], beta="3")
     assert main(["solve", "--config", write_config(Path("b.json"), listed)]) == 0
     assert Path("x.csv").read_bytes() == first
+
+
+SWEEP = {"theta": 0, "beta": 4, "order": "0.5"}
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    pytest.param(SOLVE, dict(SOLVE_RUN, theta=0, beta=1, N=[10, 30], m=1, out="s.csv"),
+                 "collocation matrix is singular to working precision (rcond=2.280e-22, N=30)",
+                 id="solve refusal"),
+    pytest.param(SOLVE, dict(SWEEP, mode="integral", N=[4, 40], u="exp(x^2)", out="u.csv"),
+                 "function 'u' returned non-finite value inf at x=27.78873048968126",
+                 id="non-finite u"),
+    pytest.param(SOLVE, dict(SWEEP, mode="derivative", N=[10, 200], u="exp(x)", out="o.csv"),
+                 "quadrature weights for N=200 are not finite and positive: "
+                 "the basis ladder leaves double range", id="Gauss rule overflow"),
+    pytest.param(["example2", "--theta", "0", "--beta", "1", "--N", "5,30", "--out", "e2.csv"],
+                 None, "collocation matrix is singular to working precision "
+                 "(rcond=3.531e-20, N=30)", id="example2 refusal"),
+])
+def test_a_failure_building_a_later_cell_writes_no_file(workdir, capsys, argv, config, message):
+    # every cell is built before the first is evaluated or written
+    if config is not None:
+        write_config(Path("run.json"), config)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(Path(".").glob("*.csv")) == []
+
+
+def test_one_gauss_rule_per_distinct_family_and_degree(workdir, monkeypatch):
+    calls = []
+
+    def counted(params, N):
+        calls.append((params.theta, params.beta, N))
+        return gauss_rule(params, N)
+
+    monkeypatch.setattr("lagfrac.cli.gauss_rule", counted)
+    assert main(["example1", "--theta", "1,1", "--beta", "4,4", "--N", "10,20",
+                 "--order", "0.5,1.5", "--grid", "11"]) == 0
+    assert calls == [(1.0, 4.0, 10), (1.0, 4.0, 20)]
+    assert len(read_rows("example1.csv")) == 1 + 8
