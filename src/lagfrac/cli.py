@@ -152,8 +152,9 @@ def _as_path(value, key: str) -> str:
     if os.path.basename(value) in ("", ".", ".."):
         raise ConfigError(f"{key}: expected a file name, got {value!r}")
     directory = os.path.dirname(value)
-    if directory and not os.path.exists(directory):
-        raise ConfigError(f"{key}: directory {directory!r} does not exist")
+    if directory and not os.path.isdir(directory):
+        raise ConfigError(f"{key}: {directory!r} is not a directory" if os.path.exists(directory)
+                          else f"{key}: directory {directory!r} does not exist")
     return value
 
 
@@ -344,6 +345,9 @@ def _compile(name: str, raw: dict, table: bool) -> dict:
         if other != pair:
             raise ConfigError(f"(theta, beta) pairs {other} and {pair} share pointwise files")
     out = _as_path(raw.get("out", f"{mode}.csv"), "out")
+    # a table, or a solve of one degree, writes out itself; more degrees write stem_N{n}.csv
+    if (table or len(degrees) == 1) and os.path.isdir(out):
+        raise ConfigError(f"out: {out!r} is a directory")
     orders = [(text, _order_from_text(text, length)) for text in texts]
     exact = _problem(raw.get("exact"), "exact")
     families = [LaguerreParams(theta, beta) for theta, beta in pairs]

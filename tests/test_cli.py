@@ -411,12 +411,22 @@ def test_directory_output_is_config_error(workdir, capsys):
     Path("f").write_bytes(b"old bytes\n")
     args = ["example1", "--theta", "1", "--beta", "3", "--N", "10", "--order", "0.5"]
     assert main(args + ["--out", "t.csv"]) == 1
-    assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+    assert capsys.readouterr().err == "error: out: 't.csv' is a directory\n"
     assert Path("t.csv").is_dir()
     # a path through a regular file cannot be written, whoever runs the test
     assert main(args + ["--out", "f/t.csv"]) == 1
-    assert capsys.readouterr().err.startswith("error: [Errno 20] Not a directory")
+    assert capsys.readouterr().err == "error: out: 'f' is not a directory\n"
     assert Path("f").read_bytes() == b"old bytes\n"
+
+
+def test_multi_degree_solve_writes_beside_a_directory_out(workdir, capsys):
+    # only stem_N{n}.csv files are written, so out may name a directory
+    Path("d").mkdir()
+    config = write_config(Path("run.json"), dict(SOLVE_RUN, N=[4, 6], grid=11, out="d"))
+    assert main(["solve", "--config", config]) == 0
+    assert capsys.readouterr().out == "solve: wrote d_N4.csv\nsolve: wrote d_N6.csv\n"
+    assert sorted(os.listdir(".")) == ["d", "d_N4.csv", "d_N6.csv", "run.json"]
+    assert os.listdir("d") == []
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
@@ -828,18 +838,29 @@ SOLVE = ["solve", "--config", "run.json"]
                  "out: directory 'nodir' does not exist", id="solve out in a missing directory"),
     pytest.param(["example1", "--N", "10", "--grid", "11", "--out", "nodir/x.csv"], None,
                  "out: directory 'nodir' does not exist", id="example out in a missing directory"),
+    # f is a regular file and d a directory, made before each case
+    pytest.param(["example1", "--theta", "1,2", "--beta", "3,6", "--N", "10,20", "--order", "0.5",
+                  "--out", "f/t.csv"], None,
+                 "out: 'f' is not a directory", id="example out through a regular file"),
+    pytest.param(["example1", "--N", "10", "--grid", "11", "--out", "d"], None,
+                 "out: 'd' is a directory", id="example out is a directory"),
+    pytest.param(SOLVE, dict(SOLVE_RUN, out="d"), "out: 'd' is a directory",
+                 id="one-degree solve out is a directory"),
 ])
 def test_config_error_stops_before_any_work(workdir, capsys, monkeypatch, argv, config, message):
     def no_work(*_args):
         raise AssertionError("work started")
     monkeypatch.setattr("lagfrac.cli.gauss_rule", no_work)
     monkeypatch.setattr("lagfrac.cli.solve", no_work)
+    Path("f").write_bytes(b"old bytes\n")
+    Path("d").mkdir()
     if config is not None:
         Path("run.json").write_text(config if isinstance(config, str) else json.dumps(config),
                                     encoding="utf-8")
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert os.listdir(".") == ([] if config is None else ["run.json"])
+    assert sorted(os.listdir(".")) == ["d", "f"] + ([] if config is None else ["run.json"])
+    assert os.listdir("d") == [] and Path("f").read_bytes() == b"old bytes\n"
 
 
 def test_solve_config_takes_one_element_pair_lists(workdir):

@@ -469,9 +469,52 @@ def test_interpolate_reuses_the_rule(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("interpolate rebuilt part of the transform")
 
-    for name in ("_ladder", "eval_basis", "norm"):
+    for name in ("eval_basis", "norm"):
         monkeypatch.setattr(laguerre, name, refuse)
     assert np.array_equal(interpolate(rule, np.exp(rule.nodes)).coeffs, expected)
+
+
+def _ladder(theta: float, bx: np.ndarray, top: int):
+    """Yield L_0, ..., L_top at the points with beta * x = bx, two rows kept.
+
+    The forward three-term recurrence
+    (i + 1) L_(i+1) = (2i + theta + 1 - beta x) L_i - (i + theta) L_(i-1).
+    """
+    prev = np.ones_like(bx)
+    yield prev
+    if top >= 1:
+        cur = theta + 1.0 - bx
+        yield cur
+        for i in range(1, top):
+            prev, cur = cur, ((2.0 * i + theta + 1.0 - bx) * cur
+                              - (i + theta) * prev) / (i + 1.0)
+            yield cur
+
+
+def test_basis_and_interpolant_match_the_two_row_reference_ladder():
+    # the two-row generator eval_basis and eval_interpolant once read, kept as
+    # the reference: the in-place ladder and the degree-order sum give its bits
+    rng = np.random.default_rng(34)
+    for _ in range(400):
+        theta, beta = 15.0 - 16.0 * rng.random(), rng.uniform(0.2, 12.0)
+        N = int(rng.integers(0, 151))
+        xs = np.concatenate([[0.0, 5e-324, 1e-300, 1e300],
+                             rng.uniform(0.0, 4.0 * N / beta + 2.0, 12)])
+        params = LaguerreParams(theta, beta)
+        lc = rng.standard_normal(N + 1)
+        coeffs = InterpolantCoeffs(params, lc)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.array(list(_ladder(theta, beta * xs, N)))
+            sums = lc[0] * want[0]
+            for c, row in zip(lc[1:], want[1:]):
+                sums += c * row
+        assert np.array_equal(eval_basis(params, N, xs), want, equal_nan=True)
+        assert np.array_equal(eval_interpolant(coeffs, xs), sums, equal_nan=True)
+        k = int(rng.integers(xs.size))
+        assert np.array_equal(eval_basis(params, N, xs[k]), want[:, k], equal_nan=True)
+        value = eval_interpolant(coeffs, xs[k])
+        assert type(value) is float
+        assert np.array_equal(value, sums[k], equal_nan=True)
 
 
 def test_interpolant_coeffs_frozen():

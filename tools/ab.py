@@ -1,4 +1,4 @@
-"""A/B timing of two checkouts: alternating warm passes in one worker per checkout.
+"""A/B timing of two checkouts: alternating warm passes, a fresh worker per turn.
 
 Usage (from the root of a checkout):
 
@@ -7,15 +7,19 @@ Usage (from the root of a checkout):
 
 The tasks are one pass of the workload at the seed, from ``bench/workloads.py``
 of the checkout holding this script (imported and left as it is), or its
-first K tasks. Each checkout gets one long-lived worker process that imports
-lagfrac from ``CHECKOUT/src`` with BLAS pinned to one thread, writes the
-tasks' config files into a directory of its own and runs one untimed pass
-there. Then each pair gives each side one turn, A first in even pairs and B
-first in odd ones. A turn is PASSES passes in a row, and its time is their
-median; a pass is one ``lagfrac.cli.main(argv)`` call per task, in order,
-timed in the worker's process CPU time (user plus system). On a shared host
-one pass of about 0.1 s varies by tens of percent, so a single pass per turn
-resolves a change of 5-10 % only over many pairs.
+first K tasks. Each pair gives each side one turn, A first in even pairs and
+B first in odd ones. A turn starts a new worker process that imports lagfrac
+from ``CHECKOUT/src`` with BLAS pinned to one thread, writes the tasks'
+config files into a directory of its own and runs one untimed pass there,
+then PASSES timed passes in a row; the turn's time is their median, and the
+worker is closed after it. A pass is one ``lagfrac.cli.main(argv)`` call per
+task, in order, timed in the worker's process CPU time (user plus system).
+A worker per turn keeps a bias of one process (its memory layout, say) from
+deciding every pair the same way; it costs each turn an interpreter start,
+the import and the untimed pass, 0.2-0.45 s of wall time on the
+benchmark's workloads, none of it timed. On a shared host one pass of
+about 0.1 s varies by tens of percent, so a single pass per turn resolves
+a change of 5-10 % only over many pairs.
 
 It prints each side's median turn time and quartiles, the ratio of B's
 median to A's, how many pairs B won (ties count for neither side), and
@@ -86,7 +90,7 @@ def _run_pass(main, tasks: list[dict]) -> tuple[float, int]:
 
 
 class _Worker:
-    """One serving process for a checkout."""
+    """One serving process for a checkout, for one turn."""
 
     def __init__(self, root: Path, task_args: list[str]):
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
@@ -151,22 +155,21 @@ def main(argv=None) -> int:
     task_args = ["--workload", args.workload, "--seed", str(args.seed)]
     if args.tasks is not None:
         task_args += ["--tasks", str(args.tasks)]
-    workers = {}
     times = {"A": [], "B": []}
     failed = {}
     try:
-        workers = {"A": _Worker(args.a, task_args), "B": _Worker(args.b, task_args)}
         for pair in range(args.pairs):
             for side in ("AB" if pair % 2 == 0 else "BA"):
-                results = [workers[side].timed_pass() for _ in range(args.passes)]
+                worker = _Worker(getattr(args, side.lower()), task_args)
+                try:
+                    results = [worker.timed_pass() for _ in range(args.passes)]
+                finally:
+                    worker.close()
                 times[side].append(statistics.median(r["cpu_s"] for r in results))
                 failed[side] = results[-1]["failed"]
     except (RuntimeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        for worker in workers.values():
-            worker.close()
     stats = compare(times["A"], times["B"])
     print(f"{args.workload} seed {args.seed}: {len(tasks)} tasks per pass, {stats['pairs']} "
           f"pairs of {args.passes}-pass turns, failed tasks A {failed['A']} B {failed['B']}")
