@@ -334,6 +334,10 @@ def _compile(name: str, raw: dict, table: bool) -> dict:
                           f"({len(betas)} values) must pair up")
     pairs = list(zip(thetas, betas))
     texts = _as_list(raw["order"], "order", _as_text)
+    # an order text is a cell of every table row and solve report, and the CSV is ASCII
+    for text in texts:
+        if not text.isascii():
+            raise ConfigError(f"order expression {text!r} is not ASCII")
     # pointwise file names carry no order either
     if (raw.get("pointwise") or not table) and len(texts) != 1:
         raise ConfigError(f"{name} takes a single order expression")
@@ -345,6 +349,9 @@ def _compile(name: str, raw: dict, table: bool) -> dict:
         if other != pair:
             raise ConfigError(f"(theta, beta) pairs {other} and {pair} share pointwise files")
     out = _as_path(raw.get("out", f"{mode}.csv"), "out")
+    # a pointwise file's name is a cell of its table
+    if raw.get("pointwise") and not os.path.basename(out).isascii():
+        raise ConfigError(f"out: pointwise file name {os.path.basename(out)!r} is not ASCII")
     # a table, or a solve of one degree, writes out itself; more degrees write stem_N{n}.csv
     if (table or len(degrees) == 1) and os.path.isdir(out):
         raise ConfigError(f"out: {out!r} is a directory")

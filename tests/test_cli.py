@@ -436,6 +436,16 @@ def test_output_to_dev_null(workdir, capsys):
     assert capsys.readouterr().out == "example1: wrote /dev/null (1 rows)\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_output_to_dev_full_fails_at_the_write(workdir, capsys):
+    # every write to /dev/full fails, whoever runs the test
+    assert main(["example1", "--theta", "1", "--beta", "3", "--N", "10",
+                 "--order", "0.5", "--out", "/dev/full"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: [Errno 28] No space left on device\n"
+    assert "wrote" not in captured.out
+
+
 def test_unencodable_row_fails_before_the_file_is_touched(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(b"old bytes\n")
@@ -846,6 +856,15 @@ SOLVE = ["solve", "--config", "run.json"]
                  "out: 'd' is a directory", id="example out is a directory"),
     pytest.param(SOLVE, dict(SOLVE_RUN, out="d"), "out: 'd' is a directory",
                  id="one-degree solve out is a directory"),
+    # order texts and pointwise file names are CSV cells, and the CSV is ASCII;
+    # U+FF10, a fullwidth zero, would still parse as 0
+    pytest.param(["example1", "--theta", "1", "--beta", "3", "--N", "10", "--order", "\uff10.5",
+                  "--out", "t.csv"], None, "order expression '\uff10.5' is not ASCII",
+                 id="non-ASCII order"),
+    pytest.param(["example2", "--theta", "0", "--beta", "1", "--N", "5,10", "--grid", "11",
+                  "--out", "\u00e9.csv"], None,
+                 "out: pointwise file name '\u00e9.csv' is not ASCII",
+                 id="non-ASCII pointwise file name"),
 ])
 def test_config_error_stops_before_any_work(workdir, capsys, monkeypatch, argv, config, message):
     def no_work(*_args):

@@ -1,4 +1,4 @@
-"""A/B timing of two checkouts: alternating warm passes, a fresh worker per turn.
+"""A/B timing of two checkouts: alternating turns, each one benchmark worker.
 
 Usage (from the root of a checkout):
 
@@ -6,20 +6,28 @@ Usage (from the root of a checkout):
         [--pairs 10] [--passes 10] [--tasks K]
 
 The tasks are one pass of the workload at the seed, from ``bench/workloads.py``
-of the checkout holding this script (imported and left as it is), or its
-first K tasks. Each pair gives each side one turn, A first in even pairs and
-B first in odd ones. A turn starts a new worker process that imports lagfrac
-from ``CHECKOUT/src`` with BLAS pinned to one thread, writes the tasks'
-config files into a directory of its own and runs one untimed pass there,
-then PASSES timed passes in a row; the turn's time is their median, and the
-worker is closed after it. A pass is one ``lagfrac.cli.main(argv)`` call per
-task, in order, timed in the worker's process CPU time (user plus system).
-A worker per turn keeps a bias of one process (its memory layout, say) from
-deciding every pair the same way; it costs each turn an interpreter start,
-the import and the untimed pass, 0.2-0.45 s of wall time on the
-benchmark's workloads, none of it timed. On a shared host one pass of
-about 0.1 s varies by tens of percent, so a single pass per turn resolves
-a change of 5-10 % only over many pairs.
+of the checkout holding this script, or its first K tasks. Each pair gives
+each side one turn, A first in even pairs and B first in odd ones. A turn
+is one measure job of ``bench/worker.py``, also from the checkout holding
+this script, so both sides are measured by the same benchmark code: a
+fresh process with BLAS pinned to one thread imports lagfrac from
+``CHECKOUT/src``, runs one cold pass over config files written into the
+turn's own directory, then PASSES warm passes. Each pass is timed in
+process CPU time and scaled by the reference loops around it
+(``run._scaled``), and its outputs are checked by ``workloads.judge``,
+exactly as the benchmark does; the turn's time is the median of its scaled
+warm passes, and its failed tasks are the worker's tally.
+
+A fresh worker per turn keeps a bias of one process (its memory layout,
+say) from deciding every pair the same way. Besides the passes, a turn
+costs an interpreter start, the import, the cold pass, the output checks
+and a reference loop of about 0.1 s around every step, none of it in the
+turn's time: 10 pairs of 6-pass operators turns took 26-38 s of wall time
+on a shared 2-vCPU machine, against 10-18 s for a pass loop without checks
+or reference loops timed in raw process CPU time. The scaling is what that
+buys: in five same-tree A/A runs of that size, each beside one of the raw
+loop, A's interquartile range read 2.6-7.6 % of its median (2.6 and 2.9 %
+on a quiet host), against 5-61 % (8 and 12 %) with raw CPU time.
 
 It prints each side's median turn time and quartiles, the ratio of B's
 median to A's, how many pairs B won (ties count for neither side), and
@@ -31,95 +39,35 @@ a worker fails; the failed-task counts of the two sides are printed too.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import json
-import os
 import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+sys.path.insert(0, str(BENCH))
+import run  # noqa: E402
 import workloads  # noqa: E402
 
-# seconds a worker gets to exit once its stdin is closed
-EXIT_WAIT_S = 60
 
-
-def _serve(root: Path, tasks: list[dict]) -> None:
-    """The worker: one untimed pass, then one timed pass per line read from stdin.
-
-    Each timed pass answers one JSON line on stdout, its CPU seconds and
-    failed tasks; what the tasks print is discarded.
-    """
-    src = (root / "src").resolve()
-    sys.path.insert(0, str(src))
-    import lagfrac.cli
-
-    if Path(lagfrac.cli.__file__).resolve().parent != src / "lagfrac":
-        raise ImportError(f"lagfrac was imported from {lagfrac.cli.__file__}, not {src}")
-    channel = sys.stdout
+def _turn(root: Path, tasks: list[dict], passes: int) -> tuple[float, int]:
+    """One measure job of bench/worker.py: its median scaled warm pass and failed tasks."""
     with tempfile.TemporaryDirectory(prefix="lagfrac-ab-") as tmp:
-        os.chdir(tmp)
+        work = Path(tmp)
         for task in tasks:
             if "config" in task:
-                Path(f"{task['id']}.json").write_text(json.dumps(task["config"]))
-        sink = io.StringIO()
-        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            _run_pass(lagfrac.cli.main, tasks)
-            for _ in sys.stdin:
-                sink.seek(0)
-                sink.truncate()
-                cpu_s, failed = _run_pass(lagfrac.cli.main, tasks)
-                channel.write(json.dumps({"cpu_s": cpu_s, "failed": failed}) + "\n")
-                channel.flush()
-
-
-def _run_pass(main, tasks: list[dict]) -> tuple[float, int]:
-    failed = 0
-    start = time.process_time()
-    for task in tasks:
-        try:
-            failed += main(task["argv"]) != 0
-        except Exception:  # a crash counts as a failed task, as in the benchmark
-            failed += 1
-    return time.process_time() - start, failed
-
-
-class _Worker:
-    """One serving process for a checkout, for one turn."""
-
-    def __init__(self, root: Path, task_args: list[str]):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   MKL_NUM_THREADS="1")
-        self.proc = subprocess.Popen(
-            [sys.executable, str(Path(__file__).resolve()), "--serve", str(root), *task_args],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
-
-    def timed_pass(self) -> dict:
-        try:
-            self.proc.stdin.write("pass\n")
-            self.proc.stdin.flush()
-            line = self.proc.stdout.readline()
-        except BrokenPipeError:
-            line = ""
-        if not line:
-            self.proc.wait()
-            raise RuntimeError(f"worker exited with status {self.proc.returncode}")
-        return json.loads(line)
-
-    def close(self) -> None:
-        try:
-            with contextlib.suppress(BrokenPipeError):  # the worker exited first
-                self.proc.stdin.close()
-            self.proc.wait(timeout=EXIT_WAIT_S)
-        finally:
-            if self.proc.poll() is None:
-                self.proc.kill()
-                self.proc.wait()
+                (work / f"{task['id']}.json").write_text(json.dumps(task["config"]))
+        job = {"mode": "measure", "tasks": tasks, "seconds": 0, "min_passes": passes,
+               "root": str(root.resolve()), "workdir": tmp, "result": str(work / "turn.out")}
+        (work / "turn.job").write_text(json.dumps(job))
+        proc = subprocess.run([sys.executable, str(BENCH / "worker.py"), str(work / "turn.job")],
+                              env=run._child_env(), stdout=subprocess.DEVNULL)
+        if proc.returncode != 0:
+            raise RuntimeError(f"worker exited with status {proc.returncode}")
+        result = json.loads((work / "turn.out").read_text())
+    return statistics.median(run._scaled(result)[2]), len(result["tally"]["failed"])
 
 
 def compare(a: list[float], b: list[float]) -> dict:
@@ -133,40 +81,24 @@ def compare(a: list[float], b: list[float]) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--serve", type=Path, help=argparse.SUPPRESS)
-    parser.add_argument("--a", type=Path, help="checkout A, the base")
-    parser.add_argument("--b", type=Path, help="checkout B, the change")
-    parser.add_argument("--workload", choices=workloads.WORKLOADS)
-    parser.add_argument("--seed", type=int)
+    parser.add_argument("--a", type=Path, required=True, help="checkout A, the base")
+    parser.add_argument("--b", type=Path, required=True, help="checkout B, the change")
+    parser.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
+    parser.add_argument("--seed", required=True, type=int)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--passes", type=int, default=10, help="passes per turn")
     parser.add_argument("--tasks", type=int, help="run only the first TASKS tasks")
     args = parser.parse_args(argv)
-    if None in (args.workload, args.seed):
-        parser.error("--workload and --seed are required")
-    tasks = workloads.make_tasks(args.workload, args.seed)[:args.tasks]
-    if args.serve is not None:
-        _serve(args.serve, tasks)
-        return 0
-    if None in (args.a, args.b):
-        parser.error("--a and --b are required")
     if args.pairs < 2 or args.passes < 1:
         parser.error("--pairs must be at least 2 and --passes at least 1")
-    task_args = ["--workload", args.workload, "--seed", str(args.seed)]
-    if args.tasks is not None:
-        task_args += ["--tasks", str(args.tasks)]
+    tasks = workloads.make_tasks(args.workload, args.seed)[:args.tasks]
     times = {"A": [], "B": []}
     failed = {}
     try:
         for pair in range(args.pairs):
             for side in ("AB" if pair % 2 == 0 else "BA"):
-                worker = _Worker(getattr(args, side.lower()), task_args)
-                try:
-                    results = [worker.timed_pass() for _ in range(args.passes)]
-                finally:
-                    worker.close()
-                times[side].append(statistics.median(r["cpu_s"] for r in results))
-                failed[side] = results[-1]["failed"]
+                elapsed, failed[side] = _turn(getattr(args, side.lower()), tasks, args.passes)
+                times[side].append(elapsed)
     except (RuntimeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
