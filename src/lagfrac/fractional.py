@@ -187,13 +187,12 @@ def _frac_ladder(params: LaguerreParams, rho: np.ndarray, max_degree: int,
 
 
 def _checked_range(rows: np.ndarray, x: np.ndarray, ladder="fractional") -> np.ndarray:
-    """rows, a _frac_ladder from degree 0 at the points x, or DomainError naming an x.
+    """rows, a ladder with one column per point of x, or DomainError naming an x.
 
-    A non-finite entry makes every later degree non-finite, so the last row
-    tells where a column leaves double range (x = 1e300, say). ladder names
-    the ladder in the message.
+    The x is that of the first column with an entry past double range
+    (x = 1e300, say). ladder names the ladder in the message.
     """
-    finite = np.isfinite(rows[-1])
+    finite = np.isfinite(rows).all(axis=0)
     if not finite.all():
         j = np.flatnonzero(~finite)[0]
         raise DomainError(f"{ladder} ladder leaves double range at x={x[j]}")
@@ -262,7 +261,8 @@ def caputo_row(params: LaguerreParams, order, max_degree, x) -> np.ndarray:
     row of max_degree + 1 values) or a 1-D array of points (a matrix with
     one column per point). Entries below degree s (q, or the order's n)
     vanish identically; the rows from s on are the _frac_ladder of
-    _ladder_orders scaled by (-beta)^s.
+    _ladder_orders scaled by (-beta)^s. A column past double range, before
+    or after the scale, raises DomainError naming its x.
     """
     deg = _checked_degree(max_degree, "max_degree")
     pts, scalar = _as_points(x)
@@ -270,8 +270,9 @@ def caputo_row(params: LaguerreParams, order, max_degree, x) -> np.ndarray:
     rows = np.zeros((deg + 1, pts.size))
     if deg >= shift:
         ladder = _frac_ladder(params, nu, deg - shift, pts, shift=shift)
-        np.multiply(_checked_range(ladder, pts, _ladder_name(order)),
-                    (-params.beta) ** shift, out=rows[shift:])
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(ladder, np.float64(-params.beta) ** shift, out=rows[shift:])
+        _checked_range(rows, pts, _ladder_name(order))
     return rows[:, 0] if scalar else rows
 
 
@@ -291,7 +292,7 @@ def vo_derivative(coeffs: InterpolantCoeffs, order, x):
         ladder = _checked_range(_frac_ladder(params, nu, deg - shift, pts, shift=shift), pts,
                                 _ladder_name(order))
         with np.errstate(over="ignore", invalid="ignore"):
-            values = (-params.beta) ** shift * (coeffs.coeffs[shift:] @ ladder)
+            values = np.float64(-params.beta) ** shift * (coeffs.coeffs[shift:] @ ladder)
     return float(values[0]) if scalar else values
 
 

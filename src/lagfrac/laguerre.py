@@ -273,15 +273,18 @@ def _gauss_nodes(params: LaguerreParams, n: int) -> np.ndarray:
     """
     theta, beta = params.theta, params.beta
     k = np.arange(n + 1, dtype=float)
-    diag = (2.0 * k + theta + 1.0) / beta
-    off = np.sqrt(k[1:] * (k[1:] + theta)) / beta
+    # a matrix past double range fails the eigenvalue solve or the node check, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = (2.0 * k + theta + 1.0) / beta
+        off = np.sqrt(k[1:] * (k[1:] + theta)) / beta
     try:
         # eigvalsh reads the lower triangle
         nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"tridiagonal eigenvalue solve failed for N={n}: {exc}") from exc
-    if nodes[0] <= 0.0 or (np.diff(nodes) <= 0.0).any():
-        raise RuntimeError(f"quadrature nodes for N={n} are not positive and strictly increasing")
+    if not (nodes[0] > 0.0 and nodes[-1] < np.inf and (np.diff(nodes) > 0.0).all()):
+        raise RuntimeError(f"quadrature nodes for N={n} are not finite, positive "
+                           f"and strictly increasing")
     return nodes
 
 

@@ -17,7 +17,6 @@ import numpy as np
 from ._record import Record
 from .fractional import (
     OrderFunction,
-    _checked_range,
     _frac_ladder,
     _ladder_orders,
     _order_values,
@@ -127,13 +126,13 @@ def assemble(spec: IvpSpec) -> tuple[np.ndarray, np.ndarray]:
     (-beta)^j L_(i-j)^(theta+j)(0) come by the parameter shift. The ladders at
     the nodes come from one recurrence pass, a column block each: the basis to
     degree N + 1 (whose top rows certify the nodes; an order-0 term reads it),
-    then one block per term of nonzero order, as caputo_row reads it. The
-    coefficients are sampled in term order, then f. A row that leaves double
-    range (a huge coefficient, say) raises SolverError naming N and the row's x.
+    then one block per term of nonzero order, as caputo_row reads it. Each
+    coefficient is sampled as its block is added, in term order, then f. One
+    check of the finished matrix raises SolverError naming N and the x of a row out of range.
     """
     N, terms, nodes = spec.N, spec.terms, spec.nodes
     count = nodes.size
-    theta, beta = spec.params.theta, spec.params.beta
+    theta, minus_beta = spec.params.theta, np.float64(-spec.params.beta)
     orders = [0] + [order for _, order in terms if order != 0]
     shifts, ladder_orders = zip(*(_ladder_orders(order, nodes) for order in orders))
     ladder = _frac_ladder(spec.params, np.concatenate(ladder_orders), N + 1,
@@ -141,23 +140,18 @@ def assemble(spec: IvpSpec) -> tuple[np.ndarray, np.ndarray]:
     # by block, degree and node; degrees past the ones a block keeps may be out of range
     blocks = ladder.reshape(N + 2, len(orders), count).swapaxes(0, 1)
     _certified_basis(spec.params, nodes, blocks[0])
-    for order, s, block in zip(orders, shifts, blocks):
-        if isinstance(order, OrderFunction):
-            _checked_range(block[:N - s + 1], nodes)
-    sampled = [_sample(c, nodes, f"coefficient of term {i}") for i, (c, _) in enumerate(terms)]
     matrix = np.zeros((N + 1, N + 1))
-    rhs = np.concatenate([_sample(spec.f, nodes, "function 'f'"), spec.initial])
     # a row past double range is reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = np.zeros((N + 1, count))
-        for values, (_, order) in zip(sampled, terms):
-            i = orders.index(order)
-            s, block = shifts[i], blocks[i][:N - shifts[i] + 1]
+        for i, (coefficient, order) in enumerate(terms):
+            values = _sample(coefficient, nodes, f"coefficient of term {i}")
+            k = orders.index(order)
+            s, block = shifts[k], blocks[k][:N - shifts[k] + 1]
             # an order-0 block skips its scale, (-beta)^0 = 1
-            rows[s:] += values * (block * (-beta) ** s if s else block)
-        matrix[:count] = rows.T
+            matrix[:count, s:] += (values * (block * minus_beta ** s if s else block)).T
+        rhs = np.concatenate([_sample(spec.f, nodes, "function 'f'"), spec.initial])
         for j in range(len(spec.initial)):
-            matrix[count + j, j:] = (-beta) ** j * np.array(_zero_ladder(theta + j, N - j))
+            matrix[count + j, j:] = minus_beta ** j * np.array(_zero_ladder(theta + j, N - j))
     if not np.isfinite(matrix).all():
         bad = np.flatnonzero(~np.all(np.isfinite(matrix), axis=1))
         x = nodes[bad[0]] if bad[0] < count else 0.0

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import io
 import json
 import logging
 import math
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lagfrac import gauss_rule
 from lagfrac.cli import _write_sections, main
@@ -266,6 +269,61 @@ def test_norm_past_double_range_is_numerical_error(workdir, capsys):
                  "--order", "0.5"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: quadrature norms for N=5 ") and "ladder" not in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv,message", [
+    # the Jacobi matrix of (theta, beta) leaves double range: its one node is inf
+    (["example1", "--theta", "1e300", "--beta", "1e-300", "--N", "0", "--order", "0.5",
+      "--grid", "3"],
+     "error: quadrature nodes for N=0 are not finite, positive and strictly increasing\n"),
+    # ... or holds infs that the eigenvalue solve cannot take
+    (["example1", "--theta", "1e150", "--beta", "1e-300", "--N", "5", "--order", "0.5",
+      "--grid", "3"], "error: tridiagonal eigenvalue solve failed for N=5: "),
+    # (-beta)^2 scales the derivative past double range
+    (["example1", "--theta", "1e-300", "--beta", "1e300", "--N", "2", "--order", "1.5",
+      "--grid", "3", "--length", "1e5"],
+     "error: derivative returned non-finite value nan at x=0.0\n"),
+    # ... and the solver's term block
+    (None, "error: collocation system for N=6 leaves double range in its row "
+           "at x=1.930436765603625e-161\n"),
+], ids=["nodes", "eigenvalues", "derivative scale", "solver scale"])
+def test_parameters_past_double_range_are_numerical_errors(workdir, capsys, argv, message):
+    if argv is None:
+        argv = ["solve", "--config", write_config(Path("s.json"), {
+            "theta": 0, "beta": 1e160, "N": 6, "order": "1.5", "m": 2, "a": "1", "b": "1",
+            "c": "1", "f": "1", "u0": 0, "v0": 0, "grid": 3, "out": "s.csv"})]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+# window ceiling n of each order, which solve configs take as m
+SWEEP_ORDERS = {"0.5": 1, "1.5": 2, "2.5": 3, "1+0.5*abs(sin(x))": 2}
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mode=st.sampled_from(["solve", "derivative", "integral"]),
+       theta=st.sampled_from([-0.5, 0, 1e-300, 1e150, 1e300]),
+       beta=st.sampled_from([1e-300, 1e-100, 1, 1e100, 1e160, 1e300]),
+       N=st.integers(0, 6), length=st.sampled_from([1e-300, 1, 1e5]),
+       order=st.sampled_from(sorted(SWEEP_ORDERS)))
+def test_every_config_exits_0_or_with_one_error_line(tmp_path, mode, theta, beta, N, length,
+                                                     order):
+    # extreme (theta, beta, length) reach every range check; a traceback, a
+    # leaked numpy warning or a second stderr line fails
+    n = SWEEP_ORDERS[order]
+    keys = {"u": "exp(x)"} if mode != "solve" else {
+        "m": n, "a": "1", "b": "1", "c": "1", "f": "1", "u0": 0, **({"v0": 0} if n > 1 else {})}
+    cfg = write_config(tmp_path / "c.json", {
+        "mode": mode, "theta": theta, "beta": beta, "N": N, "length": length, "order": order,
+        "grid": 3, "out": str(tmp_path / "o.csv"), **keys})
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["solve", "--config", cfg])
+    lines = err.getvalue().splitlines()
+    assert rc in (0, 1, 2)
+    assert lines == [] if rc == 0 else len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_unknown_flag_is_config_error(workdir):

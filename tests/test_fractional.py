@@ -466,6 +466,16 @@ def test_range_errors_name_the_ladder_they_check():
     assert str(fractional.value) == "fractional ladder leaves double range at x=1e+300"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("order,ladder", [(2, "derivative"),
+                                          (OrderFunction.constant(1.5), "fractional")])
+def test_rows_scaled_past_double_range_name_their_x(order, ladder):
+    # the ladder is in range; (-beta)^2 = 1e200 scales it out of range
+    with pytest.raises(DomainError) as info:
+        caputo_row(LaguerreParams(0.0, 1e100), order, 4, np.array([0.5, 1.0]))
+    assert str(info.value) == f"{ladder} ladder leaves double range at x=0.5"
+
+
 def test_caputo_power_rule_values():
     assert caputo_power_rule(3.0, OrderFunction.constant(1.5), 1.0) == pytest.approx(
         6.0 / math.gamma(2.5), rel=1e-12)

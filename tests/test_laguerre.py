@@ -249,6 +249,20 @@ def test_gauss_rule_overflow_is_runtime_error():
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("theta,N,message", [
+    (1e300, 0, "quadrature nodes for N=0 are not finite, positive and strictly increasing$"),
+    (1e150, 5, "tridiagonal eigenvalue solve failed for N=5: "),
+], ids=["infinite node", "eigenvalue solve"])
+def test_jacobi_matrix_past_double_range_is_runtime_error(theta, N, message):
+    # (2k + theta + 1) / beta leaves double range: no warning, and N is named
+    params = LaguerreParams(theta, 1e-300)
+    with pytest.raises(RuntimeError, match="^" + message):
+        gauss_rule(params, N)
+    with pytest.raises(RuntimeError, match="^" + message):
+        collocation_nodes(params, N, 1)
+
+
+@pytest.mark.filterwarnings("error")
 def test_rule_refuses_nodes_that_are_not_zeros():
     params = LaguerreParams(1.0, 3.0)
     nodes = gauss_rule(params, 20).nodes

@@ -24,6 +24,7 @@ from lagfrac import (
     solve,
     value_at_zero,
 )
+from lagfrac.fractional import _frac_ladder
 
 ONE = lambda x: 1.0
 
@@ -520,3 +521,23 @@ def test_overflowing_system_is_a_solver_error():
     with pytest.raises(SolverError, match=r"^collocation system for N=20 leaves double "
                                           r"range in its row at x=\d"):
         solve(huge)
+
+
+@pytest.mark.filterwarnings("error")
+def test_one_range_check_covers_the_fractional_block(monkeypatch):
+    # the fractional block leaves double range from degree 3 at node 4; the
+    # finished-matrix check names that node as it names any other row's
+    spec = IvpSpec(LaguerreParams(2.0, 4.0), 8, terms(1, OrderFunction.constant(0.5)), np.cos,
+                   [0.0])
+    count = spec.nodes.size
+
+    def overflowing(*args, **kwargs):
+        ladder = _frac_ladder(*args, **kwargs)
+        # blocks: the basis, then u', then D^0.5 u
+        ladder[3:, 2 * count + 4] = np.inf
+        return ladder
+    monkeypatch.setattr("lagfrac.solver._frac_ladder", overflowing)
+    with pytest.raises(SolverError) as info:
+        assemble(spec)
+    assert str(info.value) == ("collocation system for N=8 leaves double range in its row "
+                               "at x=2.058664843515627")
